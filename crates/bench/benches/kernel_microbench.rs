@@ -6,18 +6,19 @@
 //! {2, 4, 8, 16, 32}) cell, one pattern-sparse layer (32×32 channels,
 //! 3×3 kernels, pad 1, batch 8) runs in three execution tiers:
 //!
-//! * `scalar`  — SIMD pinned to the scalar fallback, oc-major walk;
-//! * `simd`    — the active SIMD tier (AVX2 where detected), oc-major;
-//! * `grouped` — active SIMD tier **plus** the pattern-grouped schedule
-//!   (and, for int8, the folded requantisation epilogue).
+//! * `scalar` — SIMD pinned to the scalar fallback, per-kernel walk;
+//! * `simd`   — the active SIMD tier (AVX2 where detected), per-kernel
+//!   walk (what every geometry without a tile runs);
+//! * `tiled`  — active SIMD tier on the output-stationary tile walk,
+//!   the production path (width 2 has no tile and repeats `simd`).
 //!
 //! Each tier's *layer speedup* is measured against a dense baseline
 //! running the **same machinery** with the full 9-tap pattern
 //! (`PatternSet::full(9, 9)`) in the same tier — so the ratio isolates
 //! what pattern sparsity buys, exactly the paper's `9/n` ideal — and is
 //! reported as the achieved fraction of that ideal. The int8 cells also
-//! record `int8_vs_f32`: grouped int8 throughput relative to grouped
-//! f32 on the identical geometry (the tiny-plane deficit tracker).
+//! record `int8_vs_f32`: tiled int8 throughput relative to tiled f32
+//! on the identical geometry (the tiny-plane deficit tracker).
 //!
 //! Writes `BENCH_kernels.json` at the repo root so the trajectory is
 //! comparable across PRs. `PCNN_BENCH_SMOKE=1` caps iteration counts.
@@ -29,8 +30,9 @@
 use pcnn_core::pattern::PatternSet;
 use pcnn_core::project::project_onto_set;
 use pcnn_runtime::ops::Op;
-use pcnn_runtime::quant_conv::QuantScratch;
-use pcnn_runtime::{Engine, ExecutableGraph, PatternConv, QuantOptions, QuantPatternConv};
+use pcnn_runtime::{
+    Engine, ExecutableGraph, PatternConv, QuantOptions, QuantPatternConv, QuantScratch, Walk,
+};
 use pcnn_tensor::conv::Conv2dShape;
 use pcnn_tensor::simd::{self, SimdLevel};
 use pcnn_tensor::Tensor;
@@ -135,7 +137,7 @@ fn time_pair(budget_ms: f64, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, 
     (best_a, best_b, ratios[2])
 }
 
-/// Runs the grouped production path of one layer op through the
+/// Runs the production path of one layer op through the
 /// engine's per-layer profiler and returns the **median round's**
 /// `LayerProfile` record — the same schema `ExecProfile` emits, so the
 /// microbench trajectory and live serving profiles line up key-for-key.
@@ -161,25 +163,27 @@ fn profiled_layer_record(op: Op, input: &Tensor, iters: usize) -> String {
 struct Tier {
     key: &'static str,
     level: SimdLevel,
-    grouped: bool,
+    walk: Walk,
 }
+
+const TILED: &str = "tiled";
 
 fn tiers() -> [Tier; 3] {
     [
         Tier {
             key: "scalar",
             level: SimdLevel::Scalar,
-            grouped: false,
+            walk: Walk::PerKernel,
         },
         Tier {
             key: "simd",
             level: simd::active(),
-            grouped: false,
+            walk: Walk::PerKernel,
         },
         Tier {
-            key: "grouped",
+            key: TILED,
             level: simd::active(),
-            grouped: true,
+            walk: Walk::Tiled,
         },
     ]
 }
@@ -188,11 +192,11 @@ fn tiers() -> [Tier; 3] {
 fn f32_run<'a>(conv: &'a PatternConv, layer: &'a Layer, tier: &Tier) -> impl FnMut() + 'a {
     let mut out = vec![0.0f32; layer.out_len];
     let mut scratch = Vec::new();
-    let (level, grouped) = (tier.level, tier.grouped);
+    let (level, walk) = (tier.level, tier.walk);
     move || {
         conv.forward_batch_at(
             level,
-            grouped,
+            walk,
             &layer.input,
             BATCH,
             layer.hw,
@@ -207,11 +211,11 @@ fn f32_run<'a>(conv: &'a PatternConv, layer: &'a Layer, tier: &Tier) -> impl FnM
 fn i8_run<'a>(conv: &'a QuantPatternConv, layer: &'a Layer, tier: &Tier) -> impl FnMut() + 'a {
     let mut out = vec![0.0f32; layer.out_len];
     let mut scratch = QuantScratch::new();
-    let (level, grouped) = (tier.level, tier.grouped);
+    let (level, walk) = (tier.level, tier.walk);
     move || {
         conv.forward_batch_at(
             level,
-            grouped,
+            walk,
             &layer.input,
             BATCH,
             layer.hw,
@@ -278,7 +282,7 @@ fn main() {
             let layer = build_layer(n, hw);
             for dtype in ["f32", "int8"] {
                 let mut tier_blocks = Vec::new();
-                let mut grouped_sparse_ms = f64::INFINITY;
+                let mut tiled_sparse_ms = f64::INFINITY;
                 println!("== {dtype} n={n} plane {hw}x{hw} (ideal {ideal:.2}x) ==");
                 for tier in tiers() {
                     // Paired rounds: dense and sparse legs run
@@ -304,9 +308,9 @@ fn main() {
                         tier.key,
                         fraction * 100.0
                     );
-                    if tier.key == "grouped" {
+                    if tier.key == TILED {
                         summary.push((format!("{dtype}_n{n}_w{hw}_speedup"), speedup));
-                        grouped_sparse_ms = sparse_ms;
+                        tiled_sparse_ms = sparse_ms;
                     }
                     tier_blocks.push(format!(
                         "\"{}\":{{\"sparse_ms\":{sparse_ms:.5},\"dense_ms\":{dense_ms:.5},\
@@ -319,8 +323,8 @@ fn main() {
                     tier_blocks.join(",")
                 ));
                 // The same cell once more through the engine's
-                // per-layer profiler (production grouped path), emitted
-                // in the ExecProfile layer-record schema.
+                // per-layer profiler (the production path), emitted in
+                // the ExecProfile layer-record schema.
                 let x = Tensor::from_vec(layer.input.clone(), &[BATCH, CHANNELS, hw, hw]);
                 let op = if dtype == "f32" {
                     Op::PatternConv(layer.sparse_f32.clone())
@@ -328,24 +332,20 @@ fn main() {
                     Op::QuantConv(layer.sparse_i8.clone())
                 };
                 let iters =
-                    ((budget_ms / grouped_sparse_ms.max(1e-4)).ceil() as usize).clamp(3, 2000);
+                    ((budget_ms / tiled_sparse_ms.max(1e-4)).ceil() as usize).clamp(3, 2000);
                 layer_records.push(format!(
                     "\"{dtype}_n{n}_w{hw}\":{}",
                     profiled_layer_record(op, &x, iters)
                 ));
             }
-            // The deficit tracker: grouped f32 vs grouped int8, paired.
-            let grouped = Tier {
-                key: "grouped",
-                level: simd::active(),
-                grouped: true,
-            };
+            // The deficit tracker: tiled f32 vs tiled int8, paired.
+            let [_, _, tiled] = tiers();
             let (_, _, ratio) = time_pair(
                 budget_ms,
-                f32_run(&layer.sparse_f32, &layer, &grouped),
-                i8_run(&layer.sparse_i8, &layer, &grouped),
+                f32_run(&layer.sparse_f32, &layer, &tiled),
+                i8_run(&layer.sparse_i8, &layer, &tiled),
             );
-            println!("  int8 vs f32 (grouped): {ratio:.2}x\n");
+            println!("  int8 vs f32 (tiled): {ratio:.2}x\n");
             summary.push((format!("int8_over_f32_n{n}_w{hw}"), ratio));
         }
     }
@@ -358,7 +358,7 @@ fn main() {
         "{{\"bench\":\"kernel_microbench\",\"simd_level\":\"{level}\",\"batch\":{BATCH},\
          \"channels\":{CHANNELS},\"smoke\":{smoke},\
          \"note\":\"speedup = dense(9-tap, same tier) / sparse(n-tap); fraction = speedup / (9/n); \
-         int8_over_f32 compares grouped int8 vs grouped f32 on identical geometry\",\
+         int8_over_f32 compares tiled int8 vs tiled f32 on identical geometry\",\
          \"cells\":{{{}}},\"layer_records\":{{{}}},\"summary\":{{{}}}}}",
         cells.join(","),
         layer_records.join(","),

@@ -382,13 +382,12 @@ fn main() {
     // The honesty clause: say where int8 wins and where it doesn't.
     let notes = format!(
         "int8 executes i8xi8->i32 pattern kernels with per-image activation quantisation \
-         fused into plane padding and the requantisation epilogue folded into each output \
-         channel's final kernel dispatch (pattern-grouped schedule). The quantise/max-abs \
-         passes dispatch through the same SIMD tiers as the kernels, so int8 leads f32 on \
-         the deliberately tiny activation-pass-bound default proxies too, not just the \
-         compute-bound CIFAR-width proxy. Ratios compressed vs the pre-SIMD-rewrite file \
-         because the f32 kernels sped up more than the int8 kernels; both gained in \
-         absolute terms. Best observed int8 speedup this run: {:.2}x on {}.",
+         fused into plane padding and requantisation run on the output tile's registers \
+         (the output-stationary walk f32 uses). The quantise/max-abs passes dispatch \
+         through the same SIMD tiers as the kernels. The f32 tile keeps partial sums in \
+         registers at 8 lanes per multiply-add; the int8 tile widens every product to i32, \
+         so whether int8 leads is the ratio below, not a given. Best observed int8 speedup \
+         this run: {:.2}x on {}.",
         best_overall.0, best_overall.1
     );
     println!("notes: {notes}");

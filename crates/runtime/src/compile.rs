@@ -81,12 +81,6 @@ pub struct CompileOptions {
     /// Fail compilation when a prunable layer cannot be SPM-encoded
     /// instead of falling back to a dense op.
     pub strict: bool,
-    /// Lower pattern convolutions onto the pattern-grouped execution
-    /// schedule (ic-major, per-pattern-ID kernel groups with packed
-    /// weights — one offset-table load per group, each padded input
-    /// plane streamed through all of its consumers). `false` keeps the
-    /// legacy oc-major walk; results are bit-identical either way.
-    pub pattern_grouped: bool,
 }
 
 impl Default for CompileOptions {
@@ -96,7 +90,6 @@ impl Default for CompileOptions {
             fuse_relu: true,
             force_dense: false,
             strict: false,
-            pattern_grouped: true,
         }
     }
 }
@@ -389,9 +382,7 @@ fn lower_conv(
                     report.spm_index_bits += spm.index_bits();
                     report.spm_table_bits += spm.table_bits();
                     report.dense_bits += spm.dense_bits(32);
-                    let mut pc = PatternConv::from_spm(spm, shape)
-                        .with_relu(epilogue_relu)
-                        .with_grouping(opts.pattern_grouped);
+                    let mut pc = PatternConv::from_spm(spm, shape).with_relu(epilogue_relu);
                     if let Some(b) = bias.clone() {
                         pc = pc.with_bias(b);
                     }

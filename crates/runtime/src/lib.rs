@@ -20,14 +20,18 @@
 //!    regularity of pattern pruning is what makes a fixed unrolled
 //!    kernel per pattern possible at all. A registry can cover a
 //!    distilled [`PatternSet`] (one kernel per SPM code) or the full 2⁹
-//!    pattern space, and every layer additionally compiles a
-//!    **pattern-grouped schedule** ([`registry::PatternSchedule`]):
-//!    kernels reorder ic-major into per-pattern-ID groups with packed
-//!    weights, so one offset-table load feeds every output channel
-//!    sharing that pattern and each padded input plane streams through
-//!    all of its consumers while cache-hot. The schedule's last-kernel
-//!    flags let the executors fold their epilogue (fused ReLU, int8
-//!    requantisation) into the final dispatch per output channel.
+//!    pattern space, and keeps one flat per-code tap-offset table for
+//!    the padded width its layer runs at. Both precisions execute a
+//!    layer with **one output-stationary walk**
+//!    ([`pcnn_tensor::direct::tile_walk_at`]): per output channel and
+//!    image, a register tile of the output plane is seeded with the
+//!    bias, every live input-channel kernel streams its taps through it
+//!    in ascending `ic` (SPM order as stored — nothing is reordered or
+//!    repacked), and the fused ReLU / int8 requantisation runs on the
+//!    registers before a single store. Geometries without a tile
+//!    (stride ≠ 1, kernels other than 3×3 pad 1, untiled widths, more
+//!    than 9 taps) run the same channel loop one kernel per dispatch;
+//!    geometry alone chooses, and the two agree bit for bit.
 //!
 //! 2. **Layer compiler** ([`compile`]). A pruned model lowers to an
 //!    immutable [`graph::ExecutableGraph`] of ops ([`ops::Op`]):
@@ -50,8 +54,9 @@
 //!    ([`engine::Engine::infer_coalesced`],
 //!    [`engine::Engine::infer_coalesced_async`]): same-shape
 //!    single-image requests stack into one batched graph pass, which
-//!    amortises padded-plane construction and offset tables across the
-//!    whole batch ([`PatternConv::forward_batch`]).
+//!    amortises padded-plane construction and each output channel's
+//!    kernel decode across the whole batch
+//!    ([`PatternConv::forward_batch`]).
 //!
 //! 4. **Quantised backend** ([`quant_conv`], [`quant_kernels`]). The
 //!    same compiled topology carries an optional **int8** lowering
@@ -60,9 +65,9 @@
 //!    `pcnn_core::quant` while the pattern codes, registries, and offset
 //!    tables are shared verbatim — the economy the paper's SPM format
 //!    exists for. Execution quantises activations per image (fused into
-//!    plane padding), accumulates `i8 × i8` MACs in `i32` through
-//!    unrolled integer kernels, and requantises once per output plane
-//!    with the folded BN shift and fused ReLU
+//!    plane padding), accumulates `i8 × i8` MACs in an `i32` register
+//!    tile of the same walk, and requantises it in registers with the
+//!    folded BN shift and fused ReLU
 //!    ([`quant_conv::QuantPatternConv`]). [`quant_conv::Precision`]
 //!    selects the datapath per call ([`engine::Engine::infer_with`],
 //!    [`engine::Engine::infer_coalesced_async_at`]).
@@ -101,7 +106,9 @@
 //!
 //! The parity suite (`tests/parity.rs`) checks sparse execution against
 //! the dense im2col reference to 1e-5 for every proxy network of the
-//! paper's zoo at n = 2 and n = 4, fused and unfused; property tests
+//! paper's zoo at n = 2 and n = 4, fused and unfused, and holds the
+//! tile walk against the per-kernel walk bit for bit on every proxy
+//! layer; property tests do the same over generated geometries and
 //! round-trip random pattern assignments through the kernel registry.
 //!
 //! [`PatternSet`]: pcnn_core::PatternSet
@@ -122,7 +129,7 @@ pub use compile::{
 };
 pub use engine::{Engine, ServeStats};
 pub use graph::ExecutableGraph;
-pub use pattern_conv::PatternConv;
+pub use pattern_conv::{PatternConv, Walk};
 pub use profile::{ExecProfile, ExecProfiler, LayerProfile, PhaseSplit, PrecisionProfile};
 pub use quant_conv::{Precision, QuantOptions, QuantPatternConv, QuantScratch};
 pub use registry::KernelRegistry;

@@ -10,12 +10,15 @@
 //!
 //! * **pad** — padded-plane construction, including activation
 //!   quantisation and accumulator setup on the int8 path;
-//! * **kernel** — the compiled pattern-kernel dispatches themselves;
-//! * **epilogue** — fused ReLU / requantisation tails.
+//! * **kernel** — the kernel walk, fused ReLU / requantisation
+//!   included: the epilogue runs on the output tile's registers, so
+//!   there is no separate phase to time (`epilogue_ns` reads 0 and stays
+//!   in the schema so `pad + kernel + epilogue = total` holds).
 //!
-//! Convolution layers additionally count kernel dispatches, pattern
-//! groups walked, zero kernels skipped, bytes of padded planes built,
-//! and the SIMD tier actually dispatched. The aggregate snapshot
+//! Convolution layers additionally count kernel dispatches (tile-walk
+//! calls, one per output channel; live kernels on geometries without a
+//! tile), zero kernels skipped, bytes of padded planes built, and the
+//! SIMD tier actually dispatched. The aggregate snapshot
 //! ([`ExecProfile`]) is the measured per-layer cost model the
 //! bench-driven kernel-plan work consumes — the same role profiled
 //! execution plays in the PatDNN/PCONV compiler line.
@@ -37,9 +40,7 @@ pub struct LayerStats {
     images: AtomicU64,
     pad_ns: AtomicU64,
     kernel_ns: AtomicU64,
-    epilogue_ns: AtomicU64,
     kernel_dispatches: AtomicU64,
-    pattern_groups: AtomicU64,
     zero_kernels_skipped: AtomicU64,
     padded_bytes: AtomicU64,
     /// SIMD tier last dispatched: 0 = none recorded, 1 = scalar,
@@ -53,9 +54,7 @@ pub(crate) struct ConvPass {
     pub images: u64,
     pub pad_ns: u64,
     pub kernel_ns: u64,
-    pub epilogue_ns: u64,
     pub kernel_dispatches: u64,
-    pub pattern_groups: u64,
     pub zero_kernels_skipped: u64,
     pub padded_bytes: u64,
     pub level: SimdLevel,
@@ -84,14 +83,11 @@ impl LayerStats {
         self.pad_ns.fetch_add(p.pad_ns, Ordering::Relaxed);
         self.kernel_ns.fetch_add(p.kernel_ns, Ordering::Relaxed);
         // ordering: Relaxed — same statistics contract as above.
-        self.epilogue_ns.fetch_add(p.epilogue_ns, Ordering::Relaxed);
         self.kernel_dispatches
             .fetch_add(p.kernel_dispatches, Ordering::Relaxed);
-        // Static per-layer properties: store, don't accumulate.
-        // ordering: Relaxed — every pass writes the same values, so
+        // A static per-layer property: store, don't accumulate.
+        // ordering: Relaxed — every pass writes the same value, so
         // which writer wins is immaterial.
-        self.pattern_groups
-            .store(p.pattern_groups, Ordering::Relaxed);
         self.zero_kernels_skipped
             .store(p.zero_kernels_skipped, Ordering::Relaxed);
         // ordering: Relaxed — same statistics contract as above.
@@ -114,9 +110,7 @@ impl LayerStats {
         self.pad_ns.store(0, Ordering::Relaxed);
         self.kernel_ns.store(0, Ordering::Relaxed);
         // ordering: Relaxed — covered by the reset contract above.
-        self.epilogue_ns.store(0, Ordering::Relaxed);
         self.kernel_dispatches.store(0, Ordering::Relaxed);
-        self.pattern_groups.store(0, Ordering::Relaxed);
         self.zero_kernels_skipped.store(0, Ordering::Relaxed);
         self.padded_bytes.store(0, Ordering::Relaxed);
         self.simd.store(0, Ordering::Relaxed);
@@ -128,7 +122,6 @@ impl LayerStats {
         // to callers, so no acquire pairing is needed.
         let pad_ns = self.pad_ns.load(Ordering::Relaxed);
         let kernel_ns = self.kernel_ns.load(Ordering::Relaxed);
-        let epilogue_ns = self.epilogue_ns.load(Ordering::Relaxed);
         LayerProfile {
             layer,
             label: label.to_string(),
@@ -137,11 +130,11 @@ impl LayerStats {
             images: self.images.load(Ordering::Relaxed),
             pad_ns,
             kernel_ns,
-            epilogue_ns,
-            total_ns: pad_ns + kernel_ns + epilogue_ns,
+            epilogue_ns: 0,
+            total_ns: pad_ns + kernel_ns,
             // ordering: Relaxed — covered by the snapshot contract above.
             kernel_dispatches: self.kernel_dispatches.load(Ordering::Relaxed),
-            pattern_groups: self.pattern_groups.load(Ordering::Relaxed),
+            pattern_groups: 0,
             zero_kernels_skipped: self.zero_kernels_skipped.load(Ordering::Relaxed),
             padded_bytes: self.padded_bytes.load(Ordering::Relaxed),
             simd_level: match self.simd.load(Ordering::Relaxed) {
@@ -297,17 +290,18 @@ pub struct LayerProfile {
     pub images: u64,
     /// Wall time in the pad/quantise phase.
     pub pad_ns: u64,
-    /// Wall time in compiled kernel dispatches (whole-op time for
-    /// non-convolution layers).
+    /// Wall time in the kernel walk, fused ReLU / requantisation
+    /// included (whole-op time for non-convolution layers).
     pub kernel_ns: u64,
-    /// Wall time in the fused ReLU / requantisation epilogue.
+    /// Always 0: the epilogue runs inside the kernel walk and is timed
+    /// with it. Kept so the phase sum and the schema stay put.
     pub epilogue_ns: u64,
     /// `pad_ns + kernel_ns + epilogue_ns`.
     pub total_ns: u64,
-    /// Compiled kernel dispatches issued.
+    /// Kernel dispatches issued: tile-walk calls (one per output
+    /// channel), or live kernels where the geometry has no tile.
     pub kernel_dispatches: u64,
-    /// Pattern groups in the layer's schedule (0 on the oc-major walk
-    /// and for non-pattern layers).
+    /// Always 0: no executor walks pattern groups. Kept for the schema.
     pub pattern_groups: u64,
     /// All-zero kernels skipped per pass.
     pub zero_kernels_skipped: u64,

@@ -17,29 +17,35 @@
 //!    batch peers), fused into the padded-plane construction the
 //!    batched runtime performs anyway;
 //! 2. every surviving tap contributes an `i8 × i8` MAC into an `i32`
-//!    accumulator plane through the unrolled kernels of
-//!    [`pcnn_tensor::direct::accumulate_plane_batch_dyn_i8`];
-//! 3. requantisation maps accumulators back to `f32` (`acc · s_w ·
-//!    s_a`), adds the folded batch-norm shift, and applies the fused
-//!    ReLU ([`crate::quant_kernels::requantize_plane`]). Under the
-//!    pattern-grouped schedule (the default) this epilogue is **folded
-//!    into each output channel's final kernel dispatch**, so the
-//!    accumulator planes are consumed while cache-hot instead of in a
-//!    separate full pass.
+//!    accumulator — a register tile of the output plane that every
+//!    live kernel of the output channel streams through
+//!    ([`pcnn_tensor::direct::tile_walk_at`], the walk
+//!    [`crate::pattern_conv::PatternConv`] runs in f32);
+//! 3. requantisation maps the tile back to `f32` (`acc · s_w · s_a`),
+//!    adds the folded batch-norm shift, and applies the fused ReLU
+//!    before its single store — the `i32` sums never reach memory.
+//!    Geometries without a tile accumulate one output channel at a
+//!    time into `i32` planes, one kernel per dispatch
+//!    ([`pcnn_tensor::direct::accumulate_plane_batch_dyn_i8`]), and
+//!    requantise those ([`crate::quant_kernels::requantize_plane`]);
+//!    the results are equal.
 //!
 //! Kernels whose quantised sequence is entirely zero are skipped — the
 //! orthogonal coarse-pruning economy survives quantisation (and can only
 //! grow, since tiny weights may round to the zero code).
 
-use crate::pattern_conv::PatternConv;
+use crate::pattern_conv::{PatternConv, Walk};
 use crate::profile::{ConvPass, LayerStats};
 use crate::quant_kernels::{
     per_image_activation_params_at, quantize_batch_planes_at, requantize_plane_at,
 };
-use crate::registry::{KernelRegistry, PatternSchedule};
+use crate::registry::KernelRegistry;
 use pcnn_core::quant::{dequantize, quantize_symmetric, QuantParams};
 use pcnn_tensor::conv::{conv2d_direct, Conv2dShape};
-use pcnn_tensor::direct::{accumulate_plane_batch_dyn_i8_at, padded_dims, BatchPlanes};
+use pcnn_tensor::direct::{
+    accumulate_plane_batch_dyn_i8_at, has_tile, padded_dims, tile_walk_at, BatchPlanes, Requant,
+    SpmKernels,
+};
 use pcnn_tensor::simd::{self, SimdLevel};
 use pcnn_tensor::Tensor;
 use std::time::Instant;
@@ -101,12 +107,14 @@ impl Default for QuantOptions {
     }
 }
 
-/// Reusable scratch of the quantised batch path: the i8 padded planes
-/// and the i32 accumulator planes, grown on first use and recycled
-/// across calls.
+/// Reusable scratch of the quantised batch path: the i8 padded planes,
+/// the per-image requantisation scales, and — only for geometries
+/// without a tile — one output channel's i32 accumulator planes. Grown
+/// on first use and recycled across calls.
 #[derive(Debug, Default)]
 pub struct QuantScratch {
     padded: Vec<i8>,
+    scales: Vec<f32>,
     acc: Vec<i32>,
 }
 
@@ -139,13 +147,6 @@ pub struct QuantPatternConv {
     skip: Vec<bool>,
     /// Pattern-table size, for summaries.
     set_len: usize,
-    /// The pattern-grouped execution order, rebuilt from the
-    /// **quantised** skip flags (tiny weights may round to all-zero).
-    schedule: PatternSchedule,
-    /// Quantised non-zero weights packed in schedule-slot order.
-    packed: Vec<i8>,
-    /// Execute batches pattern-grouped (default) or oc-major.
-    grouped: bool,
 }
 
 impl QuantPatternConv {
@@ -169,12 +170,6 @@ impl QuantPatternConv {
         let skip: Vec<bool> = (0..spm.kernel_count())
             .map(|ki| qweights[ki * n..(ki + 1) * n].iter().all(|&q| q == 0))
             .collect();
-        let schedule = PatternSchedule::build(spm.codes(), &skip, shape.out_c, shape.in_c);
-        let mut packed = Vec::with_capacity(schedule.slot_count() * n);
-        for (ic, oc) in schedule.slot_kernels() {
-            let ki = oc * shape.in_c + ic;
-            packed.extend_from_slice(&qweights[ki * n..(ki + 1) * n]);
-        }
         QuantPatternConv {
             registry: pc.registry().clone(),
             shape,
@@ -187,31 +182,7 @@ impl QuantPatternConv {
             relu: pc.has_relu(),
             skip,
             set_len: spm.pattern_set().len(),
-            schedule,
-            packed,
-            grouped: pc.is_grouped(),
         }
-    }
-
-    /// Selects pattern-grouped (default, inherited from the source
-    /// [`PatternConv`]) or oc-major batched execution. Results are
-    /// identical either way (i32 accumulation is exact); grouped
-    /// execution additionally folds the requantisation epilogue into
-    /// each output channel's final kernel dispatch.
-    pub fn with_grouping(mut self, grouped: bool) -> Self {
-        self.grouped = grouped;
-        self
-    }
-
-    /// Whether batched execution runs pattern-grouped.
-    pub fn is_grouped(&self) -> bool {
-        self.grouped
-    }
-
-    /// The pattern-grouped execution schedule (rebuilt from the
-    /// quantised skip flags).
-    pub fn schedule(&self) -> &PatternSchedule {
-        &self.schedule
     }
 
     /// The convolution shape.
@@ -273,22 +244,14 @@ impl QuantPatternConv {
     ///
     /// Panics on input shape mismatch.
     pub fn forward(&self, input: &Tensor) -> Tensor {
-        let dims = input.shape();
-        assert_eq!(dims.len(), 4, "input must be NCHW");
-        let (n, in_c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        assert_eq!(in_c, self.shape.in_c, "input channel mismatch");
-        let (oh, ow) = self.shape.out_hw(h, w);
-        let mut out = Tensor::zeros(&[n, self.shape.out_c, oh, ow]);
-        let mut scratch = QuantScratch::new();
-        self.forward_batch(input.as_slice(), n, h, w, out.as_mut_slice(), &mut scratch);
-        out
+        self.forward_tensor(input, None)
     }
 
     /// The batched integer execution path, mirroring
     /// [`PatternConv::forward_batch`]: every plane of every image is
-    /// quantised-and-padded once up front, kernels walk in the outer
-    /// loops with images inside each compiled kernel dispatch, and one
-    /// requantisation pass per output plane returns to f32.
+    /// quantised-and-padded once up front, then the layer runs output
+    /// channel by output channel, each channel's tile requantised in
+    /// registers at its image's own scale.
     ///
     /// `input` is `n` contiguous `in_c × h × w` f32 images; `out` is `n`
     /// contiguous `out_c × oh × ow` f32 outputs, fully overwritten.
@@ -305,31 +268,12 @@ impl QuantPatternConv {
         out: &mut [f32],
         scratch: &mut QuantScratch,
     ) {
-        self.forward_batch_at(simd::active(), self.grouped, input, n, h, w, out, scratch);
+        self.forward_batch_at(simd::active(), Walk::Tiled, input, n, h, w, out, scratch);
     }
 
-    /// [`QuantPatternConv::forward_batch`] on the legacy **oc-major**
-    /// kernel walk with the separate whole-tensor requantisation pass —
-    /// the parity oracle and bench baseline for the grouped order.
-    pub fn forward_batch_oc_major(
-        &self,
-        input: &[f32],
-        n: usize,
-        h: usize,
-        w: usize,
-        out: &mut [f32],
-        scratch: &mut QuantScratch,
-    ) {
-        self.forward_batch_at(simd::active(), false, input, n, h, w, out, scratch);
-    }
-
-    /// The fully pinned batched integer entry point: SIMD tier and walk
-    /// order chosen by the caller. The pattern-grouped order
-    /// additionally **folds the requantisation epilogue into each
-    /// output channel's final kernel dispatch**, turning the trailing
-    /// full pass over every accumulator plane into a cache-hot per-plane
-    /// tail — the fix for the tiny-plane int8 deficit, where that pass
-    /// rivals the arithmetic itself.
+    /// The fully pinned batched integer entry point: SIMD tier and
+    /// kernel walk chosen by the caller, for benches and the parity
+    /// suites (the results are equal on every combination).
     ///
     /// # Panics
     ///
@@ -338,7 +282,7 @@ impl QuantPatternConv {
     pub fn forward_batch_at(
         &self,
         level: SimdLevel,
-        grouped: bool,
+        walk: Walk,
         input: &[f32],
         n: usize,
         h: usize,
@@ -346,15 +290,18 @@ impl QuantPatternConv {
         out: &mut [f32],
         scratch: &mut QuantScratch,
     ) {
-        self.forward_batch_impl(level, grouped, input, n, h, w, out, scratch, None);
+        self.forward_batch_impl(level, walk, input, n, h, w, out, scratch, None);
     }
 
     /// [`QuantPatternConv::forward`] with per-phase instrumentation into
     /// a profiler slot — the profiled graph walk's entry point. The pad
-    /// phase covers activation quantisation, padded-plane construction,
-    /// and accumulator setup; the epilogue is the requantisation tail.
+    /// phase covers activation quantisation and padded-plane
+    /// construction; requantisation is part of the kernel phase.
     pub(crate) fn forward_profiled(&self, input: &Tensor, stats: &LayerStats) -> Tensor {
-        let start = Instant::now();
+        self.forward_tensor(input, Some((stats, Instant::now())))
+    }
+
+    fn forward_tensor(&self, input: &Tensor, profile: Option<(&LayerStats, Instant)>) -> Tensor {
         let dims = input.shape();
         assert_eq!(dims.len(), 4, "input must be NCHW");
         let (n, in_c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -364,14 +311,14 @@ impl QuantPatternConv {
         let mut scratch = QuantScratch::new();
         self.forward_batch_impl(
             simd::active(),
-            self.grouped,
+            Walk::Tiled,
             input.as_slice(),
             n,
             h,
             w,
             out.as_mut_slice(),
             &mut scratch,
-            Some((stats, start)),
+            profile,
         );
         out
     }
@@ -380,7 +327,7 @@ impl QuantPatternConv {
     fn forward_batch_impl(
         &self,
         level: SimdLevel,
-        grouped: bool,
+        walk: Walk,
         input: &[f32],
         n: usize,
         h: usize,
@@ -412,129 +359,97 @@ impl QuantPatternConv {
             &aparams,
             &mut scratch.padded,
         );
+        scratch.scales.clear();
+        scratch
+            .scales
+            .extend(aparams.iter().map(|ap| self.wparams.scale * ap.scale));
 
         let (ph, pw) = padded_dims(h, w, shape.pad);
-        let offsets = self.registry.offset_table(pw);
         let plane_len = ph * pw;
         let in_c = shape.in_c;
-        let row_stride = shape.stride * pw;
-
-        // Fresh i32 accumulators for the whole batch.
-        let acc_len = n * out_img;
-        scratch.acc.clear();
-        scratch.acc.resize(acc_len, 0);
-        let acc = &mut scratch.acc[..];
         let padded = &scratch.padded[..n * in_c * plane_len];
+        let scales = &scratch.scales[..];
 
-        // Phase boundary: quantise + pad + accumulator setup (plus the
-        // caller's output allocation) is the pad phase.
-        let profiling = profile.is_some();
-        let pad_done = profiling.then(Instant::now);
-        let mut dispatches = 0u64;
-        let mut epi_ns = 0u64;
+        // Phase boundary: quantise + pad (plus the caller's output
+        // allocation) is the pad phase; the walk, requantisation
+        // included, is the kernel phase.
+        let pad_done = profile.is_some().then(Instant::now);
 
-        let geo_for = |ic: usize, oc: usize| BatchPlanes {
-            out_base: oc * out_plane_len,
-            out_stride: out_img,
-            in_base: ic * plane_len,
-            in_stride: in_c * plane_len,
-            plane_len,
-            n,
+        let offsets = self.registry.offset_table(pw);
+        let tiled = walk == Walk::Tiled && has_tile(shape, self.n, oh, ow);
+        let kernels = SpmKernels {
+            codes: &self.codes,
+            weights: &self.qweights,
+            skip: &self.skip,
+            offsets: &offsets,
+            taps: self.n,
+            in_c,
         };
-        // Requantises one output channel's accumulator planes across
-        // the batch: back to f32 at each image's own scale, bias added,
-        // ReLU fused.
-        let requant_oc = |acc: &[i32], out: &mut [f32], oc: usize| {
+        let mut dispatches = 0u64;
+        for oc in 0..shape.out_c {
             let bias = self.bias.as_ref().map_or(0.0, |b| b[oc]);
-            for (ni, ap) in aparams.iter().enumerate() {
+            if tiled {
+                let epilogue = Requant {
+                    scales,
+                    bias,
+                    relu: self.relu,
+                };
+                // Output channel `oc` of every image, read from the
+                // images' padded planes.
+                let geo = BatchPlanes {
+                    out_base: oc * out_plane_len,
+                    out_stride: out_img,
+                    in_base: 0,
+                    in_stride: in_c * plane_len,
+                    plane_len,
+                    n,
+                };
+                tile_walk_at(level, &kernels, oc, epilogue, padded, out, geo, oh, ow);
+                dispatches += 1;
+                continue;
+            }
+            // No tile for this geometry: sum the channel's kernels one
+            // at a time into i32 planes, then requantise those.
+            let acc = &mut scratch.acc;
+            acc.clear();
+            acc.resize(n * out_plane_len, 0);
+            for ic in 0..in_c {
+                let ki = oc * in_c + ic;
+                if self.skip[ki] {
+                    continue;
+                }
+                let code = self.codes[ki] as usize;
+                dispatches += 1;
+                accumulate_plane_batch_dyn_i8_at(
+                    level,
+                    acc,
+                    padded,
+                    BatchPlanes {
+                        out_base: 0,
+                        out_stride: out_plane_len,
+                        in_base: ic * plane_len,
+                        in_stride: in_c * plane_len,
+                        plane_len,
+                        n,
+                    },
+                    oh,
+                    ow,
+                    shape.stride * pw,
+                    &offsets[code * self.n..(code + 1) * self.n],
+                    &self.qweights[ki * self.n..(ki + 1) * self.n],
+                    shape.stride,
+                );
+            }
+            for (ni, &scale) in scales.iter().enumerate() {
                 let base = ni * out_img + oc * out_plane_len;
                 requantize_plane_at(
                     level,
-                    &acc[base..base + out_plane_len],
-                    self.wparams.scale * ap.scale,
+                    &acc[ni * out_plane_len..(ni + 1) * out_plane_len],
+                    scale,
                     bias,
                     self.relu,
                     &mut out[base..base + out_plane_len],
                 );
-            }
-        };
-
-        if grouped {
-            // Pattern-grouped walk with the requant epilogue folded
-            // into each output channel's final live kernel dispatch:
-            // the accumulator planes are requantised while still hot
-            // instead of in a separate cold pass over the whole batch.
-            for entry in self.schedule.entries() {
-                let offs = &offsets[entry.code as usize];
-                let ic = entry.ic as usize;
-                let slot0 = entry.start as usize;
-                let lasts = self.schedule.group_last(entry);
-                for (s, &oc) in self.schedule.group_ocs(entry).iter().enumerate() {
-                    let oc = oc as usize;
-                    let qwts = &self.packed[(slot0 + s) * self.n..(slot0 + s + 1) * self.n];
-                    dispatches += 1;
-                    accumulate_plane_batch_dyn_i8_at(
-                        level,
-                        acc,
-                        padded,
-                        geo_for(ic, oc),
-                        oh,
-                        ow,
-                        row_stride,
-                        offs,
-                        qwts,
-                        shape.stride,
-                    );
-                    if lasts[s] {
-                        let t = profiling.then(Instant::now);
-                        requant_oc(acc, out, oc);
-                        if let Some(t) = t {
-                            epi_ns += t.elapsed().as_nanos() as u64;
-                        }
-                    }
-                }
-            }
-            // Fully coarse-pruned channels never hit the fold; they
-            // still owe the bias (+ ReLU) epilogue over zero sums.
-            let t = profiling.then(Instant::now);
-            for &oc in self.schedule.untouched_ocs() {
-                requant_oc(acc, out, oc as usize);
-            }
-            if let Some(t) = t {
-                epi_ns += t.elapsed().as_nanos() as u64;
-            }
-        } else {
-            // Legacy oc-major walk with the separate requant pass.
-            for oc in 0..shape.out_c {
-                for ic in 0..in_c {
-                    let ki = oc * in_c + ic;
-                    if self.skip[ki] {
-                        continue;
-                    }
-                    let code = self.codes[ki] as usize;
-                    let offs = &offsets[code];
-                    let qwts = &self.qweights[ki * self.n..(ki + 1) * self.n];
-                    dispatches += 1;
-                    accumulate_plane_batch_dyn_i8_at(
-                        level,
-                        acc,
-                        padded,
-                        geo_for(ic, oc),
-                        oh,
-                        ow,
-                        row_stride,
-                        offs,
-                        qwts,
-                        shape.stride,
-                    );
-                }
-            }
-            let t = profiling.then(Instant::now);
-            for oc in 0..shape.out_c {
-                requant_oc(acc, out, oc);
-            }
-            if let Some(t) = t {
-                epi_ns += t.elapsed().as_nanos() as u64;
             }
         }
 
@@ -544,14 +459,8 @@ impl QuantPatternConv {
             stats.record_conv(&ConvPass {
                 images: n as u64,
                 pad_ns,
-                kernel_ns: total.saturating_sub(pad_ns).saturating_sub(epi_ns),
-                epilogue_ns: epi_ns,
+                kernel_ns: total.saturating_sub(pad_ns),
                 kernel_dispatches: dispatches,
-                pattern_groups: if grouped {
-                    self.schedule.entries().len() as u64
-                } else {
-                    0
-                },
                 zero_kernels_skipped: self.skipped_kernels() as u64,
                 padded_bytes: (n * in_c * plane_len) as u64,
                 level,

@@ -23,7 +23,7 @@
 //! dequantise-then-f32 reference at 1e-5.
 
 use pcnn_core::quant::QuantParams;
-use pcnn_tensor::direct::{max_abs_at, pad_quant_plane_overwrite_at, padded_dims};
+use pcnn_tensor::direct::{max_abs_at, pad_quant_plane_overwrite_at, padded_dims, requantize};
 use pcnn_tensor::simd::{self, SimdLevel};
 
 /// Symmetric activation parameters for one image: the scale maps the
@@ -182,14 +182,8 @@ fn requantize_plane_avx2(acc: &[i32], scale: f32, bias: f32, relu: bool, out: &m
 #[inline(always)]
 fn requantize_plane_impl(acc: &[i32], scale: f32, bias: f32, relu: bool, out: &mut [f32]) {
     assert_eq!(acc.len(), out.len(), "plane length mismatch");
-    if relu {
-        for (o, &a) in out.iter_mut().zip(acc) {
-            *o = (a as f32 * scale + bias).max(0.0);
-        }
-    } else {
-        for (o, &a) in out.iter_mut().zip(acc) {
-            *o = a as f32 * scale + bias;
-        }
+    for (o, &a) in out.iter_mut().zip(acc) {
+        *o = requantize(a, scale, bias, relu);
     }
 }
 

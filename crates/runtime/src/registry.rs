@@ -11,14 +11,17 @@
 //!   non-zero sequence);
 //! * [`KernelRegistry`] — the table of compiled patterns for one layer's
 //!   [`PatternSet`], indexed by SPM code, with the flat padded-plane
-//!   offsets re-derived per input geometry.
+//!   offset rows of the input geometry the layer runs at.
 //!
-//! The unrolled executors themselves live in
-//! [`pcnn_tensor::direct::accumulate_rows`]; dispatch onto the right
-//! monomorphisation happens through
-//! [`pcnn_tensor::direct::accumulate_rows_dyn`].
+//! The unrolled executors themselves live in [`pcnn_tensor::direct`]:
+//! the output-stationary tile walk
+//! ([`pcnn_tensor::direct::tile_walk_at`]) and, for geometries
+//! without a tile, the per-kernel
+//! [`pcnn_tensor::direct::accumulate_plane_batch_dyn`].
 
 use pcnn_core::pattern::{Pattern, PatternSet};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// One pattern lowered to tap coordinates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,6 +110,9 @@ impl CompiledPattern {
 pub struct KernelRegistry {
     by_code: Vec<CompiledPattern>,
     area: usize,
+    /// The offset table of the first padded width this registry ran
+    /// at, with that width.
+    offsets: OnceLock<(usize, Vec<usize>)>,
 }
 
 impl KernelRegistry {
@@ -119,6 +125,7 @@ impl KernelRegistry {
                 .map(|&p| CompiledPattern::compile(p))
                 .collect(),
             area: set.area(),
+            offsets: OnceLock::new(),
         }
     }
 
@@ -131,6 +138,7 @@ impl KernelRegistry {
                 .map(|mask| CompiledPattern::compile(Pattern::new(mask, 9)))
                 .collect(),
             area: 9,
+            offsets: OnceLock::new(),
         }
     }
 
@@ -158,59 +166,64 @@ impl KernelRegistry {
         &self.by_code[code]
     }
 
-    /// Precomputes, for every code, the flat padded-plane offsets for
-    /// plane width `pw` — done once per (layer, input geometry).
-    pub fn offset_table(&self, pw: usize) -> Vec<Vec<usize>> {
-        self.by_code.iter().map(|c| c.offsets(pw)).collect()
+    /// The flat padded-plane offsets of every code for plane width
+    /// `pw`: code `c`'s `n` taps sit at `[c · n..(c + 1) · n]`. A
+    /// compiled layer sees one input geometry, so the table of the
+    /// first width asked for is kept and later calls borrow it; any
+    /// other width is built for that call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the patterns differ in tap count (an SPM layer's set
+    /// never does).
+    pub fn offset_table(&self, pw: usize) -> Cow<'_, [usize]> {
+        let build = || -> Vec<usize> {
+            let n = self.by_code.first().map_or(0, CompiledPattern::tap_count);
+            assert!(
+                self.by_code.iter().all(|c| c.tap_count() == n),
+                "offset rows need one tap count"
+            );
+            let mut table = Vec::with_capacity(self.by_code.len() * n);
+            for c in &self.by_code {
+                table.extend(c.taps.iter().map(|&(ky, kx)| ky * pw + kx));
+            }
+            table
+        };
+        let (cached_pw, table) = self.offsets.get_or_init(|| (pw, build()));
+        if *cached_pw == pw {
+            Cow::Borrowed(table)
+        } else {
+            Cow::Owned(build())
+        }
     }
 }
 
-/// One pattern-grouped execution step: every output channel whose
-/// kernel on input channel `ic` carries pattern `code`, executed
-/// back-to-back. See [`PatternSchedule`].
+/// One `(ic, pattern)` group of a layer: the live kernels on input
+/// channel `ic` that carry pattern `code`. See [`PatternSchedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupEntry {
-    /// The input channel whose padded plane this group reads.
+    /// The input channel the group's kernels read.
     pub ic: u32,
-    /// The shared SPM pattern code — one offset-table load per group.
+    /// The shared SPM pattern code.
     pub code: u16,
-    /// Range into [`PatternSchedule::ocs`] / packed-weight slots.
+    /// The group's first live-kernel slot.
     pub start: u32,
     /// Exclusive end of the slot range.
     pub end: u32,
 }
 
-/// The pattern-grouped execution order of one layer's `(oc, ic)`
-/// kernels.
-///
-/// The oc-major walk of the naive executor re-loads each kernel's tap
-/// offset table and hops across the SPM weight array once per kernel,
-/// and touches each padded input plane `out_c` times spread across the
-/// whole layer. Grouping reorders the walk **ic-major, then by pattern
-/// code**: the inner loop streams one padded input plane through every
-/// output channel that consumes it with a given pattern — one offset
-/// lookup per group, weights packed contiguously in visit order, and
-/// the input plane hot in L1/L2 for all of its consumers.
-///
-/// Per output channel, contributions still arrive in ascending-`ic`
-/// order (each `(oc, ic)` pair appears exactly once, under its `ic`),
-/// so the f32 accumulation order — and therefore the result, bit for
-/// bit — is identical to the oc-major walk.
-///
-/// The schedule also records which slot is the **last** live kernel of
-/// each output channel, which is what lets executors fold their
-/// epilogue (ReLU, or the int8 requantisation pass) into the final
-/// kernel dispatch while the accumulator plane is still cache-hot.
+/// A layer's live kernels counted by `(ic, pattern)` group — a
+/// compile-time statistic of how much pattern sharing the layer offers
+/// (`entries().len()` groups over `slot_count()` live kernels). No
+/// executor walks it: the output-stationary walk reads the SPM arrays
+/// in their own oc-major order.
 #[derive(Debug, Clone, Default)]
 pub struct PatternSchedule {
     entries: Vec<GroupEntry>,
-    ocs: Vec<u32>,
-    last: Vec<bool>,
-    untouched: Vec<u32>,
 }
 
 impl PatternSchedule {
-    /// Builds the grouped order from a layer's per-kernel SPM codes and
+    /// Groups a layer's live kernels from its per-kernel SPM codes and
     /// skip flags (`codes[oc * in_c + ic]`, kernel-major like
     /// `SpmLayer`).
     ///
@@ -220,95 +233,37 @@ impl PatternSchedule {
     pub fn build(codes: &[u16], skip: &[bool], out_c: usize, in_c: usize) -> Self {
         assert_eq!(codes.len(), out_c * in_c, "codes length mismatch");
         assert_eq!(skip.len(), out_c * in_c, "skip length mismatch");
-        // Last live ic per output channel, for the epilogue fold.
-        let mut last_ic: Vec<Option<usize>> = vec![None; out_c];
-        for oc in 0..out_c {
-            for ic in 0..in_c {
-                if !skip[oc * in_c + ic] {
-                    last_ic[oc] = Some(ic);
-                }
-            }
-        }
-        let untouched: Vec<u32> = (0..out_c as u32)
-            .filter(|&oc| last_ic[oc as usize].is_none())
-            .collect();
-        let mut entries = Vec::new();
-        let mut ocs = Vec::new();
-        let mut last = Vec::new();
-        // (code, oc) pairs per input channel, sorted by code for
-        // deterministic grouping.
-        let mut pairs: Vec<(u16, u32)> = Vec::with_capacity(out_c);
+        let mut entries: Vec<GroupEntry> = Vec::new();
+        let mut slots = 0u32;
+        let mut live: Vec<u16> = Vec::with_capacity(out_c);
         for ic in 0..in_c {
-            pairs.clear();
-            for oc in 0..out_c {
-                if !skip[oc * in_c + ic] {
-                    pairs.push((codes[oc * in_c + ic], oc as u32));
-                }
-            }
-            pairs.sort_unstable();
-            let mut i = 0;
-            while i < pairs.len() {
-                let code = pairs[i].0;
-                let start = ocs.len() as u32;
-                while i < pairs.len() && pairs[i].0 == code {
-                    let oc = pairs[i].1;
-                    ocs.push(oc);
-                    last.push(last_ic[oc as usize] == Some(ic));
-                    i += 1;
-                }
+            live.clear();
+            live.extend((0..out_c).filter_map(|oc| {
+                let ki = oc * in_c + ic;
+                (!skip[ki]).then_some(codes[ki])
+            }));
+            live.sort_unstable();
+            for run in live.chunk_by(|a, b| a == b) {
                 entries.push(GroupEntry {
                     ic: ic as u32,
-                    code,
-                    start,
-                    end: ocs.len() as u32,
+                    code: run[0],
+                    start: slots,
+                    end: slots + run.len() as u32,
                 });
+                slots += run.len() as u32;
             }
         }
-        PatternSchedule {
-            entries,
-            ocs,
-            last,
-            untouched,
-        }
+        PatternSchedule { entries }
     }
 
-    /// The grouped entries, ic-major then code-ascending.
+    /// The groups, ic-major then code-ascending.
     pub fn entries(&self) -> &[GroupEntry] {
         &self.entries
     }
 
-    /// The output channels of one entry, in slot order.
-    pub fn group_ocs(&self, e: &GroupEntry) -> &[u32] {
-        &self.ocs[e.start as usize..e.end as usize]
-    }
-
-    /// Per-slot "this is the output channel's final live kernel" flags
-    /// for one entry, aligned with [`PatternSchedule::group_ocs`].
-    pub fn group_last(&self, e: &GroupEntry) -> &[bool] {
-        &self.last[e.start as usize..e.end as usize]
-    }
-
-    /// Output channels with **no** live kernel at all (fully
-    /// coarse-pruned): the epilogue fold never reaches them, so
-    /// executors run their epilogue separately.
-    pub fn untouched_ocs(&self) -> &[u32] {
-        &self.untouched
-    }
-
-    /// Total packed slots (live kernels).
+    /// Total live kernels.
     pub fn slot_count(&self) -> usize {
-        self.ocs.len()
-    }
-
-    /// `(ic, oc)` of every slot in schedule order — the order weight
-    /// packers must follow so slot `s`'s weights live at
-    /// `packed[s·n..(s+1)·n]`.
-    pub fn slot_kernels(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.entries.iter().flat_map(move |e| {
-            self.group_ocs(e)
-                .iter()
-                .map(move |&oc| (e.ic as usize, oc as usize))
-        })
+        self.entries.last().map_or(0, |e| e.end as usize)
     }
 }
 
@@ -373,46 +328,25 @@ mod tests {
         skip[8] = true; // (oc 2, ic 0)
         let s = PatternSchedule::build(&codes, &skip, 3, 4);
         assert_eq!(s.slot_count(), 10);
-        let mut seen: Vec<(usize, usize)> = s.slot_kernels().collect();
-        // ic-major: entries never go back to an earlier ic.
-        let ics: Vec<u32> = s.entries().iter().map(|e| e.ic).collect();
-        assert!(ics.windows(2).all(|w| w[0] <= w[1]));
-        // Codes are uniform within a group and match the kernel table.
+        // ic-major, code-ascending within an ic, slots contiguous.
+        let keys: Vec<(u32, u16)> = s.entries().iter().map(|e| (e.ic, e.code)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(s.entries()[0].start, 0);
+        assert!(s.entries().windows(2).all(|w| w[0].end == w[1].start));
+        // Each group holds exactly the live kernels of its (ic, code).
         for e in s.entries() {
-            for &oc in s.group_ocs(e) {
-                assert!(!skip[oc as usize * 4 + e.ic as usize]);
-                assert_eq!(codes[oc as usize * 4 + e.ic as usize], e.code);
-            }
+            let want = (0..3)
+                .filter(|oc| {
+                    let ki = oc * 4 + e.ic as usize;
+                    !skip[ki] && codes[ki] == e.code
+                })
+                .count();
+            assert_eq!((e.end - e.start) as usize, want, "{e:?}");
         }
-        // Exactly the live kernels, each once.
-        seen.sort_unstable();
-        let mut want: Vec<(usize, usize)> = (0..3)
-            .flat_map(|oc| (0..4).map(move |ic| (ic, oc)))
-            .filter(|&(ic, oc)| !skip[oc * 4 + ic])
-            .collect();
-        want.sort_unstable();
-        assert_eq!(seen, want);
-        assert!(s.untouched_ocs().is_empty());
-    }
-
-    #[test]
-    fn schedule_last_flags_mark_final_live_ic_per_oc() {
-        let codes: Vec<u16> = vec![3, 3, 3, 3, 5, 5];
-        // oc 1 fully pruned; oc 2's ic-1 kernel pruned so its last is ic 0.
-        let skip = vec![false, false, true, true, false, true];
-        let s = PatternSchedule::build(&codes, &skip, 3, 2);
-        assert_eq!(s.untouched_ocs(), &[1]);
-        let mut lasts: Vec<(usize, usize)> = Vec::new();
-        for e in s.entries() {
-            for (&oc, &l) in s.group_ocs(e).iter().zip(s.group_last(e)) {
-                if l {
-                    lasts.push((e.ic as usize, oc as usize));
-                }
-            }
-        }
-        lasts.sort_unstable();
-        // oc 0 ends at ic 1, oc 2 ends at ic 0 — exactly one flag each.
-        assert_eq!(lasts, vec![(0, 2), (1, 0)]);
+        // A fully pruned layer has no groups.
+        let none = PatternSchedule::build(&codes, &[true; 12], 3, 4);
+        assert!(none.entries().is_empty());
+        assert_eq!(none.slot_count(), 0);
     }
 
     #[test]
@@ -421,8 +355,18 @@ mod tests {
         let reg = KernelRegistry::for_set(&set);
         let table = reg.offset_table(6);
         assert_eq!(table.len(), 9);
-        for (code, offs) in table.iter().enumerate() {
-            assert_eq!(offs, &reg.get(code).offsets(6));
+        for (code, offs) in table.chunks(1).enumerate() {
+            assert_eq!(offs, &reg.get(code).offsets(6)[..]);
+        }
+        // The first width is kept; another is built for the call.
+        assert!(matches!(reg.offset_table(6), Cow::Borrowed(_)));
+        let wider = PatternSet::full(9, 3);
+        let reg = KernelRegistry::for_set(&wider);
+        let _ = reg.offset_table(6);
+        let other = reg.offset_table(10);
+        assert!(matches!(other, Cow::Owned(_)));
+        for (code, offs) in other.chunks(3).enumerate() {
+            assert_eq!(offs, &reg.get(code).offsets(10)[..]);
         }
     }
 }

@@ -6,7 +6,10 @@
 use pcnn_core::PrunePlan;
 use pcnn_nn::models::{resnet18_proxy, tiny_cnn, vgg16_proxy, ResNetProxyConfig, VggProxyConfig};
 use pcnn_nn::Model;
-use pcnn_runtime::compile::{prune_and_compile, CompileOptions};
+use pcnn_runtime::compile::{prune_and_compile, prune_and_compile_quant, CompileOptions};
+use pcnn_runtime::ops::Op;
+use pcnn_runtime::{QuantOptions, QuantScratch, Walk};
+use pcnn_tensor::simd::SimdLevel;
 use pcnn_tensor::Tensor;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -130,50 +133,95 @@ fn batched_engine_matches_sequential_graph() {
     }
 }
 
-/// Pattern-grouped execution must match the legacy oc-major walk **bit
-/// for bit** on every zoo proxy: per output channel the grouped
-/// schedule delivers the same `(ic, kernel)` contributions in the same
-/// ascending-`ic` order through the same kernel dispatches, so even f32
-/// rounding agrees. Runs both precisions when the graph carries int8.
+/// One pattern layer at a pinned SIMD tier and kernel walk (`None` for
+/// every other op).
+fn run_pinned(op: &Op, x: &Tensor, level: SimdLevel, walk: Walk) -> Option<Vec<f32>> {
+    let shape = match op {
+        Op::PatternConv(c) => *c.shape(),
+        Op::QuantConv(c) => *c.shape(),
+        _ => return None,
+    };
+    let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+    let (oh, ow) = shape.out_hw(h, w);
+    let mut out = vec![f32::NAN; n * shape.out_c * oh * ow];
+    match op {
+        Op::PatternConv(c) => {
+            c.forward_batch_at(
+                level,
+                walk,
+                x.as_slice(),
+                n,
+                h,
+                w,
+                &mut out,
+                &mut Vec::new(),
+            );
+        }
+        Op::QuantConv(c) => {
+            let mut scratch = QuantScratch::new();
+            c.forward_batch_at(level, walk, x.as_slice(), n, h, w, &mut out, &mut scratch);
+        }
+        _ => unreachable!("filtered above"),
+    }
+    Some(out)
+}
+
+/// Holds every pattern layer of `ops` against itself at the activation
+/// it really sees: the output-stationary tile walk and the per-kernel
+/// walk, on both SIMD tiers and through the production entry point,
+/// must agree **bit for bit** (f32 — the same rounding sequence per
+/// output element) and exactly (int8). Returns the sequence's output.
+fn assert_walks_agree(ops: &[Op], x: &Tensor) -> Tensor {
+    let mut cur = x.clone();
+    for op in ops {
+        if let Op::Residual { main, shortcut } = op {
+            assert_walks_agree(main, &cur);
+            assert_walks_agree(shortcut, &cur);
+        }
+        let next = op.run(&cur);
+        if let Some(want) = run_pinned(op, &cur, SimdLevel::Scalar, Walk::PerKernel) {
+            let mut runs = vec![("production".to_string(), next.as_slice().to_vec())];
+            for (level, walk) in [
+                (SimdLevel::Scalar, Walk::Tiled),
+                (SimdLevel::Avx2.effective(), Walk::PerKernel),
+                (SimdLevel::Avx2.effective(), Walk::Tiled),
+            ] {
+                let got = run_pinned(op, &cur, level, walk).expect("a pattern layer");
+                runs.push((format!("{walk:?} on {level}"), got));
+            }
+            for (what, got) in &runs {
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{what} diverges from the scalar per-kernel walk at {i} \
+                         ({a} vs {b}) in {}",
+                        op.describe()
+                    );
+                }
+            }
+        }
+        cur = next;
+    }
+    cur
+}
+
+/// Tile-walk versus per-kernel-walk parity over a zoo proxy, both
+/// precisions, at the layers' real activations.
 fn assert_grouping_parity(mut model: Model, prunable: usize, n: usize, input_hw: usize, seed: u64) {
-    use pcnn_runtime::compile::prune_and_compile_quant;
-    use pcnn_runtime::{Precision, QuantOptions};
     warm_batchnorm(&mut model, input_hw, seed);
     let plan = PrunePlan::uniform(prunable, n, 32);
-    let mut grouped_model = model.clone();
-    let (grouped, _, _) = prune_and_compile_quant(
-        &mut grouped_model,
+    let (graph, _, _) = prune_and_compile_quant(
+        &mut model,
         &plan,
         &CompileOptions::default(),
         &QuantOptions::default(),
     )
-    .expect("grouped compile");
-    let mut oc_model = model.clone();
-    let (oc_major, _, _) = prune_and_compile_quant(
-        &mut oc_model,
-        &plan,
-        &CompileOptions {
-            pattern_grouped: false,
-            ..Default::default()
-        },
-        &QuantOptions::default(),
-    )
-    .expect("oc-major compile");
+    .expect("compile");
     for batch in [1usize, 3] {
         let x = random_input(&[batch, 3, input_hw, input_hw], seed + 77 + batch as u64);
-        for precision in [Precision::F32, Precision::Int8] {
-            let a = grouped.run_with(&x, precision);
-            let b = oc_major.run_with(&x, precision);
-            assert_eq!(a.shape(), b.shape());
-            for (i, (x1, x2)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-                assert_eq!(
-                    x1.to_bits(),
-                    x2.to_bits(),
-                    "grouped/oc-major divergence at {i} ({x1} vs {x2}), \
-                     precision {precision}, batch {batch}"
-                );
-            }
-        }
+        assert_walks_agree(graph.ops(), &x);
+        assert_walks_agree(graph.int8_ops().expect("int8 lowering"), &x);
     }
 }
 

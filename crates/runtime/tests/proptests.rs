@@ -4,11 +4,19 @@
 
 use pcnn_core::pattern::{Pattern, PatternSet};
 use pcnn_core::project::project_onto_set;
-use pcnn_runtime::pattern_conv::PatternConv;
+use pcnn_runtime::pattern_conv::{PatternConv, Walk};
 use pcnn_runtime::registry::{CompiledPattern, KernelRegistry};
+use pcnn_runtime::{QuantOptions, QuantPatternConv, QuantScratch};
 use pcnn_tensor::conv::{conv2d_direct, Conv2dShape};
+use pcnn_tensor::simd::SimdLevel;
 use pcnn_tensor::Tensor;
 use proptest::prelude::*;
+use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+/// Plane widths of the walk-parity property: the four tiled widths and
+/// five that have no tile.
+const WIDTHS: [usize; 9] = [1, 2, 3, 4, 5, 8, 12, 16, 32];
+const BATCHES: [usize; 3] = [1, 3, 8];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -85,6 +93,89 @@ proptest! {
             let offs = c.offsets(pw);
             for (&off, &(ky, kx)) in offs.iter().zip(c.taps()) {
                 prop_assert_eq!(off, ky * pw + kx);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    /// The output-stationary tile walk against the per-kernel walk it
+    /// replaced, on both SIMD tiers: bit for bit in f32 (the same
+    /// rounding sequence per output element), exactly in int8. Heights
+    /// run past, short of and between multiples of every tile height;
+    /// stride 2 and the untiled widths have no tile and must route to
+    /// the per-kernel walk on their own. Every layer carries an
+    /// all-zero kernel and a fully pruned output channel with a
+    /// negative bias, which only the epilogue ever touches.
+    #[test]
+    fn tile_walk_equals_per_kernel_walk_bitwise(
+        n in 1usize..=9,
+        width in 0usize..WIDTHS.len(),
+        oh in 1usize..=11,
+        stride in 1usize..=2,
+        batch in 0usize..BATCHES.len(),
+        relu in prop::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        let (ow, batch) = (WIDTHS[width], BATCHES[batch]);
+        let (in_c, out_c) = (3usize, 4usize);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let set = PatternSet::full(9, n);
+        let mut w = Tensor::from_vec(
+            (0..out_c * in_c * 9).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+            &[out_c, in_c, 3, 3],
+        );
+        for kernel in w.as_mut_slice().chunks_mut(9) {
+            let _ = project_onto_set(kernel, &set);
+        }
+        // Kernel (oc 0, ic 1) and all of output channel 2 are pruned.
+        w.as_mut_slice()[9..18].fill(0.0);
+        w.as_mut_slice()[2 * in_c * 9..3 * in_c * 9].fill(0.0);
+        let shape = Conv2dShape::new(in_c, out_c, 3, stride, 1);
+        let conv = PatternConv::from_dense(&w, shape, &set)
+            .expect("projected weights conform")
+            .with_bias(vec![0.3, -0.2, -0.75, 0.1])
+            .with_relu(relu);
+        prop_assert!(conv.skipped_kernels() > in_c);
+        let quant = QuantPatternConv::from_pattern_conv(&conv, &QuantOptions::default());
+
+        // The input size that yields an `oh × ow` output.
+        let (h, wd) = ((oh - 1) * stride + 1, (ow - 1) * stride + 1);
+        prop_assert_eq!(shape.out_hw(h, wd), (oh, ow));
+        let x: Vec<f32> = (0..batch * in_c * h * wd)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect();
+        let out_len = batch * out_c * oh * ow;
+        let run = |level: SimdLevel, walk: Walk| {
+            let mut f = vec![f32::NAN; out_len];
+            conv.forward_batch_at(level, walk, &x, batch, h, wd, &mut f, &mut Vec::new());
+            let mut q = vec![f32::NAN; out_len];
+            let mut scratch = QuantScratch::new();
+            quant.forward_batch_at(level, walk, &x, batch, h, wd, &mut q, &mut scratch);
+            (f, q)
+        };
+        let (want_f, want_q) = run(SimdLevel::Scalar, Walk::PerKernel);
+        if relu {
+            // The pruned channel is its negative bias, clamped.
+            let plane = oh * ow;
+            prop_assert!(want_f[2 * plane..3 * plane].iter().all(|&v| v == 0.0));
+        }
+        for (level, walk) in [
+            (SimdLevel::Scalar, Walk::Tiled),
+            (SimdLevel::Avx2.effective(), Walk::PerKernel),
+            (SimdLevel::Avx2.effective(), Walk::Tiled),
+        ] {
+            let (got_f, got_q) = run(level, walk);
+            for (what, got, want) in [("f32", &got_f, &want_f), ("int8", &got_q, &want_q)] {
+                for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
+                    prop_assert_eq!(
+                        a.to_bits(), b.to_bits(),
+                        "{} {:?} on {} diverges at {} ({} vs {}): n={} oh={} ow={} stride={} batch={}",
+                        what, walk, level, i, a, b, n, oh, ow, stride, batch
+                    );
+                }
             }
         }
     }

@@ -233,7 +233,8 @@ pub struct ExecPhaseShare {
     pub pad_fraction: f64,
     /// See `pad_fraction`.
     pub kernel_fraction: f64,
-    /// See `pad_fraction`.
+    /// See `pad_fraction`. Reads 0: the engine runs the ReLU /
+    /// requantisation inside its kernel walk and times it there.
     pub epilogue_fraction: f64,
     /// The overall mean execute segment, split by those fractions, in
     /// `(pad, kernel, epilogue)` order.

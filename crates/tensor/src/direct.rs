@@ -21,6 +21,7 @@
 //! size from [`crate::conv::Conv2dShape::out_hw`] every access stays
 //! inside the padded plane, so the hot loop is pure arithmetic.
 
+use crate::conv::Conv2dShape;
 #[cfg(target_arch = "x86_64")]
 use crate::simd::Avx2Token;
 use crate::simd::{self, ScalarToken, SimdLevel, SimdToken};
@@ -726,9 +727,9 @@ fn max_abs_avx2(data: &[f32]) -> f32 {
     max_abs_impl(data)
 }
 
-/// Clamps every element of `data` at zero in place — the fused-ReLU
-/// epilogue the grouped executor runs per output channel right after
-/// its final kernel dispatch — dispatched like the kernels. `max(v, 0)`
+/// Clamps every element of `data` at zero in place — the ReLU the
+/// per-kernel walk runs over an output channel's planes after its last
+/// kernel — dispatched like the kernels. `max(v, 0)`
 /// is exact, so the tiers agree bitwise.
 pub fn relu_in_place_at(level: SimdLevel, data: &mut [f32]) {
     match level.effective() {
@@ -1449,6 +1450,496 @@ pub fn accumulate_rows_dyn(
     }
 }
 
+// ---------------------------------------------------------------------------
+// The output-stationary tile walk.
+//
+// The per-kernel entry points above re-load, update and re-store a whole
+// output plane once per (oc, ic) kernel. The walk below turns that
+// inside out, the way the paper's PE keeps partial sums local: a register
+// tile of one output channel is seeded once, every live input-channel
+// kernel of that channel streams through it in ascending `ic`, and the
+// epilogue (ReLU, or the int8 requantisation) runs on the registers on
+// the way to a single store.
+//
+// A tile is `G` row groups × `C` blocks; one block is one SIMD register
+// of outputs gathered from `R` consecutive rows (`R > 1` packs narrow
+// planes: `C · LANES / R` is the plane width). Tap count, plane width
+// and tile shape are compile-time constants, so each tap's window of
+// the padded plane is sliced — and bounds-checked — once per kernel and
+// every load inside it is at a constant offset.
+// ---------------------------------------------------------------------------
+
+/// One layer's kernels as the output-stationary walk reads them: SPM
+/// order (kernel `oc · in_c + ic`), `taps` non-zeros per kernel, and
+/// one flat row of `taps` padded-plane offsets per pattern code.
+#[derive(Debug, Clone, Copy)]
+pub struct SpmKernels<'a, W> {
+    /// Per-kernel pattern codes.
+    pub codes: &'a [u16],
+    /// Per-kernel non-zero sequences, `taps` each.
+    pub weights: &'a [W],
+    /// Per-kernel "all zero, skip it" flags.
+    pub skip: &'a [bool],
+    /// Tap offsets into a padded plane, `taps` per pattern code.
+    pub offsets: &'a [usize],
+    /// Non-zeros per kernel (the paper's `n`).
+    pub taps: usize,
+    /// Input channels.
+    pub in_c: usize,
+}
+
+/// The f32 walk's epilogue: the tile is seeded with `bias` and clamped
+/// at zero on the way out when `relu`.
+#[derive(Debug, Clone, Copy)]
+pub struct BiasRelu {
+    /// The output channel's bias.
+    pub bias: f32,
+    /// Fused ReLU.
+    pub relu: bool,
+}
+
+/// The int8 walk's epilogue: image `i`'s `i32` sums return to f32 at
+/// `scales[i]` (weight scale × that image's activation scale) through
+/// [`requantize`]. The walk sums two taps' products in i16 before
+/// widening, so weight and activation codes must lie within ±127 — what
+/// symmetric quantisation produces; a −128 code can wrap a pair.
+#[derive(Debug, Clone, Copy)]
+pub struct Requant<'a> {
+    /// One combined scale per image of the batch.
+    pub scales: &'a [f32],
+    /// The output channel's bias.
+    pub bias: f32,
+    /// Fused ReLU.
+    pub relu: bool,
+}
+
+/// The requantisation formula, one rounding per step and no FMA:
+/// `a · scale + bias`, clamped at zero when `relu`.
+#[inline(always)]
+pub fn requantize(a: i32, scale: f32, bias: f32, relu: bool) -> f32 {
+    let v = a as f32 * scale + bias;
+    if relu {
+        v.max(0.0)
+    } else {
+        v
+    }
+}
+
+/// Output rows one register tile covers at plane width `ow` (the
+/// shapes in the two [`TileEpilogue::walk`] tables), or `None` when that
+/// width has no tile.
+fn tile_rows(ow: usize) -> Option<usize> {
+    match ow {
+        4 | 16 => Some(4),
+        8 => Some(8),
+        32 => Some(2),
+        _ => None,
+    }
+}
+
+/// Whether the output-stationary walk has a tile for this geometry: a
+/// 3×3 stride-1 pad-1 convolution with 1..=9 taps per kernel onto a
+/// plane of a tiled width and at least one tile of rows. Everything
+/// else runs the per-kernel entry points.
+pub fn has_tile(shape: &Conv2dShape, taps: usize, oh: usize, ow: usize) -> bool {
+    shape.kernel == 3
+        && shape.stride == 1
+        && shape.pad == 1
+        && (1..=9).contains(&taps)
+        && tile_rows(ow).is_some_and(|rows| oh >= rows)
+}
+
+/// Runs one output channel of a pattern convolution over a batch,
+/// output-stationary: image `i`'s `oh × ow` plane at
+/// `geo.out_base + i · geo.out_stride` is computed tile by tile from
+/// its `in_c` padded planes (the first at `geo.in_base + i ·
+/// geo.in_stride`, `geo.plane_len` apart) and written exactly once.
+/// The epilogue picks the precision: [`BiasRelu`] walks f32 planes,
+/// [`Requant`] i8 planes.
+///
+/// Per output element the f32 arithmetic is that of seeding the plane
+/// with the bias and applying [`accumulate_plane_batch_dyn`] per live
+/// kernel in ascending `ic`, then the ReLU — a zero-seeded tap sum with
+/// separate multiply and add, added to the running value — so the
+/// result is bit-identical to that walk on both tiers. The int8 sums
+/// never reach memory; they equal [`accumulate_plane_batch_dyn_i8`]'s
+/// (integer sums are exact in any order) and go through [`requantize`].
+///
+/// # Panics
+///
+/// Panics unless [`has_tile`] holds for the geometry, if a slice is too
+/// short for it, or if a [`Requant`] has fewer than `geo.n` scales.
+#[allow(clippy::too_many_arguments)] // kernel geometry is irreducible
+pub fn tile_walk_at<E: TileEpilogue>(
+    level: SimdLevel,
+    kernels: &SpmKernels<'_, E::Wt>,
+    oc: usize,
+    epilogue: E,
+    padded: &[E::In],
+    out: &mut [f32],
+    geo: BatchPlanes,
+    oh: usize,
+    ow: usize,
+) {
+    match level.effective() {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            // SAFETY: `effective()` returns Avx2 only after a positive
+            // (cached) CPUID check on this host.
+            unsafe { tile_walk_avx2(kernels, oc, epilogue, padded, out, geo, oh, ow) }
+        }
+        _ => tile_walk_taps(ScalarToken, kernels, oc, epilogue, padded, out, geo, oh, ow),
+    }
+}
+
+/// The AVX2 instantiation of [`tile_walk_taps`].
+///
+/// # Safety
+///
+/// AVX2 must be available on the executing CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_walk_avx2<E: TileEpilogue>(
+    kernels: &SpmKernels<'_, E::Wt>,
+    oc: usize,
+    epilogue: E,
+    padded: &[E::In],
+    out: &mut [f32],
+    geo: BatchPlanes,
+    oh: usize,
+    ow: usize,
+) {
+    // SAFETY: the function's own contract guarantees AVX2.
+    let token = unsafe { Avx2Token::assert_available() };
+    tile_walk_taps(token, kernels, oc, epilogue, padded, out, geo, oh, ow);
+}
+
+/// Monomorphises the tap count.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile_walk_taps<S: SimdToken, E: TileEpilogue>(
+    t: S,
+    k: &SpmKernels<'_, E::Wt>,
+    oc: usize,
+    e: E,
+    padded: &[E::In],
+    out: &mut [f32],
+    geo: BatchPlanes,
+    oh: usize,
+    ow: usize,
+) {
+    match k.taps {
+        1 => e.walk::<S, 1>(t, k, oc, padded, out, geo, oh, ow),
+        2 => e.walk::<S, 2>(t, k, oc, padded, out, geo, oh, ow),
+        3 => e.walk::<S, 3>(t, k, oc, padded, out, geo, oh, ow),
+        4 => e.walk::<S, 4>(t, k, oc, padded, out, geo, oh, ow),
+        5 => e.walk::<S, 5>(t, k, oc, padded, out, geo, oh, ow),
+        6 => e.walk::<S, 6>(t, k, oc, padded, out, geo, oh, ow),
+        7 => e.walk::<S, 7>(t, k, oc, padded, out, geo, oh, ow),
+        8 => e.walk::<S, 8>(t, k, oc, padded, out, geo, oh, ow),
+        9 => e.walk::<S, 9>(t, k, oc, padded, out, geo, oh, ow),
+        n => panic!("{n} taps per kernel have no tile"),
+    }
+}
+
+/// The precision-specific half of the tile walk — how one block of
+/// outputs is seeded, fed one kernel, and stored — and the tile shape
+/// per plane width. Implemented by the two epilogues, [`BiasRelu`]
+/// (f32) and [`Requant`] (int8), and by nothing else.
+pub trait TileEpilogue: Copy {
+    /// Padded-plane element.
+    type In: Copy;
+    /// Stored weight element.
+    type Wt: Copy;
+    /// A weight broadcast across a register.
+    type Splat: Copy;
+    /// One block's running outputs.
+    type Acc: Copy;
+    /// Outputs per block.
+    const LANES: usize;
+
+    /// Routes plane width `ow` to this precision's tile shape.
+    #[allow(clippy::too_many_arguments)]
+    fn walk<S: SimdToken, const N: usize>(
+        self,
+        t: S,
+        k: &SpmKernels<'_, Self::Wt>,
+        oc: usize,
+        padded: &[Self::In],
+        out: &mut [f32],
+        geo: BatchPlanes,
+        oh: usize,
+        ow: usize,
+    );
+
+    /// The block before its first kernel.
+    fn seed<S: SimdToken>(self, t: S) -> Self::Acc;
+
+    /// Broadcasts one weight.
+    fn splat<S: SimdToken>(t: S, w: Self::Wt) -> Self::Splat;
+
+    /// `acc` plus one kernel's `N` taps. Tap `j` reads the block at
+    /// `at` of `win[j]`: `R` row segments, `pw` apart.
+    fn mac<S: SimdToken, const N: usize, const R: usize>(
+        t: S,
+        acc: Self::Acc,
+        w: &[Self::Splat; N],
+        win: &[&[Self::In]; N],
+        at: usize,
+        pw: usize,
+    ) -> Self::Acc;
+
+    /// Epilogue and store of one finished block of image `image`.
+    fn finish<S: SimdToken>(self, t: S, acc: Self::Acc, image: usize, out: &mut [f32]);
+}
+
+impl TileEpilogue for BiasRelu {
+    type In = f32;
+    type Wt = f32;
+    type Splat = simd::F32x8;
+    type Acc = simd::F32x8;
+    const LANES: usize = 8;
+
+    /// Eight accumulator registers per tile: a whole 4×4 plane as two
+    /// two-row vectors, 8 rows × 1 vector, 4 × 2, 2 × 4.
+    #[inline(always)]
+    fn walk<S: SimdToken, const N: usize>(
+        self,
+        t: S,
+        k: &SpmKernels<'_, f32>,
+        oc: usize,
+        padded: &[f32],
+        out: &mut [f32],
+        geo: BatchPlanes,
+        oh: usize,
+        ow: usize,
+    ) {
+        match ow {
+            4 => tile_walk::<S, Self, N, 2, 1, 2>(t, self, k, oc, padded, out, geo, oh),
+            8 => tile_walk::<S, Self, N, 1, 1, 8>(t, self, k, oc, padded, out, geo, oh),
+            16 => tile_walk::<S, Self, N, 1, 2, 4>(t, self, k, oc, padded, out, geo, oh),
+            32 => tile_walk::<S, Self, N, 1, 4, 2>(t, self, k, oc, padded, out, geo, oh),
+            _ => panic!("plane width {ow} has no tile"),
+        }
+    }
+
+    #[inline(always)]
+    fn seed<S: SimdToken>(self, t: S) -> simd::F32x8 {
+        t.f32x8_splat(self.bias)
+    }
+
+    #[inline(always)]
+    fn splat<S: SimdToken>(t: S, w: f32) -> simd::F32x8 {
+        t.f32x8_splat(w)
+    }
+
+    #[inline(always)]
+    fn mac<S: SimdToken, const N: usize, const R: usize>(
+        t: S,
+        acc: simd::F32x8,
+        w: &[simd::F32x8; N],
+        win: &[&[f32]; N],
+        at: usize,
+        pw: usize,
+    ) -> simd::F32x8 {
+        // Zero-seeded, then added to the running value: the rounding
+        // sequence of the per-kernel entry points.
+        let mut sum = simd::F32x8::zero();
+        for j in 0..N {
+            let x = match R {
+                1 => t.f32x8_load(&win[j][at..]),
+                2 => t.f32x8_load_2x4(&win[j][at..], &win[j][at + pw..]),
+                _ => unreachable!("f32 blocks span one or two rows"),
+            };
+            sum = t.f32x8_mul_acc(sum, w[j], x);
+        }
+        t.f32x8_add(acc, sum)
+    }
+
+    #[inline(always)]
+    fn finish<S: SimdToken>(self, t: S, acc: simd::F32x8, _image: usize, out: &mut [f32]) {
+        let v = if self.relu { t.f32x8_relu(acc) } else { acc };
+        t.f32x8_store(v, out);
+    }
+}
+
+/// Byte-shuffle indices of the packed 4×4 tile load on a 6-wide padded
+/// plane: rows 0..3 sit at bytes 0, 6 and 12 of one 16-byte window, row
+/// 3 rides in separately (lanes 12..16 are overwritten by it).
+const PACK_4X4_PW6: [u8; 16] = [0, 1, 2, 3, 6, 7, 8, 9, 12, 13, 14, 15, 0, 0, 0, 0];
+
+impl TileEpilogue for Requant<'_> {
+    type In = i8;
+    type Wt = i8;
+    type Splat = simd::I16x16;
+    type Acc = (simd::I32x8, simd::I32x8);
+    const LANES: usize = 16;
+
+    /// Sixteen outputs (a lo/hi `I32x8` pair) per block: a whole 4×4
+    /// plane as one four-row block, 8 rows as four two-row blocks,
+    /// 4 rows × 1 block, 2 × 2. Same rows per tile as f32.
+    #[inline(always)]
+    fn walk<S: SimdToken, const N: usize>(
+        self,
+        t: S,
+        k: &SpmKernels<'_, i8>,
+        oc: usize,
+        padded: &[i8],
+        out: &mut [f32],
+        geo: BatchPlanes,
+        oh: usize,
+        ow: usize,
+    ) {
+        match ow {
+            4 => tile_walk::<S, Self, N, 4, 1, 1>(t, self, k, oc, padded, out, geo, oh),
+            8 => tile_walk::<S, Self, N, 2, 1, 4>(t, self, k, oc, padded, out, geo, oh),
+            16 => tile_walk::<S, Self, N, 1, 1, 4>(t, self, k, oc, padded, out, geo, oh),
+            32 => tile_walk::<S, Self, N, 1, 2, 2>(t, self, k, oc, padded, out, geo, oh),
+            _ => panic!("plane width {ow} has no tile"),
+        }
+    }
+
+    #[inline(always)]
+    fn seed<S: SimdToken>(self, _t: S) -> Self::Acc {
+        (simd::I32x8::zero(), simd::I32x8::zero())
+    }
+
+    #[inline(always)]
+    fn splat<S: SimdToken>(t: S, w: i8) -> simd::I16x16 {
+        t.i16x16_splat(w as i16)
+    }
+
+    #[inline(always)]
+    fn mac<S: SimdToken, const N: usize, const R: usize>(
+        t: S,
+        (mut lo, mut hi): Self::Acc,
+        w: &[simd::I16x16; N],
+        win: &[&[i8]; N],
+        at: usize,
+        pw: usize,
+    ) -> Self::Acc {
+        let product = |j: usize| {
+            let x = match R {
+                1 => t.i16x16_widen(&win[j][at..]),
+                2 => t.i16x16_widen_2x8(&win[j][at..], &win[j][at + pw..]),
+                // Four-row blocks only exist at plane width 4.
+                4 => {
+                    t.i16x16_widen_4x4_packed(&win[j][at..], &PACK_4X4_PW6, &win[j][at + 3 * pw..])
+                }
+                _ => unreachable!("int8 blocks span one, two or four rows"),
+            };
+            t.i16x16_mul(x, w[j])
+        };
+        // Two taps share one widening: codes are within ±127, so a pair
+        // of products still fits i16.
+        for j in (0..N).step_by(2) {
+            let mut p = product(j);
+            if j + 1 < N {
+                p = t.i16x16_add(p, product(j + 1));
+            }
+            lo = t.i32x8_add_widen_lo(lo, p);
+            hi = t.i32x8_add_widen_hi(hi, p);
+        }
+        (lo, hi)
+    }
+
+    #[inline(always)]
+    fn finish<S: SimdToken>(self, t: S, (lo, hi): Self::Acc, image: usize, out: &mut [f32]) {
+        let scale = self.scales[image];
+        let f = |v: simd::I32x8| {
+            simd::F32x8(std::array::from_fn(|k| {
+                requantize(v.0[k], scale, self.bias, self.relu)
+            }))
+        };
+        t.f32x8_store(f(lo), out);
+        t.f32x8_store(f(hi), &mut out[8..]);
+    }
+}
+
+/// The walk itself, once for both precisions and both tiers: for every
+/// image and every tile of output channel `oc`'s plane, seed the tile,
+/// stream the channel's live kernels through it in ascending `ic`
+/// (pattern code → offset row → `N` splatted weights → `N` tap
+/// windows), then finish and store. When `oh` is not a multiple of the
+/// tile height the last tile slides back to end on the last row and
+/// recomputes the overlap — every output is computed whole, so the
+/// rewrite stores the same value.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile_walk<
+    S: SimdToken,
+    E: TileEpilogue,
+    const N: usize,
+    const R: usize,
+    const C: usize,
+    const G: usize,
+>(
+    t: S,
+    e: E,
+    k: &SpmKernels<'_, E::Wt>,
+    oc: usize,
+    padded: &[E::In],
+    out: &mut [f32],
+    geo: BatchPlanes,
+    oh: usize,
+) {
+    let ow = C * E::LANES / R;
+    let pw = ow + 2;
+    let rows = G * R;
+    // One tap's footprint under a tile: `rows` rows, the last `ow` wide.
+    let window = (rows - 1) * pw + ow;
+    assert!(
+        oh >= rows && geo.plane_len == (oh + 2) * pw,
+        "geometry has no tile"
+    );
+    let oc_codes = &k.codes[oc * k.in_c..(oc + 1) * k.in_c];
+    let oc_skip = &k.skip[oc * k.in_c..(oc + 1) * k.in_c];
+    let oc_weights = &k.weights[oc * k.in_c * N..(oc + 1) * k.in_c * N];
+    for image in 0..geo.n {
+        let ib = geo.in_base + image * geo.in_stride;
+        let planes = &padded[ib..ib + k.in_c * geo.plane_len];
+        let ob = geo.out_base + image * geo.out_stride;
+        let plane_out = &mut out[ob..ob + oh * ow];
+        let mut next = 0;
+        while next < oh {
+            let y = next.min(oh - rows);
+            next += rows;
+            let mut acc = [[e.seed(t); C]; G];
+            for (ic, ((&code, &skip), wts)) in oc_codes
+                .iter()
+                .zip(oc_skip)
+                .zip(oc_weights.chunks_exact(N))
+                .enumerate()
+            {
+                if skip {
+                    continue;
+                }
+                let code = code as usize;
+                let offs: &[usize; N] = k.offsets[code * N..(code + 1) * N]
+                    .try_into()
+                    .expect("an offset row is N long");
+                let w: [E::Splat; N] = std::array::from_fn(|j| E::splat(t, wts[j]));
+                let origin = ic * geo.plane_len + y * pw;
+                let win: [&[E::In]; N] =
+                    std::array::from_fn(|j| &planes[origin + offs[j]..origin + offs[j] + window]);
+                for (g, row) in acc.iter_mut().enumerate() {
+                    for (c, block) in row.iter_mut().enumerate() {
+                        let at = g * R * pw + c * E::LANES;
+                        *block = E::mac::<S, N, R>(t, *block, &w, &win, at, pw);
+                    }
+                }
+            }
+            for (g, row) in acc.iter().enumerate() {
+                for (c, &block) in row.iter().enumerate() {
+                    let at = y * ow + (g * C + c) * E::LANES;
+                    e.finish(t, block, image, &mut plane_out[at..]);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1616,6 +2107,101 @@ mod tests {
             for (x, y) in a.iter().zip(&b) {
                 assert!((x - y).abs() < 1e-6);
             }
+        }
+    }
+
+    #[test]
+    fn i8_tile_walk_is_exact_at_the_code_extremes() {
+        // Every code is ±127, the largest a symmetric quantiser emits:
+        // a pair of products is then 2 · 127², the most the i16 pair sum
+        // must hold. Two output channels over three input channels,
+        // kernel (oc 1, ic 0) skipped; heights make the last tile slide.
+        let images = 2usize;
+        let scales = [0.5f32, 0.25];
+        let codes = [0u16, 1, 2, 1, 0, 2];
+        let skip = [false, false, false, true, false, false];
+        for (oh, ow, n) in [(6usize, 4usize, 9usize), (9, 8, 4), (5, 16, 5), (3, 32, 2)] {
+            let pw = ow + 2;
+            let plane_len = (oh + 2) * pw;
+            let padded: Vec<i8> = (0..images * 3 * plane_len)
+                .map(|i| if i % 5 == 0 { -127 } else { 127 })
+                .collect();
+            let weights: Vec<i8> = (0..6 * n)
+                .map(|i| if i % 7 == 3 { -127 } else { 127 })
+                .collect();
+            // Code c keeps kernel positions c, c+2, c+4, … of the 3×3 grid.
+            let offsets: Vec<usize> = (0..3)
+                .flat_map(|c| (0..n).map(move |j| (c + 2 * j) % 9))
+                .map(|p| (p / 3) * pw + p % 3)
+                .collect();
+            let kernels = SpmKernels {
+                codes: &codes,
+                weights: &weights,
+                skip: &skip,
+                offsets: &offsets,
+                taps: n,
+                in_c: 3,
+            };
+            let mut got = vec![f32::NAN; images * 2 * oh * ow];
+            let mut want = got.clone();
+            for oc in 0..2 {
+                let geo = BatchPlanes {
+                    out_base: oc * oh * ow,
+                    out_stride: 2 * oh * ow,
+                    in_base: 0,
+                    in_stride: 3 * plane_len,
+                    plane_len,
+                    n: images,
+                };
+                let e = Requant {
+                    scales: &scales,
+                    bias: -1.5,
+                    relu: oc == 1,
+                };
+                tile_walk_at(
+                    simd::active(),
+                    &kernels,
+                    oc,
+                    e,
+                    &padded,
+                    &mut got,
+                    geo,
+                    oh,
+                    ow,
+                );
+                let mut acc = vec![0i32; images * oh * ow];
+                for ic in 0..3 {
+                    let ki = oc * 3 + ic;
+                    if skip[ki] {
+                        continue;
+                    }
+                    let code = codes[ki] as usize;
+                    let per_kernel = BatchPlanes {
+                        out_base: 0,
+                        out_stride: oh * ow,
+                        in_base: ic * plane_len,
+                        ..geo
+                    };
+                    accumulate_plane_batch_dyn_i8(
+                        &mut acc,
+                        &padded,
+                        per_kernel,
+                        oh,
+                        ow,
+                        pw,
+                        &offsets[code * n..(code + 1) * n],
+                        &weights[ki * n..(ki + 1) * n],
+                        1,
+                    );
+                }
+                for (i, &scale) in scales.iter().enumerate() {
+                    for p in 0..oh * ow {
+                        want[geo.out_base + i * geo.out_stride + p] =
+                            requantize(acc[i * oh * ow + p], scale, e.bias, e.relu);
+                    }
+                }
+            }
+            assert_eq!(got, want, "oh={oh} ow={ow} n={n}");
         }
     }
 }

@@ -203,6 +203,9 @@ pub trait SimdToken: Copy {
     /// Lane-wise i16 product (callers guarantee no overflow: i8-range
     /// operands only).
     fn i16x16_mul(self, a: I16x16, b: I16x16) -> I16x16;
+    /// Lane-wise wrapping i16 sum (callers guarantee no overflow: two
+    /// products of ±127 codes fit, 2 · 127² < 2¹⁵).
+    fn i16x16_add(self, a: I16x16, b: I16x16) -> I16x16;
 
     /// Loads 8 i32 lanes from the front of `s`.
     fn i32x8_load(self, s: &[i32]) -> I32x8;
@@ -311,6 +314,11 @@ impl SimdToken for ScalarToken {
     #[inline(always)]
     fn i16x16_mul(self, a: I16x16, b: I16x16) -> I16x16 {
         I16x16(std::array::from_fn(|k| a.0[k].wrapping_mul(b.0[k])))
+    }
+
+    #[inline(always)]
+    fn i16x16_add(self, a: I16x16, b: I16x16) -> I16x16 {
+        I16x16(std::array::from_fn(|k| a.0[k].wrapping_add(b.0[k])))
     }
 
     #[inline(always)]
@@ -571,6 +579,13 @@ mod avx2 {
         }
 
         #[inline(always)]
+        fn i16x16_add(self, a: I16x16, b: I16x16) -> I16x16 {
+            // SAFETY: register-only op (vpaddw, wrapping like the
+            // scalar token).
+            unsafe { transmute::<__m256i, I16x16>(_mm256_add_epi16(i16v(a), i16v(b))) }
+        }
+
+        #[inline(always)]
         fn i32x8_load(self, s: &[i32]) -> I32x8 {
             assert!(s.len() >= 8);
             // SAFETY: 8 in-bounds i32 reads.
@@ -688,6 +703,10 @@ mod tests {
         assert_eq!(h, w);
         let prod = t.i16x16_mul(w, t.i16x16_splat(-3));
         assert_eq!(prod.0[0], 210);
+        assert_eq!(
+            t.i16x16_add(prod, t.i16x16_splat(i16::MAX)).0[0],
+            i16::MIN + 209
+        );
         let lo = t.i32x8_add_widen_lo(I32x8::zero(), prod);
         let hi = t.i32x8_add_widen_hi(I32x8::zero(), prod);
         for k in 0..8 {
@@ -748,6 +767,7 @@ mod tests {
             let prod_s = s.i16x16_mul(w, s.i16x16_splat(-113));
             let prod_a = a.i16x16_mul(w, a.i16x16_splat(-113));
             assert_eq!(prod_s, prod_a);
+            assert_eq!(s.i16x16_add(prod_s, w), a.i16x16_add(prod_a, w));
             let acc: Vec<i32> = (0..8).map(|i| i * 1000 - 4000).collect();
             assert_eq!(
                 s.i32x8_add_widen_lo(s.i32x8_load(&acc), prod_s),
