@@ -31,7 +31,7 @@ use pcnn_core::pattern::PatternSet;
 use pcnn_core::project::project_onto_set;
 use pcnn_runtime::ops::Op;
 use pcnn_runtime::{
-    Engine, ExecutableGraph, PatternConv, QuantOptions, QuantPatternConv, QuantScratch, Walk,
+    json, Engine, ExecutableGraph, PatternConv, QuantOptions, QuantPatternConv, QuantScratch, Walk,
 };
 use pcnn_tensor::conv::Conv2dShape;
 use pcnn_tensor::simd::{self, SimdLevel};
@@ -226,45 +226,6 @@ fn i8_run<'a>(conv: &'a QuantPatternConv, layer: &'a Layer, tier: &Tier) -> impl
     }
 }
 
-/// Minimal well-formedness validation of the emitted JSON (the
-/// workspace takes no serde dependency): brace/bracket balance with
-/// string awareness plus required keys. CI re-validates with a real
-/// parser.
-fn validate_json(s: &str) {
-    let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-    for c in s.chars() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if c == '\\' {
-                esc = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => depth -= 1,
-            _ => {}
-        }
-        assert!(depth >= 0, "unbalanced JSON");
-    }
-    assert_eq!(depth, 0, "unbalanced JSON");
-    assert!(!in_str, "unterminated string");
-    for key in [
-        "\"bench\":",
-        "\"cells\":",
-        "\"layer_records\":",
-        "\"kernel_ns\":",
-        "\"summary\":",
-        "\"fraction\":",
-    ] {
-        assert!(s.contains(key), "missing {key}");
-    }
-}
-
 fn main() {
     let smoke = std::env::var("PCNN_BENCH_SMOKE").is_ok();
     let budget_ms = if smoke { 8.0 } else { 80.0 };
@@ -281,7 +242,7 @@ fn main() {
         for &hw in &WIDTHS {
             let layer = build_layer(n, hw);
             for dtype in ["f32", "int8"] {
-                let mut tier_blocks = Vec::new();
+                let mut tier_blocks: Vec<(&str, String)> = Vec::new();
                 let mut tiled_sparse_ms = f64::INFINITY;
                 println!("== {dtype} n={n} plane {hw}x{hw} (ideal {ideal:.2}x) ==");
                 for tier in tiers() {
@@ -312,16 +273,22 @@ fn main() {
                         summary.push((format!("{dtype}_n{n}_w{hw}_speedup"), speedup));
                         tiled_sparse_ms = sparse_ms;
                     }
-                    tier_blocks.push(format!(
-                        "\"{}\":{{\"sparse_ms\":{sparse_ms:.5},\"dense_ms\":{dense_ms:.5},\
-                         \"speedup\":{speedup:.3},\"ideal\":{ideal:.3},\"fraction\":{fraction:.3}}}",
-                        tier.key
-                    ));
+                    let block = json::object(|o| {
+                        o.fixed("sparse_ms", sparse_ms, 5)
+                            .fixed("dense_ms", dense_ms, 5)
+                            .fixed("speedup", speedup, 3)
+                            .fixed("ideal", ideal, 3)
+                            .fixed("fraction", fraction, 3);
+                    });
+                    tier_blocks.push((tier.key, block));
                 }
-                cells.push(format!(
-                    "\"{dtype}_n{n}_w{hw}\":{{\"dtype\":\"{dtype}\",\"n\":{n},\"width\":{hw},{}}}",
-                    tier_blocks.join(",")
-                ));
+                let cell = json::object(|o| {
+                    o.str("dtype", dtype).int("n", n).int("width", hw);
+                    for (tier, block) in &tier_blocks {
+                        o.raw(tier, block);
+                    }
+                });
+                cells.push((format!("{dtype}_n{n}_w{hw}"), cell));
                 // The same cell once more through the engine's
                 // per-layer profiler (the production path), emitted in
                 // the ExecProfile layer-record schema.
@@ -333,9 +300,9 @@ fn main() {
                 };
                 let iters =
                     ((budget_ms / tiled_sparse_ms.max(1e-4)).ceil() as usize).clamp(3, 2000);
-                layer_records.push(format!(
-                    "\"{dtype}_n{n}_w{hw}\":{}",
-                    profiled_layer_record(op, &x, iters)
+                layer_records.push((
+                    format!("{dtype}_n{n}_w{hw}"),
+                    profiled_layer_record(op, &x, iters),
                 ));
             }
             // The deficit tracker: tiled f32 vs tiled int8, paired.
@@ -350,21 +317,33 @@ fn main() {
         }
     }
 
-    let summary_json: Vec<String> = summary
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":{v:.3}"))
-        .collect();
-    let json = format!(
-        "{{\"bench\":\"kernel_microbench\",\"simd_level\":\"{level}\",\"batch\":{BATCH},\
-         \"channels\":{CHANNELS},\"smoke\":{smoke},\
-         \"note\":\"speedup = dense(9-tap, same tier) / sparse(n-tap); fraction = speedup / (9/n); \
-         int8_over_f32 compares tiled int8 vs tiled f32 on identical geometry\",\
-         \"cells\":{{{}}},\"layer_records\":{{{}}},\"summary\":{{{}}}}}",
-        cells.join(","),
-        layer_records.join(","),
-        summary_json.join(",")
-    );
-    validate_json(&json);
+    let json = json::object(|o| {
+        o.str("bench", "kernel_microbench")
+            .str("simd_level", level.label())
+            .int("batch", BATCH)
+            .int("channels", CHANNELS)
+            .bool("smoke", smoke)
+            .str(
+                "note",
+                "speedup = dense(9-tap, same tier) / sparse(n-tap); fraction = speedup / (9/n); \
+                 int8_over_f32 compares tiled int8 vs tiled f32 on identical geometry",
+            )
+            .object("cells", |c| {
+                for (key, cell) in &cells {
+                    c.raw(key, cell);
+                }
+            })
+            .object("layer_records", |r| {
+                for (key, record) in &layer_records {
+                    r.raw(key, record);
+                }
+            })
+            .object("summary", |s| {
+                for (key, value) in &summary {
+                    s.fixed(key, *value, 3);
+                }
+            });
+    });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     std::fs::write(path, &json).expect("write BENCH_kernels.json");
     println!("wrote {path}");

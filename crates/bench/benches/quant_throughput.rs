@@ -27,6 +27,7 @@ use pcnn_core::PrunePlan;
 use pcnn_nn::models::{resnet18_proxy, vgg16_proxy, ResNetProxyConfig, VggProxyConfig};
 use pcnn_nn::Model;
 use pcnn_runtime::compile::{prune_and_compile_quant, CompileOptions};
+use pcnn_runtime::json::{self, Obj};
 use pcnn_runtime::{Engine, Precision, QuantOptions};
 use pcnn_serve::{ServeConfig, ServeError, Server, TelemetrySnapshot};
 use pcnn_tensor::Tensor;
@@ -244,48 +245,19 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn json_block(tag: &str, rps: f64, s: &TelemetrySnapshot) -> String {
-    format!(
-        "\"{tag}\":{{\"throughput_rps\":{rps:.3},\"telemetry\":{}}}",
-        s.to_json()
-    )
+fn closed_loop_block(o: &mut Obj<'_>, tag: &str, r: &ClosedLoopResult) {
+    o.object(tag, |b| {
+        b.fixed("throughput_rps", r.rps, 3)
+            .raw("telemetry", &r.snapshot.to_json());
+    });
 }
 
-/// Minimal well-formedness validation of the emitted JSON (the
-/// workspace takes no serde dependency): brace/bracket balance with
-/// string awareness, and a handful of required keys. CI re-validates
-/// with a real parser.
-fn validate_json(s: &str) {
-    let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-    for c in s.chars() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if c == '\\' {
-                esc = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => depth -= 1,
-            _ => {}
-        }
-        assert!(depth >= 0, "unbalanced JSON");
-    }
-    assert_eq!(depth, 0, "unbalanced JSON");
-    assert!(!in_str, "unterminated string");
-    for key in [
-        "\"bench\":",
-        "\"proxies\":",
-        "\"notes\":",
-        "\"int8_speedup\":",
-    ] {
-        assert!(s.contains(key), "missing {key}");
-    }
+fn open_loop_block(o: &mut Obj<'_>, tag: &str, r: &OpenLoopResult) {
+    o.object(tag, |b| {
+        b.int("accepted", r.accepted)
+            .int("rejected", r.rejected)
+            .raw("telemetry", &r.snapshot.to_json());
+    });
 }
 
 fn main() {
@@ -359,24 +331,19 @@ fn main() {
             ms(oi.snapshot.latency_p99),
         );
 
-        proxy_blocks.push(format!(
-            "\"{}\":{{\"label\":\"{}\",{},{},\"int8_speedup\":{speedup:.3},\
-             \"int8_speedup_median\":{median:.3},\
-             \"open_loop\":{{\"offered_rps\":{:.3},\
-             \"f32\":{{\"accepted\":{},\"rejected\":{},\"telemetry\":{}}},\
-             \"int8\":{{\"accepted\":{},\"rejected\":{},\"telemetry\":{}}}}}}}",
-            proxy.key,
-            proxy.label,
-            json_block("closed_loop_f32", f32_best.rps, &f32_best.snapshot),
-            json_block("closed_loop_int8", int8_best.rps, &int8_best.snapshot),
-            of.offered_rps,
-            of.accepted,
-            of.rejected,
-            of.snapshot.to_json(),
-            oi.accepted,
-            oi.rejected,
-            oi.snapshot.to_json(),
-        ));
+        let block = json::object(|o| {
+            o.str("label", proxy.label);
+            closed_loop_block(o, "closed_loop_f32", &f32_best);
+            closed_loop_block(o, "closed_loop_int8", &int8_best);
+            o.fixed("int8_speedup", speedup, 3)
+                .fixed("int8_speedup_median", median, 3)
+                .object("open_loop", |l| {
+                    l.fixed("offered_rps", of.offered_rps, 3);
+                    open_loop_block(l, "f32", &of);
+                    open_loop_block(l, "int8", &oi);
+                });
+        });
+        proxy_blocks.push((proxy.key, block));
     }
 
     // The honesty clause: say where int8 wins and where it doesn't.
@@ -392,15 +359,21 @@ fn main() {
     );
     println!("notes: {notes}");
 
-    let json = format!(
-        "{{\"bench\":\"quant_throughput\",\"clients\":{clients},\"per_client\":{per_client},\
-         \"weight_bits\":8,\"act_bits\":8,\"proxies\":{{{}}},\
-         \"best_int8_speedup\":{:.3},\"best_int8_speedup_proxy\":\"{}\",\"notes\":\"{notes}\"}}",
-        proxy_blocks.join(","),
-        best_overall.0,
-        best_overall.1,
-    );
-    validate_json(&json);
+    let json = json::object(|o| {
+        o.str("bench", "quant_throughput")
+            .int("clients", clients)
+            .int("per_client", per_client)
+            .int("weight_bits", 8u8)
+            .int("act_bits", 8u8)
+            .object("proxies", |p| {
+                for (key, block) in &proxy_blocks {
+                    p.raw(key, block);
+                }
+            })
+            .fixed("best_int8_speedup", best_overall.0, 3)
+            .str("best_int8_speedup_proxy", best_overall.1)
+            .str("notes", &notes);
+    });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_quant.json");
     std::fs::write(path, &json).expect("write BENCH_quant.json");
     println!("\nwrote {path}");

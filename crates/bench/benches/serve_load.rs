@@ -28,9 +28,10 @@
 use pcnn_core::PrunePlan;
 use pcnn_nn::models::{vgg16_proxy, VggProxyConfig};
 use pcnn_runtime::compile::{prune_and_compile, CompileOptions};
+use pcnn_runtime::json::{self, Obj};
 use pcnn_runtime::Engine;
 use pcnn_serve::{
-    EventConfig, ServeConfig, ServeError, Server, SupervisorConfig, TelemetrySnapshot, TraceConfig,
+    ServeConfig, ServeError, Server, SupervisorConfig, TelemetrySnapshot, TraceConfig,
 };
 use pcnn_tensor::Tensor;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -207,11 +208,36 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn json_block(tag: &str, rps: f64, s: &TelemetrySnapshot) -> String {
-    format!(
-        "\"{tag}\":{{\"throughput_rps\":{rps:.3},\"telemetry\":{}}}",
-        s.to_json()
-    )
+fn closed_loop_block(o: &mut Obj<'_>, tag: &str, r: &ClosedLoopResult) {
+    o.object(tag, |b| {
+        b.fixed("throughput_rps", r.rps, 3)
+            .raw("telemetry", &r.snapshot.to_json());
+    });
+}
+
+fn open_loop_block(o: &mut Obj<'_>, r: &OpenLoopResult) {
+    o.object("open_loop", |b| {
+        b.fixed("offered_rps", r.offered_rps, 3)
+            .int("accepted", r.accepted)
+            .int("rejected", r.rejected)
+            .raw("telemetry", &r.snapshot.to_json());
+    });
+}
+
+/// One paired on-vs-off overhead measurement: best per-leg throughput
+/// and the best pair's ratio.
+struct Overhead {
+    off_rps: f64,
+    on_rps: f64,
+    ratio: f64,
+    pct: f64,
+}
+
+fn overhead_members(o: &mut Obj<'_>, v: &Overhead) {
+    o.fixed("off_rps", v.off_rps, 3)
+        .fixed("on_rps", v.on_rps, 3)
+        .fixed("ratio", v.ratio, 4)
+        .fixed("overhead_pct", v.pct, 3);
 }
 
 fn main() {
@@ -454,96 +480,6 @@ fn main() {
          throughput (ratio {trace_ratio:.3} < {floor}): the <2% observability budget is blown"
     );
 
-    // == Windowed telemetry overhead: windows on (default) vs off =======
-    // The windowed-telemetry acceptance bar: the rotating 1s/10s/60s
-    // window rings at the default config must cost <= 2% of closed-loop
-    // throughput. Writers pay two atomic ops per completion (one claim
-    // CAS amortised per bucket rotation, one add); everything else is
-    // read-side. Paired rounds, best pair, like the tracing comparison.
-    println!("\n== windowed telemetry overhead: windows on (default) vs off ==");
-    let window_cfg = |windowed: bool| ServeConfig {
-        max_batch: batched_max_batch(),
-        max_wait: batched_max_wait(),
-        windowed,
-        ..ServeConfig::default()
-    };
-    let mut window_ratios = Vec::with_capacity(rounds);
-    let mut window_off_best = 0f64;
-    let mut window_on_best = 0f64;
-    for round in 0..rounds {
-        let off = closed_loop(window_cfg(false), clients, per_client);
-        let on = closed_loop(window_cfg(true), clients, per_client);
-        println!(
-            "  round {round}: windows off {:7.1} req/s   on {:7.1} req/s   ratio {:.3}",
-            off.rps,
-            on.rps,
-            on.rps / off.rps
-        );
-        window_ratios.push(on.rps / off.rps);
-        window_off_best = window_off_best.max(off.rps);
-        window_on_best = window_on_best.max(on.rps);
-    }
-    window_ratios.sort_by(f64::total_cmp);
-    let window_ratio = *window_ratios.last().expect("at least one round");
-    let window_overhead_pct = ((1.0 - window_ratio) * 100.0).max(0.0);
-    println!(
-        "windowed telemetry overhead: {window_overhead_pct:.2}% of throughput \
-         (best pair ratio {window_ratio:.3}, median {:.3})",
-        window_ratios[window_ratios.len() / 2],
-    );
-    assert!(
-        window_ratio >= floor,
-        "windowed telemetry cost {window_overhead_pct:.2}% of closed-loop throughput \
-         (ratio {window_ratio:.3} < {floor}): the <=2% windowing budget is blown"
-    );
-
-    // == Event journal overhead: journal on (default) vs off ============
-    // The forensics acceptance bar: the structured event journal at the
-    // default config must cost < 2% of closed-loop throughput. The
-    // happy path never emits (events fire on queue-full, shed, faults,
-    // health transitions, drains — none of which closed-loop traffic
-    // hits), so this guards the cost of carrying the journal: the
-    // telemetry-snapshot tail read and any accidental hot-path emission.
-    println!("\n== event journal overhead: journal on (default) vs off ==");
-    let events_cfg = |enabled: bool| ServeConfig {
-        max_batch: batched_max_batch(),
-        max_wait: batched_max_wait(),
-        events: EventConfig {
-            enabled,
-            ..EventConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let mut event_ratios = Vec::with_capacity(rounds);
-    let mut events_off_best = 0f64;
-    let mut events_on_best = 0f64;
-    for round in 0..rounds {
-        let off = closed_loop(events_cfg(false), clients, per_client);
-        let on = closed_loop(events_cfg(true), clients, per_client);
-        println!(
-            "  round {round}: journal off {:7.1} req/s   on {:7.1} req/s   ratio {:.3}",
-            off.rps,
-            on.rps,
-            on.rps / off.rps
-        );
-        event_ratios.push(on.rps / off.rps);
-        events_off_best = events_off_best.max(off.rps);
-        events_on_best = events_on_best.max(on.rps);
-    }
-    event_ratios.sort_by(f64::total_cmp);
-    let event_ratio = *event_ratios.last().expect("at least one round");
-    let event_overhead_pct = ((1.0 - event_ratio) * 100.0).max(0.0);
-    println!(
-        "event journal overhead: {event_overhead_pct:.2}% of throughput \
-         (best pair ratio {event_ratio:.3}, median {:.3})",
-        event_ratios[event_ratios.len() / 2],
-    );
-    assert!(
-        event_ratio >= floor,
-        "event journal cost {event_overhead_pct:.2}% of closed-loop throughput \
-         (ratio {event_ratio:.3} < {floor}): the <2% forensics budget is blown"
-    );
-
     // == Resilience overhead: supervision on (default) vs off ===========
     // The fault-tolerance acceptance bar: the supervisor thread, shard
     // heartbeats, registry bookkeeping, and retry budget must cost < 2%
@@ -593,39 +529,45 @@ fn main() {
     );
 
     // Machine-readable trajectory: BENCH_serve.json at the workspace root.
-    let json = format!(
-        "{{\"bench\":\"serve_load\",\"clients\":{clients},\"per_client\":{per_client},\
-         {},{},\"batching_speedup\":{speedup:.3},\"batching_speedup_median\":{median:.3},\
-         \"open_loop\":{{\"offered_rps\":{:.3},\"accepted\":{},\"rejected\":{},\"telemetry\":{}}},\
-         \"sharded\":{{\"shards\":{},\"distinct_topologies\":{distinct_topologies},{},{},\
-         \"sharded_speedup\":{shard_ratio:.3},\
-         \"sharded_speedup_median\":{shard_ratio_median:.3},\
-         \"open_loop\":{{\"offered_rps\":{:.3},\"accepted\":{},\"rejected\":{},\"telemetry\":{}}}}},\
-         \"tracing\":{{\"sample_every\":{},\"off_rps\":{trace_off_best:.3},\
-         \"on_rps\":{trace_on_best:.3},\"ratio\":{trace_ratio:.4},\
-         \"overhead_pct\":{trace_overhead_pct:.3}}},\
-         \"window\":{{\"off_rps\":{window_off_best:.3},\"on_rps\":{window_on_best:.3},\
-         \"ratio\":{window_ratio:.4},\"overhead_pct\":{window_overhead_pct:.3}}},\
-         \"events\":{{\"off_rps\":{events_off_best:.3},\"on_rps\":{events_on_best:.3},\
-         \"ratio\":{event_ratio:.4},\"overhead_pct\":{event_overhead_pct:.3}}},\
-         \"resilience\":{{\"off_rps\":{supervision_off_best:.3},\
-         \"on_rps\":{supervision_on_best:.3},\"ratio\":{resilience_ratio:.4},\
-         \"overhead_pct\":{resilience_overhead_pct:.3}}}}}",
-        json_block("closed_loop_batch1", batch1.rps, &batch1.snapshot),
-        json_block("closed_loop_batched", batched.rps, &batched.snapshot),
-        open.offered_rps,
-        open.accepted,
-        open.rejected,
-        open.snapshot.to_json(),
-        sharded.shards,
-        json_block("closed_loop_single_shard", single.rps, &single.snapshot),
-        json_block("closed_loop_sharded", sharded.rps, &sharded.snapshot),
-        sharded_open.offered_rps,
-        sharded_open.accepted,
-        sharded_open.rejected,
-        sharded_open.snapshot.to_json(),
-        TraceConfig::default().sample_every,
-    );
+    let tracing = Overhead {
+        off_rps: trace_off_best,
+        on_rps: trace_on_best,
+        ratio: trace_ratio,
+        pct: trace_overhead_pct,
+    };
+    let resilience = Overhead {
+        off_rps: supervision_off_best,
+        on_rps: supervision_on_best,
+        ratio: resilience_ratio,
+        pct: resilience_overhead_pct,
+    };
+    let json = json::object(|o| {
+        o.str("bench", "serve_load")
+            .int("clients", clients)
+            .int("per_client", per_client);
+        closed_loop_block(o, "closed_loop_batch1", &batch1);
+        closed_loop_block(o, "closed_loop_batched", &batched);
+        o.fixed("batching_speedup", speedup, 3)
+            .fixed("batching_speedup_median", median, 3);
+        open_loop_block(o, &open);
+        o.object("sharded", |s| {
+            s.int("shards", sharded.shards)
+                .bool("distinct_topologies", distinct_topologies);
+            closed_loop_block(s, "closed_loop_single_shard", &single);
+            closed_loop_block(s, "closed_loop_sharded", &sharded);
+            s.fixed("sharded_speedup", shard_ratio, 3).fixed(
+                "sharded_speedup_median",
+                shard_ratio_median,
+                3,
+            );
+            open_loop_block(s, &sharded_open);
+        });
+        o.object("tracing", |t| {
+            t.int("sample_every", TraceConfig::default().sample_every);
+            overhead_members(t, &tracing);
+        })
+        .object("resilience", |r| overhead_members(r, &resilience));
+    });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     std::fs::write(path, &json).expect("write BENCH_serve.json");
     println!("\nwrote {path}");

@@ -116,6 +116,7 @@
 pub mod compile;
 pub mod engine;
 pub mod graph;
+pub mod json;
 pub mod ops;
 pub mod pattern_conv;
 pub mod profile;

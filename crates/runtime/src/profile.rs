@@ -12,8 +12,7 @@
 //!   quantisation and accumulator setup on the int8 path;
 //! * **kernel** — the kernel walk, fused ReLU / requantisation
 //!   included: the epilogue runs on the output tile's registers, so
-//!   there is no separate phase to time (`epilogue_ns` reads 0 and stays
-//!   in the schema so `pad + kernel + epilogue = total` holds).
+//!   there is no separate phase to time and `pad + kernel = total`.
 //!
 //! Convolution layers additionally count kernel dispatches (tile-walk
 //! calls, one per output channel; live kernels on geometries without a
@@ -28,6 +27,7 @@
 //! disabled is one relaxed load per graph pass.
 
 use crate::graph::ExecutableGraph;
+use crate::json;
 use crate::ops::Op;
 use crate::quant_conv::Precision;
 use pcnn_sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -130,11 +130,9 @@ impl LayerStats {
             images: self.images.load(Ordering::Relaxed),
             pad_ns,
             kernel_ns,
-            epilogue_ns: 0,
             total_ns: pad_ns + kernel_ns,
             // ordering: Relaxed — covered by the snapshot contract above.
             kernel_dispatches: self.kernel_dispatches.load(Ordering::Relaxed),
-            pattern_groups: 0,
             zero_kernels_skipped: self.zero_kernels_skipped.load(Ordering::Relaxed),
             padded_bytes: self.padded_bytes.load(Ordering::Relaxed),
             simd_level: match self.simd.load(Ordering::Relaxed) {
@@ -293,16 +291,11 @@ pub struct LayerProfile {
     /// Wall time in the kernel walk, fused ReLU / requantisation
     /// included (whole-op time for non-convolution layers).
     pub kernel_ns: u64,
-    /// Always 0: the epilogue runs inside the kernel walk and is timed
-    /// with it. Kept so the phase sum and the schema stay put.
-    pub epilogue_ns: u64,
-    /// `pad_ns + kernel_ns + epilogue_ns`.
+    /// `pad_ns + kernel_ns`.
     pub total_ns: u64,
     /// Kernel dispatches issued: tile-walk calls (one per output
     /// channel), or live kernels where the geometry has no tile.
     pub kernel_dispatches: u64,
-    /// Always 0: no executor walks pattern groups. Kept for the schema.
-    pub pattern_groups: u64,
     /// All-zero kernels skipped per pass.
     pub zero_kernels_skipped: u64,
     /// Bytes of padded input planes built across passes.
@@ -315,25 +308,19 @@ impl LayerProfile {
     /// One JSON object — the schema `benches/kernel_microbench.rs`
     /// reuses for its per-(dtype, n, width) records.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"layer\":{},\"label\":\"{}\",\"calls\":{},\"images\":{},\
-             \"pad_ns\":{},\"kernel_ns\":{},\"epilogue_ns\":{},\"total_ns\":{},\
-             \"kernel_dispatches\":{},\"pattern_groups\":{},\
-             \"zero_kernels_skipped\":{},\"padded_bytes\":{},\"simd_level\":\"{}\"}}",
-            self.layer,
-            self.label,
-            self.calls,
-            self.images,
-            self.pad_ns,
-            self.kernel_ns,
-            self.epilogue_ns,
-            self.total_ns,
-            self.kernel_dispatches,
-            self.pattern_groups,
-            self.zero_kernels_skipped,
-            self.padded_bytes,
-            self.simd_level,
-        )
+        json::object(|o| {
+            o.int("layer", self.layer)
+                .str("label", &self.label)
+                .int("calls", self.calls)
+                .int("images", self.images)
+                .int("pad_ns", self.pad_ns)
+                .int("kernel_ns", self.kernel_ns)
+                .int("total_ns", self.total_ns)
+                .int("kernel_dispatches", self.kernel_dispatches)
+                .int("zero_kernels_skipped", self.zero_kernels_skipped)
+                .int("padded_bytes", self.padded_bytes)
+                .str("simd_level", self.simd_level);
+        })
     }
 }
 
@@ -343,31 +330,25 @@ impl LayerProfile {
 pub struct PhaseSplit {
     /// Padded-plane construction (incl. quantisation on int8).
     pub pad_ns: u64,
-    /// Compiled kernel dispatches.
+    /// The kernel walk, fused ReLU / requantisation included.
     pub kernel_ns: u64,
-    /// Fused ReLU / requantisation tails.
-    pub epilogue_ns: u64,
 }
 
 impl PhaseSplit {
-    /// Sum of the three phases.
+    /// Sum of the two phases.
     pub fn total_ns(&self) -> u64 {
-        self.pad_ns + self.kernel_ns + self.epilogue_ns
+        self.pad_ns + self.kernel_ns
     }
 
-    /// Each phase's share of the total, in `(pad, kernel, epilogue)`
-    /// order; all zero when nothing was recorded.
-    pub fn fractions(&self) -> (f64, f64, f64) {
+    /// Each phase's share of the total, in `(pad, kernel)` order; both
+    /// zero when nothing was recorded.
+    pub fn fractions(&self) -> (f64, f64) {
         let total = self.total_ns();
         if total == 0 {
-            return (0.0, 0.0, 0.0);
+            return (0.0, 0.0);
         }
         let t = total as f64;
-        (
-            self.pad_ns as f64 / t,
-            self.kernel_ns as f64 / t,
-            self.epilogue_ns as f64 / t,
-        )
+        (self.pad_ns as f64 / t, self.kernel_ns as f64 / t)
     }
 }
 
@@ -392,7 +373,7 @@ impl ExecProfile {
     /// The lowering's phase totals pooled across layers, or `None` when
     /// the lowering recorded nothing. This is the read-side summary the
     /// serving-side latency attribution cross-references: it splits a
-    /// span's opaque execute segment into pad/kernel/epilogue shares.
+    /// span's opaque execute segment into pad/kernel shares.
     pub fn phase_split(&self, precision: Precision) -> Option<PhaseSplit> {
         let p = self
             .precisions
@@ -401,35 +382,30 @@ impl ExecProfile {
         let mut split = PhaseSplit {
             pad_ns: 0,
             kernel_ns: 0,
-            epilogue_ns: 0,
         };
         for l in &p.layers {
             split.pad_ns += l.pad_ns;
             split.kernel_ns += l.kernel_ns;
-            split.epilogue_ns += l.epilogue_ns;
         }
         (split.total_ns() > 0).then_some(split)
     }
 
     /// The whole profile as one JSON document.
     pub fn to_json(&self) -> String {
-        let precisions: Vec<String> = self
-            .precisions
-            .iter()
-            .map(|p| {
-                let layers: Vec<String> = p.layers.iter().map(LayerProfile::to_json).collect();
-                format!(
-                    "{{\"precision\":\"{}\",\"layers\":[{}]}}",
-                    p.precision,
-                    layers.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"simd_level\":\"{}\",\"precisions\":[{}]}}",
-            self.simd_level,
-            precisions.join(",")
-        )
+        json::object(|o| {
+            o.str("simd_level", self.simd_level)
+                .array("precisions", |a| {
+                    for p in &self.precisions {
+                        a.object(|o| {
+                            o.str("precision", p.precision).raw_array(
+                                "layers",
+                                &p.layers,
+                                LayerProfile::to_json,
+                            );
+                        });
+                    }
+                });
+        })
     }
 
     /// The profile in Prometheus text exposition format, appended to the
@@ -443,11 +419,7 @@ impl ExecProfile {
         o.push_str("# TYPE pcnn_profile_layer_seconds_total counter\n");
         for p in &self.precisions {
             for l in &p.layers {
-                for (phase, ns) in [
-                    ("pad", l.pad_ns),
-                    ("kernel", l.kernel_ns),
-                    ("epilogue", l.epilogue_ns),
-                ] {
+                for (phase, ns) in [("pad", l.pad_ns), ("kernel", l.kernel_ns)] {
                     o.push_str(&format!(
                         "pcnn_profile_layer_seconds_total{{precision=\"{}\",layer=\"{}\",phase=\"{}\"}} {}\n",
                         p.precision,
@@ -567,8 +539,8 @@ mod tests {
         let profile = profiler.snapshot();
         let split = profile.phase_split(Precision::F32).expect("f32 recorded");
         assert_eq!(split.total_ns(), profile.total_ns(Precision::F32));
-        let (pad, kernel, epilogue) = split.fractions();
-        assert!((pad + kernel + epilogue - 1.0).abs() < 1e-9);
+        let (pad, kernel) = split.fractions();
+        assert!((pad + kernel - 1.0).abs() < 1e-9);
         assert!(kernel > 0.0, "conv kernels always record kernel time");
         // The int8 lowering was never compiled, let alone run.
         assert!(profile.phase_split(Precision::Int8).is_none());

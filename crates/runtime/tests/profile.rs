@@ -89,7 +89,7 @@ fn assert_profile_accounts(
         assert_eq!(layer.images, u64::from(iters), "one image per pass");
         assert_eq!(
             layer.total_ns,
-            layer.pad_ns + layer.kernel_ns + layer.epilogue_ns,
+            layer.pad_ns + layer.kernel_ns,
             "phase split sums to the layer total"
         );
         // Convolution layers must attribute their SIMD tier; everything

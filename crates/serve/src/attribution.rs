@@ -22,7 +22,7 @@
 //! for the p95–p99 requests specifically, was it queueing or kernels?
 //!
 //! When an [`ExecProfile`] is attached, the opaque `execute` segment is
-//! cross-referenced with the engine's own pad/kernel/epilogue phase
+//! cross-referenced with the engine's own pad/kernel phase
 //! split, scaling the mean execute time into engine phases — the bridge
 //! between serving-side spans and runtime-side layer profiling.
 //!
@@ -31,7 +31,7 @@
 
 use crate::trace::{RecordedSpan, SpanOutcome};
 use crate::window::WINDOWS;
-use pcnn_runtime::{ExecProfile, Precision};
+use pcnn_runtime::{json, ExecProfile, Precision};
 
 /// The five attribution segments, in lifecycle order.
 pub const SEGMENTS: [&str; 5] = [
@@ -117,19 +117,15 @@ impl SegmentStats {
     }
 
     fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"total_ns\":{},\"mean_ns\":{:.1},",
-                "\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"share\":{:.4}}}"
-            ),
-            self.name,
-            self.total_ns,
-            self.mean_ns,
-            self.p50_ns,
-            self.p95_ns,
-            self.p99_ns,
-            self.share,
-        )
+        json::object(|o| {
+            o.str("name", self.name)
+                .int("total_ns", self.total_ns)
+                .fixed("mean_ns", self.mean_ns, 1)
+                .int("p50_ns", self.p50_ns)
+                .int("p95_ns", self.p95_ns)
+                .int("p99_ns", self.p99_ns)
+                .fixed("share", self.share, 4);
+        })
     }
 }
 
@@ -174,15 +170,13 @@ impl WindowAttribution {
     }
 
     fn to_json(&self) -> String {
-        let segments: Vec<String> = self.segments.iter().map(SegmentStats::to_json).collect();
-        format!(
-            "{{\"label\":\"{}\",\"spans\":{},\"dominant\":\"{}\",\"e2e\":{},\"segments\":[{}]}}",
-            self.label,
-            self.spans,
-            self.dominant,
-            self.e2e.to_json(),
-            segments.join(","),
-        )
+        json::object(|o| {
+            o.str("label", &self.label)
+                .int("spans", self.spans)
+                .str("dominant", self.dominant)
+                .raw("e2e", &self.e2e.to_json())
+                .raw_array("segments", &self.segments, SegmentStats::to_json);
+        })
     }
 }
 
@@ -203,28 +197,24 @@ pub struct BandAttribution {
 
 impl BandAttribution {
     fn to_json(&self) -> String {
-        let segs: Vec<String> = SEGMENTS
-            .iter()
-            .zip(self.mean_segment_ns)
-            .map(|(name, ns)| format!("\"{name}\":{ns:.1}"))
-            .collect();
-        format!(
-            concat!(
-                "{{\"band\":\"{}\",\"spans\":{},\"mean_e2e_ns\":{:.1},",
-                "\"dominant\":\"{}\",\"mean_segment_ns\":{{{}}}}}"
-            ),
-            self.band,
-            self.spans,
-            self.mean_e2e_ns,
-            self.dominant,
-            segs.join(","),
-        )
+        json::object(|o| {
+            o.str("band", self.band)
+                .int("spans", self.spans)
+                .fixed("mean_e2e_ns", self.mean_e2e_ns, 1)
+                .str("dominant", self.dominant)
+                .object("mean_segment_ns", |m| {
+                    for (name, ns) in SEGMENTS.iter().zip(self.mean_segment_ns) {
+                        m.fixed(name, ns, 1);
+                    }
+                });
+        })
     }
 }
 
 /// The `execute` segment cross-referenced with one lowering's engine
 /// phase split: the mean execute time scaled by the profiler's
-/// pad/kernel/epilogue shares.
+/// pad/kernel shares (the fused ReLU / requantisation is part of the
+/// kernel walk).
 #[derive(Debug, Clone)]
 pub struct ExecPhaseShare {
     /// Lowering label (`"f32"` / `"int8"`).
@@ -233,30 +223,25 @@ pub struct ExecPhaseShare {
     pub pad_fraction: f64,
     /// See `pad_fraction`.
     pub kernel_fraction: f64,
-    /// See `pad_fraction`. Reads 0: the engine runs the ReLU /
-    /// requantisation inside its kernel walk and times it there.
-    pub epilogue_fraction: f64,
     /// The overall mean execute segment, split by those fractions, in
-    /// `(pad, kernel, epilogue)` order.
-    pub execute_mean_ns: (f64, f64, f64),
+    /// `(pad, kernel)` order.
+    pub execute_mean_ns: (f64, f64),
 }
 
 impl ExecPhaseShare {
     fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"precision\":\"{}\",\"pad_fraction\":{:.4},",
-                "\"kernel_fraction\":{:.4},\"epilogue_fraction\":{:.4},",
-                "\"execute_mean_ns\":{{\"pad\":{:.1},\"kernel\":{:.1},\"epilogue\":{:.1}}}}}"
-            ),
-            self.precision,
-            self.pad_fraction,
-            self.kernel_fraction,
-            self.epilogue_fraction,
-            self.execute_mean_ns.0,
-            self.execute_mean_ns.1,
-            self.execute_mean_ns.2,
-        )
+        json::object(|o| {
+            o.str("precision", self.precision)
+                .fixed("pad_fraction", self.pad_fraction, 4)
+                .fixed("kernel_fraction", self.kernel_fraction, 4)
+                .object("execute_mean_ns", |e| {
+                    e.fixed("pad", self.execute_mean_ns.0, 1).fixed(
+                        "kernel",
+                        self.execute_mean_ns.1,
+                        1,
+                    );
+                });
+        })
     }
 }
 
@@ -360,8 +345,8 @@ impl AttributionReport {
 
     /// Cross-references the opaque `execute` segment with the engine's
     /// own phase split: for each lowering the profiler recorded, the
-    /// overall mean execute time is scaled by the engine's
-    /// pad/kernel/epilogue fractions.
+    /// overall mean execute time is scaled by the engine's pad/kernel
+    /// fractions.
     pub fn attach_exec_profile(&mut self, profile: &ExecProfile) {
         let execute_mean = self
             .windows
@@ -372,17 +357,12 @@ impl AttributionReport {
             .iter()
             .filter_map(|&p| {
                 let split = profile.phase_split(p)?;
-                let (pad, kernel, epilogue) = split.fractions();
+                let (pad, kernel) = split.fractions();
                 Some(ExecPhaseShare {
                     precision: p.label(),
                     pad_fraction: pad,
                     kernel_fraction: kernel,
-                    epilogue_fraction: epilogue,
-                    execute_mean_ns: (
-                        execute_mean * pad,
-                        execute_mean * kernel,
-                        execute_mean * epilogue,
-                    ),
+                    execute_mean_ns: (execute_mean * pad, execute_mean * kernel),
                 })
             })
             .collect();
@@ -400,28 +380,13 @@ impl AttributionReport {
     /// The report as one JSON object — the `"attribution"` block of
     /// `PROFILE_serve.json`.
     pub fn to_json(&self) -> String {
-        let windows: Vec<String> = self
-            .windows
-            .iter()
-            .map(WindowAttribution::to_json)
-            .collect();
-        let bands: Vec<String> = self.bands.iter().map(BandAttribution::to_json).collect();
-        let exec: Vec<String> = self
-            .exec_phases
-            .iter()
-            .map(ExecPhaseShare::to_json)
-            .collect();
-        format!(
-            concat!(
-                "{{\"analyzed\":{},\"skipped\":{},\"windows\":[{}],",
-                "\"bands\":[{}],\"exec_phases\":[{}]}}"
-            ),
-            self.analyzed,
-            self.skipped,
-            windows.join(","),
-            bands.join(","),
-            exec.join(","),
-        )
+        json::object(|o| {
+            o.int("analyzed", self.analyzed)
+                .int("skipped", self.skipped)
+                .raw_array("windows", &self.windows, WindowAttribution::to_json)
+                .raw_array("bands", &self.bands, BandAttribution::to_json)
+                .raw_array("exec_phases", &self.exec_phases, ExecPhaseShare::to_json);
+        })
     }
 }
 
@@ -468,11 +433,10 @@ impl std::fmt::Display for AttributionReport {
         for e in &self.exec_phases {
             writeln!(
                 f,
-                "  execute[{}]: pad {:.1}% kernel {:.1}% epilogue {:.1}% of engine time",
+                "  execute[{}]: pad {:.1}% kernel {:.1}% of engine time",
                 e.precision,
                 e.pad_fraction * 100.0,
-                e.kernel_fraction * 100.0,
-                e.epilogue_fraction * 100.0
+                e.kernel_fraction * 100.0
             )?;
         }
         Ok(())
@@ -556,14 +520,7 @@ mod tests {
         assert_eq!(r.analyzed, 0);
         assert_eq!(r.dominant(), None);
         assert!(r.bands.is_empty());
-        let json = r.to_json();
-        assert!(json.contains("\"analyzed\":0"));
-        let depth = json.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0, "balanced");
+        assert!(r.to_json().contains("\"analyzed\":0"));
     }
 
     #[test]

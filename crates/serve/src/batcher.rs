@@ -815,7 +815,7 @@ mod tests {
     use pcnn_runtime::compile::compile_dense;
 
     fn recorder() -> FlightRecorder {
-        FlightRecorder::new(&TraceConfig::default(), 1)
+        FlightRecorder::new(&TraceConfig::default(), 1, None)
     }
 
     fn slot() -> Arc<ShardSlot> {

@@ -38,7 +38,8 @@
 
 use crate::events::{EventCode, Severity};
 use crate::incident::IncidentRecorder;
-use crate::metrics::ServerMetrics;
+use crate::metrics::{Counter, ServerMetrics};
+use pcnn_runtime::json;
 use pcnn_sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use pcnn_sync::Arc;
 use std::time::Duration;
@@ -151,7 +152,7 @@ impl std::fmt::Display for HealthState {
 }
 
 /// One evaluation window's burn reading.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BurnWindow {
     /// The trailing window evaluated.
     pub window: Duration,
@@ -188,27 +189,20 @@ pub struct HealthReport {
 impl HealthReport {
     /// Renders the report as a flat JSON object.
     pub fn to_json(&self) -> String {
-        let burn = |b: &BurnWindow| {
-            format!(
-                concat!(
-                    "{{\"window_s\":{:.3},\"burn\":{:.4},\"attempts\":{},",
-                    "\"error_rate\":{:.6},\"slow_fraction\":{:.6}}}"
-                ),
-                b.window.as_secs_f64(),
-                b.burn,
-                b.attempts,
-                b.error_rate,
-                b.slow_fraction,
-            )
+        let burn = |o: &mut json::Obj<'_>, b: &BurnWindow| {
+            o.fixed("window_s", b.window.as_secs_f64(), 3)
+                .fixed("burn", b.burn, 4)
+                .int("attempts", b.attempts)
+                .fixed("error_rate", b.error_rate, 6)
+                .fixed("slow_fraction", b.slow_fraction, 6);
         };
-        format!(
-            "{{\"state\":\"{}\",\"fast\":{},\"slow\":{},\"transitions\":{},\"shed\":{}}}",
-            self.state.label(),
-            burn(&self.fast),
-            burn(&self.slow),
-            self.transitions,
-            self.shed,
-        )
+        json::object(|o| {
+            o.str("state", self.state.label())
+                .object("fast", |f| burn(f, &self.fast))
+                .object("slow", |s| burn(s, &self.slow))
+                .int("transitions", self.transitions)
+                .int("shed", self.shed);
+        })
     }
 }
 
@@ -238,7 +232,7 @@ pub struct HealthEngine {
     config: SloConfig,
     state: AtomicU8,
     last_eval_ns: AtomicU64,
-    transitions: AtomicU64,
+    transitions: Counter,
     incidents: Option<Arc<IncidentRecorder>>,
 }
 
@@ -249,7 +243,7 @@ impl HealthEngine {
             config,
             state: AtomicU8::new(HealthState::Healthy.code()),
             last_eval_ns: AtomicU64::new(0),
-            transitions: AtomicU64::new(0),
+            transitions: Counter::default(),
             incidents: None,
         }
     }
@@ -277,25 +271,18 @@ impl HealthEngine {
 
     /// State transitions since the engine started.
     pub fn transitions(&self) -> u64 {
-        // ordering: statistics read; snapshot readers tolerate lag.
-        self.transitions.load(Ordering::Relaxed)
+        self.transitions.get()
     }
 
     /// One burn reading over `window` ending at `now_ns`.
     fn burn_window(&self, metrics: &ServerMetrics, now_ns: u64, window: Duration) -> BurnWindow {
         let mut out = BurnWindow {
             window,
-            burn: 0.0,
-            attempts: 0,
-            error_rate: 0.0,
-            slow_fraction: 0.0,
+            ..BurnWindow::default()
         };
-        // Windowing disabled → no signal → no burn. Aborts are
-        // excluded: they are shutdown-driven, not capacity-driven.
-        let Some((hist, completed, failed, _aborted)) = metrics.merged_window(now_ns, window)
-        else {
-            return out;
-        };
+        // Aborts are excluded: they are shutdown-driven, not
+        // capacity-driven.
+        let (hist, completed, failed, _aborted) = metrics.merged_window(now_ns, window);
         let attempts = completed + failed;
         out.attempts = attempts;
         if attempts == 0 {
@@ -341,8 +328,7 @@ impl HealthEngine {
         let next = current.step_toward(target);
         if next != current {
             self.state.store(next.code(), Ordering::Relaxed);
-            // ordering: covered by the verdict contract above.
-            self.transitions.fetch_add(1, Ordering::Relaxed);
+            self.transitions.inc();
         }
         // ordering: Relaxed — the stamp only rate-limits; see above.
         self.last_eval_ns.fetch_max(now_ns, Ordering::Relaxed);
@@ -447,15 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn windowing_disabled_reports_healthy_with_no_signal() {
-        let m = ServerMetrics::with_options(1, false);
-        let h = HealthEngine::new(strict_slo());
-        let report = h.evaluate_at(&m, m.now_ns());
-        assert_eq!(report.state, HealthState::Healthy);
-        assert_eq!(report.fast.attempts, 0);
-    }
-
-    #[test]
     fn latency_violations_ramp_to_overloaded_one_step_at_a_time() {
         let m = ServerMetrics::new(1);
         let h = HealthEngine::new(strict_slo());
@@ -545,15 +522,14 @@ mod tests {
         // Old compliant traffic: 5 s ago, well inside the 10 s slow
         // window but outside the 1 s fast window.
         let now = m.now_ns() + 6_000_000_000;
-        if let Some(w) = &m.shard(0).windows {
-            for _ in 0..960 {
-                w.shard
-                    .on_completed(now - 5_000_000_000, /* 10 µs */ 10_000);
-            }
-            // Fresh spike: every recent sample violates.
-            for _ in 0..40 {
-                w.shard.on_completed(now, /* 100 ms */ 100_000_000);
-            }
+        let w = &m.shard(0).windows;
+        for _ in 0..960 {
+            w.shard
+                .on_completed(now - 5_000_000_000, /* 10 µs */ 10_000);
+        }
+        // Fresh spike: every recent sample violates.
+        for _ in 0..40 {
+            w.shard.on_completed(now, /* 100 ms */ 100_000_000);
         }
         let r1 = h.evaluate_at(&m, now);
         // Fast window: 40/40 slow → burn 4000. Slow window: 40/1000

@@ -36,11 +36,11 @@
 use crate::attribution::AttributionReport;
 use crate::events::RecordedEvent;
 use crate::health::{BurnWindow, HealthReport, HealthState};
-use crate::metrics::{ServerMetrics, TelemetrySnapshot};
+use crate::metrics::{Counter, ServerMetrics, TelemetrySnapshot};
 use crate::shutdown::DrainReport;
 use crate::trace::{FlightRecorder, RecordedSpan};
 use crate::ServeConfig;
-use pcnn_runtime::{ExecProfile, ExecProfiler};
+use pcnn_runtime::{json, ExecProfile, ExecProfiler};
 use pcnn_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use pcnn_sync::{Arc, Mutex};
 use std::collections::VecDeque;
@@ -135,35 +135,26 @@ impl DiagnosticSnapshot {
     /// The snapshot as one JSON object — the schema documented in the
     /// README's "Forensics & incidents" section.
     pub fn to_json(&self) -> String {
-        let spans: Vec<String> = self.spans.iter().map(RecordedSpan::to_json).collect();
-        let events: Vec<String> = self.events.iter().map(RecordedEvent::to_json).collect();
-        let exec = self
-            .exec_profile
-            .as_ref()
-            .map_or_else(|| "null".to_string(), ExecProfile::to_json);
-        format!(
-            concat!(
-                "{{\"trigger\":\"{}\",\"captured_at_ns\":{},",
-                "\"build\":{{\"version\":\"{}\",\"simd\":\"{}\",",
-                "\"shards\":{},\"precision\":\"{}\"}},",
-                "\"config\":{},\"telemetry\":{},\"health\":{},",
-                "\"attribution\":{},\"spans\":[{}],\"events\":[{}],",
-                "\"exec_profile\":{}}}"
-            ),
-            self.trigger.label(),
-            self.captured_at_ns,
-            self.version,
-            self.simd,
-            self.shards,
-            self.precision,
-            self.config,
-            self.telemetry.to_json(),
-            self.health.to_json(),
-            self.attribution.to_json(),
-            spans.join(","),
-            events.join(","),
-            exec,
-        )
+        json::object(|o| {
+            o.str("trigger", self.trigger.label())
+                .int("captured_at_ns", self.captured_at_ns)
+                .object("build", |b| {
+                    b.str("version", self.version)
+                        .str("simd", self.simd)
+                        .int("shards", self.shards)
+                        .str("precision", self.precision);
+                })
+                .raw("config", &self.config)
+                .raw("telemetry", &self.telemetry.to_json())
+                .raw("health", &self.health.to_json())
+                .raw("attribution", &self.attribution.to_json())
+                .raw_array("spans", &self.spans, RecordedSpan::to_json)
+                .raw_array("events", &self.events, RecordedEvent::to_json);
+            match &self.exec_profile {
+                Some(profile) => o.raw("exec_profile", &profile.to_json()),
+                None => o.null("exec_profile"),
+            };
+        })
     }
 }
 
@@ -217,7 +208,7 @@ pub struct IncidentRecorder {
     /// Whether the first-fault trigger already fired.
     fault_seen: AtomicBool,
     captured: AtomicU64,
-    suppressed: AtomicU64,
+    suppressed: Counter,
     /// The most recent health evaluation, for captures whose trigger
     /// carries no report of its own (faults, drains, on-demand).
     last_health: Mutex<Option<HealthReport>>,
@@ -247,7 +238,7 @@ impl IncidentRecorder {
             last_capture_ns: AtomicU64::new(0),
             fault_seen: AtomicBool::new(false),
             captured: AtomicU64::new(0),
-            suppressed: AtomicU64::new(0),
+            suppressed: Counter::default(),
             last_health: Mutex::new(None),
             ring: Mutex::new(VecDeque::new()),
             dir: std::env::var_os("PCNN_INCIDENT_DIR").map(PathBuf::from),
@@ -274,8 +265,7 @@ impl IncidentRecorder {
 
     /// Triggers swallowed by the cooldown.
     pub fn suppressed(&self) -> u64 {
-        // ordering: statistics read; snapshot readers tolerate lag.
-        self.suppressed.load(Ordering::Relaxed)
+        self.suppressed.get()
     }
 
     /// The retained incidents, oldest first.
@@ -359,10 +349,7 @@ impl IncidentRecorder {
     fn empty_health(&self) -> HealthReport {
         let empty = |window: Duration| BurnWindow {
             window,
-            burn: 0.0,
-            attempts: 0,
-            error_rate: 0.0,
-            slow_fraction: 0.0,
+            ..BurnWindow::default()
         };
         HealthReport {
             state: HealthState::Healthy,
@@ -395,8 +382,7 @@ impl IncidentRecorder {
 
     fn record(&self, trigger: IncidentTrigger, health: HealthReport) {
         if !self.try_claim() {
-            // ordering: statistics counter; see `suppressed`.
-            self.suppressed.fetch_add(1, Ordering::Relaxed);
+            self.suppressed.inc();
             return;
         }
         let snap = Arc::new(self.build(trigger, health));
@@ -477,8 +463,8 @@ mod tests {
         let config = ServeConfig::default();
         let engine = Engine::new(compile_dense(&models::tiny_cnn(3, 4, 1)), 1);
         let profiler = engine.profiler_handle();
-        let metrics = Arc::new(ServerMetrics::with_config(1, true, config.events.clone()));
-        let recorder = Arc::new(FlightRecorder::new(&TraceConfig::default(), 1));
+        let metrics = Arc::new(ServerMetrics::with_config(1, config.events.clone()));
+        let recorder = Arc::new(FlightRecorder::new(&TraceConfig::default(), 1, None));
         let mut r = IncidentRecorder::new(&config, profiler.clone(), 1, metrics, recorder);
         r.set_dir(None); // tests must not inherit PCNN_INCIDENT_DIR
         (r, profiler)
@@ -603,12 +589,6 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key}");
         }
-        let depth = json.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0, "balanced braces");
         let text = format!("{snap}");
         assert!(text.contains("incident[health_degraded]"));
         // Two events ride along: the seeded queue_full plus the

@@ -97,6 +97,7 @@ pub mod health;
 pub mod incident;
 pub mod metrics;
 pub mod queue;
+mod seqring;
 pub mod shutdown;
 pub mod supervisor;
 pub mod ticket;
@@ -118,7 +119,8 @@ pub use trace::{FlightRecorder, RecordedSpan, SpanOutcome, TraceConfig};
 pub use window::{WindowSnapshot, WindowStats, WINDOWS};
 
 use batcher::{BatcherContext, Request, RetryCtx};
-use pcnn_runtime::{Engine, ExecProfiler, ExecutableGraph};
+use metrics::{family, ms};
+use pcnn_runtime::{json, Engine, ExecProfiler, ExecutableGraph};
 use pcnn_sync::atomic::{AtomicBool, Ordering};
 use pcnn_sync::{thread, Arc, Mutex};
 use queue::{BoundedQueue, PushError};
@@ -168,12 +170,6 @@ pub struct ServeConfig {
     /// Request IDs and trace counters are always on; only span capture
     /// is sampled.
     pub trace: TraceConfig,
-    /// Rolling-window telemetry (1 s / 10 s / 60 s rates and latency
-    /// quantiles, the `pcnn_window_*` series, and the health engine's
-    /// input signal). On by default; turning it off removes the window
-    /// rings entirely and the health engine reports `Healthy` with no
-    /// signal.
-    pub windowed: bool,
     /// The service-level objective the built-in health engine grades
     /// live traffic against ([`SloConfig`]) — latency target and
     /// percentile, availability target, burn-rate windows, and the
@@ -220,7 +216,6 @@ impl Default for ServeConfig {
             shards: 1,
             precision: Precision::F32,
             trace: TraceConfig::default(),
-            windowed: true,
             slo: SloConfig::default(),
             events: EventConfig::default(),
             default_deadline: None,
@@ -236,69 +231,63 @@ impl ServeConfig {
     /// every [`DiagnosticSnapshot`] so an incident records the exact
     /// knobs the server ran with.
     pub fn to_json(&self) -> String {
-        let chw = match self.input_chw {
-            Some([c, h, w]) => format!("[{c},{h},{w}]"),
-            None => "null".to_string(),
-        };
-        format!(
-            concat!(
-                "{{\"queue_capacity\":{},\"max_batch\":{},\"max_wait_ms\":{:.3},",
-                "\"input_chw\":{},\"shards\":{},\"precision\":\"{}\",",
-                "\"trace\":{{\"sample_every\":{},\"ring_capacity\":{}}},",
-                "\"windowed\":{},",
-                "\"slo\":{{\"latency_target_ms\":{:.3},\"latency_percentile\":{},",
-                "\"availability_target\":{},\"fast_window_s\":{},\"slow_window_s\":{},",
-                "\"degraded_burn\":{},\"overloaded_burn\":{},\"min_samples\":{},",
-                "\"shed_low_priority\":{},\"eval_interval_ms\":{:.3}}},",
-                "\"events\":{{\"enabled\":{},\"ring_capacity\":{},",
-                "\"rate_window_ms\":{:.3},\"rate_burst\":{}}},",
-                "\"default_deadline_ms\":{},",
-                "\"retry\":{{\"max_attempts\":{},\"backoff_ms\":{:.3},",
-                "\"budget_ratio\":{},\"budget_burst\":{}}},",
-                "\"supervision\":{{\"enabled\":{},\"stall_timeout_ms\":{:.3},",
-                "\"max_restarts\":{},\"restart_window_s\":{},",
-                "\"open_duration_ms\":{:.3},\"probe_batches\":{}}},",
-                "\"faults_armed\":{}}}"
-            ),
-            self.queue_capacity,
-            self.max_batch,
-            self.max_wait.as_secs_f64() * 1e3,
-            chw,
-            self.shards,
-            self.precision.label(),
-            self.trace.sample_every,
-            self.trace.ring_capacity,
-            self.windowed,
-            self.slo.latency_target.as_secs_f64() * 1e3,
-            self.slo.latency_percentile,
-            self.slo.availability_target,
-            self.slo.fast_window.as_secs_f64(),
-            self.slo.slow_window.as_secs_f64(),
-            self.slo.degraded_burn,
-            self.slo.overloaded_burn,
-            self.slo.min_samples,
-            self.slo.shed_low_priority,
-            self.slo.eval_interval.as_secs_f64() * 1e3,
-            self.events.enabled,
-            self.events.ring_capacity,
-            self.events.rate_window.as_secs_f64() * 1e3,
-            self.events.rate_burst,
+        json::object(|o| {
+            o.int("queue_capacity", self.queue_capacity)
+                .int("max_batch", self.max_batch)
+                .fixed("max_wait_ms", ms(self.max_wait), 3);
+            match self.input_chw {
+                Some(chw) => o.array("input_chw", |a| {
+                    for dim in chw {
+                        a.int(dim);
+                    }
+                }),
+                None => o.null("input_chw"),
+            };
+            o.int("shards", self.shards)
+                .str("precision", self.precision.label())
+                .object("trace", |t| {
+                    t.int("sample_every", self.trace.sample_every)
+                        .int("ring_capacity", self.trace.ring_capacity);
+                })
+                .object("slo", |s| {
+                    let slo = &self.slo;
+                    s.fixed("latency_target_ms", ms(slo.latency_target), 3)
+                        .float("latency_percentile", slo.latency_percentile)
+                        .float("availability_target", slo.availability_target)
+                        .float("fast_window_s", slo.fast_window.as_secs_f64())
+                        .float("slow_window_s", slo.slow_window.as_secs_f64())
+                        .float("degraded_burn", slo.degraded_burn)
+                        .float("overloaded_burn", slo.overloaded_burn)
+                        .int("min_samples", slo.min_samples)
+                        .bool("shed_low_priority", slo.shed_low_priority)
+                        .fixed("eval_interval_ms", ms(slo.eval_interval), 3);
+                })
+                .object("events", |e| {
+                    e.int("ring_capacity", self.events.ring_capacity)
+                        .fixed("rate_window_ms", ms(self.events.rate_window), 3)
+                        .int("rate_burst", self.events.rate_burst);
+                });
             match self.default_deadline {
-                Some(d) => format!("{:.3}", d.as_secs_f64() * 1e3),
-                None => "null".to_string(),
-            },
-            self.retry.max_attempts,
-            self.retry.backoff.as_secs_f64() * 1e3,
-            self.retry.budget_ratio,
-            self.retry.budget_burst,
-            self.supervision.enabled,
-            self.supervision.stall_timeout.as_secs_f64() * 1e3,
-            self.supervision.max_restarts,
-            self.supervision.restart_window.as_secs_f64(),
-            self.supervision.open_duration.as_secs_f64() * 1e3,
-            self.supervision.probe_batches,
-            self.faults.is_some(),
-        )
+                Some(d) => o.fixed("default_deadline_ms", ms(d), 3),
+                None => o.null("default_deadline_ms"),
+            };
+            o.object("retry", |r| {
+                r.int("max_attempts", self.retry.max_attempts)
+                    .fixed("backoff_ms", ms(self.retry.backoff), 3)
+                    .float("budget_ratio", self.retry.budget_ratio)
+                    .int("budget_burst", self.retry.budget_burst);
+            })
+            .object("supervision", |s| {
+                let sup = &self.supervision;
+                s.bool("enabled", sup.enabled)
+                    .fixed("stall_timeout_ms", ms(sup.stall_timeout), 3)
+                    .int("max_restarts", sup.max_restarts)
+                    .float("restart_window_s", sup.restart_window.as_secs_f64())
+                    .fixed("open_duration_ms", ms(sup.open_duration), 3)
+                    .int("probe_batches", sup.probe_batches);
+            })
+            .bool("faults_armed", self.faults.is_some());
+        })
     }
 }
 
@@ -371,18 +360,12 @@ impl Server {
                 .map(Arc::new)
                 .collect()
         };
-        let metrics = Arc::new(ServerMetrics::with_config(
-            shards,
-            config.windowed,
-            config.events.clone(),
-        ));
+        let metrics = Arc::new(ServerMetrics::with_config(shards, config.events.clone()));
         let journal = metrics.events().clone();
         let mut queue = BoundedQueue::new(config.queue_capacity);
         queue.set_journal(journal.clone());
         let queue = Arc::new(queue);
-        let mut recorder = FlightRecorder::new(&config.trace, shards);
-        recorder.attach_journal(journal);
-        let recorder = Arc::new(recorder);
+        let recorder = Arc::new(FlightRecorder::new(&config.trace, shards, Some(journal)));
         let incidents = Arc::new(IncidentRecorder::new(
             &config,
             profiler.clone(),
@@ -561,78 +544,54 @@ impl Server {
     /// execution profile. Metric names are documented in the README's
     /// "Observability" section.
     pub fn render_prometheus(&self) -> String {
+        use metrics::Kind::{Counter, Gauge};
         let mut out = self.metrics.render_prometheus();
-        out.push_str(
-            "# HELP pcnn_build_info Deploy metadata carried as labels; the value is always 1.\n",
-        );
-        out.push_str("# TYPE pcnn_build_info gauge\n");
-        out.push_str(&format!(
-            "pcnn_build_info{{version=\"{}\",simd=\"{}\",shards=\"{}\",precision=\"{}\"}} 1\n",
+        let report = self.health();
+        let build = format!(
+            "version=\"{}\",simd=\"{}\",shards=\"{}\",precision=\"{}\"",
             env!("CARGO_PKG_VERSION"),
             pcnn_tensor::simd::active().label(),
             self.shards,
             self.config.precision.label(),
-        ));
-        out.push_str("# HELP pcnn_uptime_seconds Seconds since the server started.\n");
-        out.push_str("# TYPE pcnn_uptime_seconds gauge\n");
-        out.push_str(&format!(
-            "pcnn_uptime_seconds {:.3}\n",
-            self.metrics.uptime().as_secs_f64()
-        ));
-        let report = self.health();
-        out.push_str(
-            "# HELP pcnn_health_state SLO health state: 0 healthy, 1 degraded, 2 overloaded.\n",
         );
-        out.push_str("# TYPE pcnn_health_state gauge\n");
-        out.push_str(&format!("pcnn_health_state {}\n", report.state.code()));
-        out.push_str(
-            "# HELP pcnn_health_burn_rate Error-budget burn rate per evaluation window.\n",
-        );
-        out.push_str("# TYPE pcnn_health_burn_rate gauge\n");
-        out.push_str(&format!(
-            "pcnn_health_burn_rate{{window=\"fast\"}} {:.4}\n",
-            report.fast.burn
-        ));
-        out.push_str(&format!(
-            "pcnn_health_burn_rate{{window=\"slow\"}} {:.4}\n",
-            report.slow.burn
-        ));
-        out.push_str("# HELP pcnn_health_transitions_total Health state transitions.\n");
-        out.push_str("# TYPE pcnn_health_transitions_total counter\n");
-        out.push_str(&format!(
-            "pcnn_health_transitions_total {}\n",
-            report.transitions
-        ));
-        out.push_str("# HELP pcnn_trace_requests_total Requests assigned a trace ID.\n");
-        out.push_str("# TYPE pcnn_trace_requests_total counter\n");
-        out.push_str(&format!(
-            "pcnn_trace_requests_total {}\n",
-            self.recorder.requests()
-        ));
-        out.push_str("# HELP pcnn_trace_spans_recorded_total Sampled spans published to the flight recorder.\n");
-        out.push_str("# TYPE pcnn_trace_spans_recorded_total counter\n");
-        out.push_str(&format!(
-            "pcnn_trace_spans_recorded_total {}\n",
-            self.recorder.spans_recorded()
-        ));
-        out.push_str(
-            "# HELP pcnn_trace_spans_dropped_total Sampled spans lost to ring-slot contention.\n",
-        );
-        out.push_str("# TYPE pcnn_trace_spans_dropped_total counter\n");
-        out.push_str(&format!(
-            "pcnn_trace_spans_dropped_total {}\n",
-            self.recorder.spans_dropped()
-        ));
-        out.push_str(
-            "# HELP pcnn_shard_breaker_state Circuit breaker: 0 closed, 1 open, 2 half-open.\n",
-        );
-        out.push_str("# TYPE pcnn_shard_breaker_state gauge\n");
-        for i in 0..self.shards {
-            let status = self.supervisor.status(i);
-            out.push_str(&format!(
-                "pcnn_shard_breaker_state{{shard=\"{i}\"}} {}\n",
-                status.breaker.code()
-            ));
+        let breakers = (0..self.shards)
+            .map(|i| {
+                let state = self.supervisor.status(i).breaker.code();
+                (format!("shard=\"{i}\""), state.to_string())
+            })
+            .collect();
+        /// One family's series, as (labels, value) pairs.
+        type Samples = Vec<(String, String)>;
+        let one = |value: String| vec![(String::new(), value)];
+        // The families whose values live outside `ServerMetrics`, as
+        // (name, help, type, samples), in exposition order.
+        #[rustfmt::skip]
+        let families: [(&str, &str, metrics::Kind, Samples); 9] = [
+            ("pcnn_build_info", "Deploy metadata carried as labels; the value is always 1.", Gauge,
+                vec![(build, "1".to_string())]),
+            ("pcnn_uptime_seconds", "Seconds since the server started.", Gauge,
+                one(format!("{:.3}", self.metrics.uptime().as_secs_f64()))),
+            ("pcnn_health_state", "SLO health state: 0 healthy, 1 degraded, 2 overloaded.", Gauge,
+                one(report.state.code().to_string())),
+            ("pcnn_health_burn_rate", "Error-budget burn rate per evaluation window.", Gauge,
+                vec![("window=\"fast\"".to_string(), format!("{:.4}", report.fast.burn)),
+                     ("window=\"slow\"".to_string(), format!("{:.4}", report.slow.burn))]),
+            ("pcnn_health_transitions_total", "Health state transitions.", Counter,
+                one(report.transitions.to_string())),
+            ("pcnn_trace_requests_total", "Requests assigned a trace ID.", Counter,
+                one(self.recorder.requests().to_string())),
+            ("pcnn_trace_spans_recorded_total", "Sampled spans published to the flight recorder.", Counter,
+                one(self.recorder.spans_recorded().to_string())),
+            ("pcnn_trace_spans_dropped_total", "Sampled spans lost to ring-slot contention.", Counter,
+                one(self.recorder.spans_dropped().to_string())),
+            ("pcnn_shard_breaker_state", "Circuit breaker: 0 closed, 1 open, 2 half-open.", Gauge,
+                breakers),
+        ];
+        for (name, help, kind, samples) in families {
+            let mut f = family(&mut out, name, help, kind);
+            for (labels, value) in samples {
+                f.sample(&labels, value);
+            }
         }
         if self.profiler.is_enabled() {
             out.push_str(&self.profiler.snapshot().render_prometheus());
@@ -836,38 +795,27 @@ impl Server {
             shard.window_aborted(r.precision);
             r.cell.complete(Err(ServeError::Aborted));
         }
-        let shards = self.shards;
-        let precisions = Precision::ALL
-            .iter()
-            .map(|&p| {
-                let mut dp = DrainPrecision {
-                    precision: p.label(),
-                    completed: 0,
-                    failed: 0,
-                    aborted: 0,
-                    expired: 0,
-                    cancelled: 0,
-                };
-                for i in 0..shards {
-                    let pm = self.metrics.shard(i).precision(p);
-                    dp.completed += pm.completed.get();
-                    dp.failed += pm.failed.get();
-                    dp.aborted += pm.aborted.get();
-                    dp.expired += pm.expired.get();
-                    dp.cancelled += pm.cancelled.get();
-                }
-                dp
-            })
-            .collect();
+        let snap = self.metrics.snapshot();
         let report = DrainReport {
             mode,
-            completed: self.metrics.completed(),
-            aborted: self.metrics.aborted(),
-            failed: self.metrics.failed(),
-            expired: self.metrics.expired(),
-            cancelled: self.metrics.cancelled(),
-            rejected_at_shutdown: self.metrics.rejected_shutdown.get(),
-            precisions,
+            completed: snap.completed,
+            aborted: snap.aborted,
+            failed: snap.failed,
+            expired: snap.expired,
+            cancelled: snap.cancelled,
+            rejected_at_shutdown: snap.rejected_shutdown,
+            precisions: snap
+                .precisions
+                .iter()
+                .map(|p| DrainPrecision {
+                    precision: p.precision,
+                    completed: p.completed,
+                    failed: p.failed,
+                    aborted: p.aborted,
+                    expired: p.expired,
+                    cancelled: p.cancelled,
+                })
+                .collect(),
             spans: self.recorder.spans(),
             wall: start.elapsed(),
         };

@@ -26,9 +26,10 @@
 
 use crate::events::{EventCode, EventConfig, EventJournal, RecordedEvent, Severity};
 use crate::window::{WindowSet, WindowSnapshot, WindowStats, WINDOWS};
-use pcnn_runtime::Precision;
+use pcnn_runtime::{json, Precision};
 use pcnn_sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use pcnn_sync::Arc;
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// A relaxed atomic event counter.
@@ -380,15 +381,18 @@ pub struct ShardWindows {
     pub by_precision: [WindowSet; 2],
 }
 
-impl ShardWindows {
-    fn new(epoch: Instant) -> Self {
+impl Default for ShardWindows {
+    /// Rings clocked against a private epoch starting now.
+    fn default() -> Self {
         ShardWindows {
-            epoch,
+            epoch: Instant::now(),
             shard: WindowSet::new(),
             by_precision: [WindowSet::new(), WindowSet::new()],
         }
     }
+}
 
+impl ShardWindows {
     /// Nanoseconds since the shared telemetry epoch — the timestamp
     /// windowed records carry.
     pub fn now_ns(&self) -> u64 {
@@ -399,7 +403,7 @@ impl ShardWindows {
 /// The dispatch-side counters and histograms of **one** shard, written
 /// only by that shard's batcher thread and the engine workers running
 /// its completions.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ShardMetrics {
     /// Requests whose ticket was fulfilled with an output.
     pub completed: Counter,
@@ -431,73 +435,43 @@ pub struct ShardMetrics {
     /// The same dispatch metrics, labeled by execution precision
     /// (indexed by [`Precision::index`]).
     pub by_precision: [PrecisionMetrics; 2],
-    /// The rolling-window view of this shard's traffic; `None` when the
-    /// server runs with windowing disabled (the bench's baseline).
-    pub windows: Option<ShardWindows>,
-}
-
-impl Default for ShardMetrics {
-    fn default() -> Self {
-        Self::with_epoch(Instant::now(), true)
-    }
+    /// The rolling-window view of this shard's traffic.
+    pub windows: ShardWindows,
 }
 
 impl ShardMetrics {
-    /// Fresh shard-local metrics with windowing on and a private epoch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Shard metrics clocked against the server's shared `epoch`;
-    /// `windowed == false` skips the rolling rings entirely.
-    pub fn with_epoch(epoch: Instant, windowed: bool) -> Self {
-        ShardMetrics {
-            completed: Counter::default(),
-            aborted: Counter::default(),
-            failed: Counter::default(),
-            expired: Counter::default(),
-            cancelled: Counter::default(),
-            retries: Counter::default(),
-            batches: Counter::default(),
-            batched_images: Counter::default(),
-            queue_wait: LogHistogram::new(),
-            latency: LogHistogram::new(),
-            service: LogHistogram::new(),
-            inflight_batches: Gauge::default(),
-            by_precision: [PrecisionMetrics::default(), PrecisionMetrics::default()],
-            windows: windowed.then(|| ShardWindows::new(epoch)),
-        }
+    /// Shard metrics clocked against the server's shared `epoch`.
+    pub fn with_epoch(epoch: Instant) -> Self {
+        let mut shard = ShardMetrics::default();
+        shard.windows.epoch = epoch;
+        shard
     }
 
     /// Feeds one completion (and its end-to-end latency) into the
-    /// rolling windows; a no-op when windowing is disabled. The
-    /// cumulative twins (`completed`, `latency`, per-precision) stay
-    /// the caller's responsibility.
+    /// rolling windows. The cumulative twins (`completed`, `latency`,
+    /// per-precision) stay the caller's responsibility.
     pub fn window_completed(&self, p: Precision, latency: Duration) {
-        if let Some(w) = &self.windows {
-            let now = w.now_ns();
-            let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
-            w.shard.on_completed(now, ns);
-            w.by_precision[p.index()].on_completed(now, ns);
-        }
+        let w = &self.windows;
+        let now = w.now_ns();
+        let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
+        w.shard.on_completed(now, ns);
+        w.by_precision[p.index()].on_completed(now, ns);
     }
 
     /// Feeds one engine-fault failure into the rolling windows.
     pub fn window_failed(&self, p: Precision) {
-        if let Some(w) = &self.windows {
-            let now = w.now_ns();
-            w.shard.on_failed(now);
-            w.by_precision[p.index()].on_failed(now);
-        }
+        let w = &self.windows;
+        let now = w.now_ns();
+        w.shard.on_failed(now);
+        w.by_precision[p.index()].on_failed(now);
     }
 
     /// Feeds one shutdown abort into the rolling windows.
     pub fn window_aborted(&self, p: Precision) {
-        if let Some(w) = &self.windows {
-            let now = w.now_ns();
-            w.shard.on_aborted(now);
-            w.by_precision[p.index()].on_aborted(now);
-        }
+        let w = &self.windows;
+        let now = w.now_ns();
+        w.shard.on_aborted(now);
+        w.by_precision[p.index()].on_aborted(now);
     }
 
     /// The metrics of one precision class.
@@ -507,30 +481,352 @@ impl ShardMetrics {
 
     /// A point-in-time reading of this shard.
     pub fn snapshot(&self, shard: usize) -> ShardSnapshot {
-        let batches = self.batches.get();
-        let batched_images = self.batched_images.get();
-        ShardSnapshot {
+        let mut snap = ShardSnapshot {
             shard,
-            completed: self.completed.get(),
-            aborted: self.aborted.get(),
-            failed: self.failed.get(),
-            expired: self.expired.get(),
-            cancelled: self.cancelled.get(),
-            retries: self.retries.get(),
-            batches,
-            batched_images,
-            mean_batch: if batches == 0 {
-                0.0
-            } else {
-                batched_images as f64 / batches as f64
-            },
-            inflight_batches: self.inflight_batches.get(),
             queue_wait_p50: self.queue_wait.quantile(0.50),
             queue_wait_p99: self.queue_wait.quantile(0.99),
             latency_p50: self.latency.quantile(0.50),
             latency_p99: self.latency.quantile(0.99),
             service_mean: self.service.mean(),
+            ..ShardSnapshot::default()
+        };
+        for m in &METRICS {
+            if let Scope::Shard(live, field, _) = &m.scope {
+                (field.set)(&mut snap, live(self));
+            }
         }
+        snap.mean_batch = mean_batch(snap.batched_images, snap.batches);
+        snap
+    }
+}
+
+fn mean_batch(images: u64, batches: u64) -> f64 {
+    if batches == 0 {
+        0.0
+    } else {
+        images as f64 / batches as f64
+    }
+}
+
+/// The Prometheus sample type of a metric family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// Monotone since server start.
+    Counter,
+    /// A point-in-time value that moves both ways.
+    Gauge,
+    /// Cumulative `_bucket` / `_sum` / `_count` series.
+    Histogram,
+}
+
+/// One metric family being rendered in the Prometheus text exposition
+/// format: [`family`] writes the `# HELP` / `# TYPE` header, every
+/// [`Family::sample`] one series line under it. All exporters in this
+/// crate go through here, so the line syntax lives in one place.
+pub(crate) struct Family<'a> {
+    out: &'a mut String,
+    name: &'a str,
+}
+
+/// Starts the family `name` in `out`.
+pub(crate) fn family<'a>(out: &'a mut String, name: &'a str, help: &str, kind: Kind) -> Family<'a> {
+    let kind = match kind {
+        Kind::Counter => "counter",
+        Kind::Gauge => "gauge",
+        Kind::Histogram => "histogram",
+    };
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+    Family { out, name }
+}
+
+impl Family<'_> {
+    /// One series: `labels` is the text between the braces
+    /// (`shard="0"`), empty for an unlabeled family.
+    pub(crate) fn sample(&mut self, labels: &str, value: impl std::fmt::Display) -> &mut Self {
+        let name = self.name;
+        let _ = if labels.is_empty() {
+            writeln!(self.out, "{name} {value}")
+        } else {
+            writeln!(self.out, "{name}{{{labels}}} {value}")
+        };
+        self
+    }
+
+    /// One histogram as a cumulative series: `_bucket` lines for every
+    /// finite power-of-two upper bound, the `+Inf` bucket, `_sum`
+    /// (seconds), and `_count`.
+    fn histogram(&mut self, labels: &str, h: &LogHistogram) -> &mut Self {
+        let (o, name) = (&mut *self.out, self.name);
+        let mut cum = 0u64;
+        for (i, c) in h.bucket_counts().iter().enumerate() {
+            cum += c;
+            if let Some(upper_ns) = LogHistogram::bucket_upper_ns(i) {
+                let le = upper_ns as f64 * 1e-9;
+                let _ = writeln!(o, "{name}_bucket{{{labels},le=\"{le}\"}} {cum}");
+            }
+        }
+        let _ = writeln!(o, "{name}_bucket{{{labels},le=\"+Inf\"}} {cum}");
+        let _ = writeln!(o, "{name}_sum{{{labels}}} {}", h.total_ns() as f64 * 1e-9);
+        let _ = writeln!(o, "{name}_count{{{labels}}} {}", h.count());
+        self
+    }
+}
+
+/// A named `u64` field of a snapshot struct, addressable from the
+/// metric table: the JSON key (the field's own name), its position in
+/// the struct's JSON counter block, and its accessors.
+///
+/// `at` exists because the JSON key order predates the table and is
+/// frozen (consumers diff the text), while the table itself is in
+/// Prometheus exposition order.
+#[derive(Debug)]
+pub(crate) struct Field<S> {
+    /// The JSON key.
+    key: &'static str,
+    at: u8,
+    get: fn(&S) -> u64,
+    set: fn(&mut S, u64),
+}
+
+impl<S> Field<S> {
+    /// Writes `snap`'s counter block — every field the table declares
+    /// for `S`, in JSON order — into `o`.
+    fn write_all(pick: fn(&'static Scope) -> Option<&'static Field<S>>, snap: &S, o: &mut json::Obj)
+    where
+        S: 'static,
+    {
+        let mut fields: Vec<_> = METRICS.iter().filter_map(|m| pick(&m.scope)).collect();
+        fields.sort_by_key(|f| f.at);
+        for f in fields {
+            o.int(f.key, (f.get)(snap));
+        }
+    }
+}
+
+macro_rules! field {
+    ($f:ident @ $at:literal) => {
+        Field {
+            key: stringify!($f),
+            at: $at,
+            get: |s| s.$f,
+            set: |s, v| s.$f = v,
+        }
+    };
+}
+
+type Rows = fn(&WindowSnapshot) -> &[WindowStats];
+
+/// Where a family's values live: how to read them live, which label
+/// they are spread over, and which snapshot fields carry them.
+#[derive(Debug)]
+pub(crate) enum Scope {
+    /// One value per server (admission-side, written by `submit` before
+    /// any shard is involved), and the [`TelemetrySnapshot`] field
+    /// carrying it.
+    Server(fn(&ServerMetrics) -> u64, Option<Field<TelemetrySnapshot>>),
+    /// One value per shard (label `shard`), the [`ShardSnapshot`] field
+    /// carrying it, and the [`TelemetrySnapshot`] field carrying the
+    /// sum over shards when the server-wide reading has one.
+    Shard(
+        fn(&ShardMetrics) -> u64,
+        Field<ShardSnapshot>,
+        Option<Field<TelemetrySnapshot>>,
+    ),
+    /// One value per execution precision (label `precision`), summed
+    /// over shards, and the [`PrecisionSnapshot`] field carrying it.
+    Precision(
+        fn(&PrecisionMetrics) -> u64,
+        Option<Field<PrecisionSnapshot>>,
+    ),
+    /// One histogram per shard.
+    ShardHistogram(fn(&ShardMetrics) -> &LogHistogram),
+    /// One histogram per execution precision, merged over shards.
+    PrecisionHistogram(fn(&PrecisionMetrics) -> &LogHistogram),
+    /// The event journal's totals (labels `code`, `severity`).
+    Events,
+    /// One value per trailing window (label `window`), read off the
+    /// window's pooled statistics.
+    Window(fn(&WindowStats) -> f64),
+    /// The pooled latency quantiles of each trailing window (labels
+    /// `window`, `quantile`).
+    WindowQuantiles,
+    /// One value per trailing window and per shard or precision: the
+    /// second label's key, the rows it ranges over, and the cell text.
+    WindowBreakdown(&'static str, Rows, fn(&WindowStats) -> String),
+}
+
+/// One row of the metric table.
+#[derive(Debug)]
+pub(crate) struct Metric {
+    /// Prometheus family name.
+    name: &'static str,
+    /// Prometheus `# HELP` text.
+    help: &'static str,
+    /// Prometheus `# TYPE`.
+    kind: Kind,
+    /// Where the values live.
+    scope: Scope,
+}
+
+// Row constructors for `METRICS`. `row!` takes the scope as written;
+// the other three spell the common counter/gauge scopes as
+// `<field>[.<reader>] @ <JSON position> [, total @ <JSON position>]`.
+macro_rules! row {
+    ($kind:ident $name:literal, $help:literal, $scope:expr) => {
+        Metric {
+            name: $name,
+            help: $help,
+            kind: Kind::$kind,
+            scope: $scope,
+        }
+    };
+}
+macro_rules! server {
+    ($f:ident.$read:ident @ $at:literal => $kind:ident $name:literal, $help:literal) => {
+        row!($kind $name, $help, Scope::Server(|m| m.$f.$read(), Some(field!($f @ $at))))
+    };
+}
+macro_rules! shard {
+    ($f:ident @ $at:literal, total @ $tat:literal => $kind:ident $name:literal, $help:literal) => {
+        row!($kind $name, $help,
+            Scope::Shard(|s| s.$f.get(), field!($f @ $at), Some(field!($f @ $tat))))
+    };
+}
+macro_rules! precision {
+    ($f:ident @ $at:literal => $name:literal, $help:literal) => {
+        row!(Counter $name, $help, Scope::Precision(|p| p.$f.get(), Some(field!($f @ $at))))
+    };
+}
+
+fn throughput_cell(s: &WindowStats) -> String {
+    format!("{:.3}", s.throughput_rps)
+}
+
+fn p99_cell(s: &WindowStats) -> String {
+    s.latency_p99.as_secs_f64().to_string()
+}
+
+/// Every metric family of the serving telemetry, declared once, in
+/// Prometheus exposition order. [`ServerMetrics::render_prometheus`]
+/// is one loop over this table; the snapshot builders
+/// ([`ServerMetrics::snapshot`], [`ShardMetrics::snapshot`]) and the
+/// counter blocks of the three snapshot JSON renderers iterate its
+/// [`Field`]s — so a counter added here appears in every one of them.
+#[rustfmt::skip]
+pub(crate) static METRICS: [Metric; 41] = [
+    server!(submitted.get @ 0 => Counter "pcnn_requests_submitted_total",
+        "Requests admitted into the queue."),
+    server!(rejected.get @ 2 => Counter "pcnn_requests_rejected_total",
+        "Requests refused by admission control (queue full)."),
+    server!(rejected_shutdown.get @ 3 => Counter "pcnn_requests_rejected_shutdown_total",
+        "Requests refused because the server was shutting down."),
+    server!(queue_depth.get @ 10 => Gauge "pcnn_queue_depth",
+        "Requests queued right now (sampled at push/pop)."),
+    server!(queue_depth_hwm.peek @ 11 => Gauge "pcnn_queue_depth_hwm",
+        "Highest queue depth observed since the last explicit reset (non-destructive read)."),
+    server!(shed.get @ 12 => Counter "pcnn_requests_shed_total",
+        "Low-priority requests shed by the health engine while Overloaded."),
+    server!(shard_restarts.get @ 9 => Counter "pcnn_shard_restarts_total",
+        "Batcher generations torn down and respawned by the supervisor."),
+    shard!(completed @ 0, total @ 1 => Counter "pcnn_requests_completed_total",
+        "Requests fulfilled with an output."),
+    shard!(failed @ 2, total @ 5 => Counter "pcnn_requests_failed_total",
+        "Requests failed by engine faults."),
+    shard!(aborted @ 1, total @ 4 => Counter "pcnn_requests_aborted_total",
+        "Requests aborted by shutdown."),
+    shard!(expired @ 3, total @ 6 => Counter "pcnn_deadline_exceeded_total",
+        "Requests dropped because their deadline elapsed before dispatch."),
+    shard!(cancelled @ 4, total @ 7 => Counter "pcnn_requests_cancelled_total",
+        "Requests cancelled by their clients before dispatch."),
+    shard!(retries @ 5, total @ 8 => Counter "pcnn_retries_total",
+        "Transient engine faults re-queued for another shard under the retry policy."),
+    shard!(batches @ 6, total @ 14 => Counter "pcnn_batches_dispatched_total",
+        "Batches dispatched to the engine."),
+    row!(Counter "pcnn_batched_images_total", "Images across dispatched batches.",
+        Scope::Shard(|s| s.batched_images.get(), field!(batched_images @ 7), None)),
+    shard!(inflight_batches @ 8, total @ 13 => Gauge "pcnn_inflight_batches",
+        "Batches dispatched and not yet completed."),
+    row!(Histogram "pcnn_queue_wait_seconds", "Admission to dispatch wait.",
+        Scope::ShardHistogram(|s| &s.queue_wait)),
+    row!(Histogram "pcnn_latency_seconds", "Admission to ticket fulfilment (end-to-end).",
+        Scope::ShardHistogram(|s| &s.latency)),
+    row!(Histogram "pcnn_service_seconds", "Engine time per dispatched batch.",
+        Scope::ShardHistogram(|s| &s.service)),
+    precision!(completed @ 0 => "pcnn_precision_completed_total",
+        "Requests fulfilled, by execution precision."),
+    precision!(failed @ 1 => "pcnn_precision_failed_total",
+        "Requests failed by engine faults, by execution precision."),
+    precision!(aborted @ 2 => "pcnn_precision_aborted_total",
+        "Requests aborted by shutdown, by execution precision."),
+    precision!(expired @ 3 => "pcnn_precision_expired_total",
+        "Requests dropped at their deadline before dispatch, by execution precision."),
+    precision!(cancelled @ 4 => "pcnn_precision_cancelled_total",
+        "Requests cancelled by their clients before dispatch, by execution precision."),
+    precision!(batches @ 5 => "pcnn_precision_batches_total",
+        "Batches dispatched, by execution precision."),
+    row!(Counter "pcnn_precision_batched_images_total",
+        "Images across dispatched batches, by execution precision.",
+        Scope::Precision(|p| p.batched_images.get(), None)),
+    row!(Histogram "pcnn_precision_latency_seconds", "End-to-end latency, by execution precision.",
+        Scope::PrecisionHistogram(|p| &p.latency)),
+    row!(Counter "pcnn_events_total",
+        "Structured control-plane events recorded, by code and severity (every occurrence, coalesced or not).",
+        Scope::Events),
+    row!(Counter "pcnn_events_suppressed_total",
+        "Event occurrences coalesced by per-code rate limiting (counted in totals, kept out of the ring).",
+        Scope::Server(|m| m.events.suppressed(), None)),
+    row!(Counter "pcnn_events_dropped_total", "Events lost to ring slot contention (writers never wait).",
+        Scope::Server(|m| m.events.dropped(), None)),
+    // The rolling-window families. All are gauges — a trailing window's
+    // value moves both ways. Per-shard and per-precision series carry
+    // only throughput and p99 to bound cardinality; the full breakdown
+    // lives in the JSON snapshot.
+    row!(Gauge "pcnn_window_completed", "Requests completed inside the trailing window.",
+        Scope::Window(|t| t.completed as f64)),
+    row!(Gauge "pcnn_window_failed", "Requests failed inside the trailing window.",
+        Scope::Window(|t| t.failed as f64)),
+    row!(Gauge "pcnn_window_aborted", "Requests aborted inside the trailing window.",
+        Scope::Window(|t| t.aborted as f64)),
+    row!(Gauge "pcnn_window_throughput_rps", "Completions per second over the trailing window.",
+        Scope::Window(|t| t.throughput_rps)),
+    row!(Gauge "pcnn_window_error_rate", "failed / (completed+failed+aborted) over the trailing window.",
+        Scope::Window(|t| t.error_rate)),
+    row!(Gauge "pcnn_window_abort_rate", "aborted / (completed+failed+aborted) over the trailing window.",
+        Scope::Window(|t| t.abort_rate)),
+    row!(Gauge "pcnn_window_latency_seconds", "End-to-end latency quantiles over the trailing window.",
+        Scope::WindowQuantiles),
+    row!(Gauge "pcnn_window_shard_throughput_rps",
+        "Per-shard completions per second over the trailing window.",
+        Scope::WindowBreakdown("shard", |w| &w.shards, throughput_cell)),
+    row!(Gauge "pcnn_window_shard_latency_p99_seconds",
+        "Per-shard p99 end-to-end latency over the trailing window.",
+        Scope::WindowBreakdown("shard", |w| &w.shards, p99_cell)),
+    row!(Gauge "pcnn_window_precision_throughput_rps",
+        "Per-precision completions per second over the trailing window.",
+        Scope::WindowBreakdown("precision", |w| &w.precisions, throughput_cell)),
+    row!(Gauge "pcnn_window_precision_latency_p99_seconds",
+        "Per-precision p99 end-to-end latency over the trailing window.",
+        Scope::WindowBreakdown("precision", |w| &w.precisions, p99_cell)),
+];
+
+fn shard_field(scope: &'static Scope) -> Option<&'static Field<ShardSnapshot>> {
+    match scope {
+        Scope::Shard(_, field, _) => Some(field),
+        _ => None,
+    }
+}
+
+fn precision_field(scope: &'static Scope) -> Option<&'static Field<PrecisionSnapshot>> {
+    match scope {
+        Scope::Precision(_, field) => field.as_ref(),
+        _ => None,
+    }
+}
+
+fn telemetry_field(scope: &'static Scope) -> Option<&'static Field<TelemetrySnapshot>> {
+    match scope {
+        Scope::Server(_, total) | Scope::Shard(_, _, total) => total.as_ref(),
+        _ => None,
     }
 }
 
@@ -560,28 +856,20 @@ pub struct ServerMetrics {
     events: Arc<EventJournal>,
     shards: Vec<Arc<ShardMetrics>>,
     started: Instant,
-    windowed: bool,
 }
 
 impl ServerMetrics {
-    /// Fresh metrics for a server of `shards` dispatchers (minimum 1)
-    /// with rolling windows on; the throughput clock starts now.
+    /// Fresh metrics for a server of `shards` dispatchers (minimum 1);
+    /// the throughput clock starts now.
     pub fn new(shards: usize) -> Self {
-        Self::with_options(shards, true)
+        Self::with_config(shards, EventConfig::default())
     }
 
-    /// [`ServerMetrics::new`] with windowing made explicit — `false`
-    /// skips every rolling ring, the baseline the serving bench pairs
-    /// against to price the windowed read-side.
-    pub fn with_options(shards: usize, windowed: bool) -> Self {
-        Self::with_config(shards, windowed, EventConfig::default())
-    }
-
-    /// [`ServerMetrics::with_options`] with the event journal made
+    /// [`ServerMetrics::new`] with the event journal's knobs made
     /// explicit. The journal shares this server's telemetry epoch, so
     /// event timestamps, span timestamps, and window reads all live on
     /// one monotonic clock.
-    pub fn with_config(shards: usize, windowed: bool, events: EventConfig) -> Self {
+    pub fn with_config(shards: usize, events: EventConfig) -> Self {
         let started = Instant::now();
         ServerMetrics {
             submitted: Counter::default(),
@@ -593,10 +881,9 @@ impl ServerMetrics {
             shard_restarts: Counter::default(),
             events: Arc::new(EventJournal::new(&events, started)),
             shards: (0..shards.max(1))
-                .map(|_| Arc::new(ShardMetrics::with_epoch(started, windowed)))
+                .map(|_| Arc::new(ShardMetrics::with_epoch(started)))
                 .collect(),
             started,
-            windowed,
         }
     }
 
@@ -611,11 +898,6 @@ impl ServerMetrics {
         self.started.elapsed()
     }
 
-    /// Whether rolling windows are being recorded.
-    pub fn windowed(&self) -> bool {
-        self.windowed
-    }
-
     /// The structured event journal sharing this server's telemetry
     /// epoch — the control-plane forensics feed (queue-full, shed,
     /// faults, health transitions, drains).
@@ -623,79 +905,61 @@ impl ServerMetrics {
         &self.events
     }
 
-    /// Pools every shard's rolling window ending at `now_ns` into one
-    /// reading: the merged latency histogram plus `(completed, failed,
-    /// aborted)` counts. `None` when windowing is disabled. This is the
-    /// signal the health engine computes burn rates from — `now_ns` is
-    /// explicit so burn evaluation is deterministic under test.
-    pub fn merged_window(
+    /// Pools one [`WindowSet`] per shard (chosen by `pick`) over the
+    /// trailing `window` ending at `now_ns`.
+    fn pooled_window(
         &self,
         now_ns: u64,
         window: Duration,
-    ) -> Option<(LogHistogram, u64, u64, u64)> {
-        if !self.windowed {
-            return None;
-        }
+        label: &str,
+        pick: impl Fn(&ShardWindows) -> &WindowSet,
+    ) -> (LogHistogram, WindowStats) {
         let hist = LogHistogram::new();
         let (mut c, mut f, mut a) = (0u64, 0u64, 0u64);
         for shard in &self.shards {
-            if let Some(w) = &shard.windows {
-                let (sc, sf, sa) = w.shard.accumulate(now_ns, window, &hist);
-                c += sc;
-                f += sf;
-                a += sa;
-            }
+            let (sc, sf, sa) = pick(&shard.windows).accumulate(now_ns, window, &hist);
+            c += sc;
+            f += sf;
+            a += sa;
         }
-        Some((hist, c, f, a))
+        let stats = WindowStats::compute(label.to_string(), window, &hist, c, f, a);
+        (hist, stats)
+    }
+
+    /// Pools every shard's rolling window ending at `now_ns` into one
+    /// reading: the merged latency histogram plus `(completed, failed,
+    /// aborted)` counts. This is the signal the health engine computes
+    /// burn rates from — `now_ns` is explicit so burn evaluation is
+    /// deterministic under test.
+    pub fn merged_window(&self, now_ns: u64, window: Duration) -> (LogHistogram, u64, u64, u64) {
+        let (hist, s) = self.pooled_window(now_ns, window, "total", |w| &w.shard);
+        (hist, s.completed, s.failed, s.aborted)
     }
 
     /// The per-window readings (total + per-shard + per-precision) for
-    /// every standard window ([`WINDOWS`]), empty when windowing is
-    /// disabled. All three windows read against one `now`, so they
-    /// nest: the 60 s totals always cover the 10 s totals.
+    /// every standard window ([`WINDOWS`]). All three windows read
+    /// against one `now`, so they nest: the 60 s totals always cover
+    /// the 10 s totals.
     pub fn window_snapshots(&self) -> Vec<WindowSnapshot> {
-        if !self.windowed {
-            return Vec::new();
-        }
         let now = self.now_ns();
         WINDOWS
             .iter()
-            .map(|&w| {
-                let hist = LogHistogram::new();
-                let (mut c, mut f, mut a) = (0u64, 0u64, 0u64);
-                let mut shard_stats = Vec::with_capacity(self.shards.len());
-                for (i, shard) in self.shards.iter().enumerate() {
-                    if let Some(sw) = &shard.windows {
-                        shard_stats.push(sw.shard.stats_over(now, w, format!("shard-{i}")));
-                        let (sc, sf, sa) = sw.shard.accumulate(now, w, &hist);
-                        c += sc;
-                        f += sf;
-                        a += sa;
-                    }
-                }
-                let precisions = Precision::ALL
+            .map(|&w| WindowSnapshot {
+                window: w,
+                total: self.pooled_window(now, w, "total", |sw| &sw.shard).1,
+                shards: self
+                    .shards
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| s.windows.shard.stats_over(now, w, format!("shard-{i}")))
+                    .collect(),
+                precisions: Precision::ALL
                     .iter()
                     .map(|&p| {
-                        let ph = LogHistogram::new();
-                        let (mut pc, mut pf, mut pa) = (0u64, 0u64, 0u64);
-                        for shard in &self.shards {
-                            if let Some(sw) = &shard.windows {
-                                let (c1, f1, a1) =
-                                    sw.by_precision[p.index()].accumulate(now, w, &ph);
-                                pc += c1;
-                                pf += f1;
-                                pa += a1;
-                            }
-                        }
-                        WindowStats::compute(p.label().to_string(), w, &ph, pc, pf, pa)
+                        self.pooled_window(now, w, p.label(), |sw| &sw.by_precision[p.index()])
+                            .1
                     })
-                    .collect();
-                WindowSnapshot {
-                    window: w,
-                    total: WindowStats::compute("total".to_string(), w, &hist, c, f, a),
-                    shards: shard_stats,
-                    precisions,
-                }
+                    .collect(),
             })
             .collect()
     }
@@ -710,34 +974,29 @@ impl ServerMetrics {
         &self.shards[i]
     }
 
-    /// Requests completed with an output, across every shard.
-    pub fn completed(&self) -> u64 {
-        self.shards.iter().map(|s| s.completed.get()).sum()
-    }
-
-    /// Requests aborted by shutdown, across every shard.
-    pub fn aborted(&self) -> u64 {
-        self.shards.iter().map(|s| s.aborted.get()).sum()
-    }
-
-    /// Requests failed by engine faults, across every shard.
-    pub fn failed(&self) -> u64 {
-        self.shards.iter().map(|s| s.failed.get()).sum()
-    }
-
-    /// Requests expired at their deadline, across every shard.
-    pub fn expired(&self) -> u64 {
-        self.shards.iter().map(|s| s.expired.get()).sum()
-    }
-
-    /// Requests cancelled by their clients, across every shard.
-    pub fn cancelled(&self) -> u64 {
-        self.shards.iter().map(|s| s.cancelled.get()).sum()
-    }
-
-    /// Retries re-queued under the retry policy, across every shard.
-    pub fn retries(&self) -> u64 {
-        self.shards.iter().map(|s| s.retries.get()).sum()
+    /// One precision class's reading, summed and merged across shards.
+    fn precision_snapshot(&self, p: Precision) -> PrecisionSnapshot {
+        let lat = LogHistogram::new();
+        for shard in &self.shards {
+            lat.merge_from(&shard.precision(p).latency);
+        }
+        let sum = |live: fn(&PrecisionMetrics) -> u64| -> u64 {
+            self.shards.iter().map(|s| live(s.precision(p))).sum()
+        };
+        let mut snap = PrecisionSnapshot {
+            precision: p.label(),
+            latency_p50: lat.quantile(0.50),
+            latency_p99: lat.quantile(0.99),
+            latency_mean: lat.mean(),
+            ..PrecisionSnapshot::default()
+        };
+        for m in &METRICS {
+            if let Scope::Precision(live, Some(field)) = &m.scope {
+                (field.set)(&mut snap, sum(*live));
+            }
+        }
+        snap.mean_batch = mean_batch(sum(|pm| pm.batched_images.get()), snap.batches);
+        snap
     }
 
     /// A point-in-time reading of every metric: the shard histograms
@@ -757,80 +1016,9 @@ impl ServerMetrics {
             service.merge_from(&shard.service);
             shards.push(shard.snapshot(i));
         }
-        let precisions = Precision::ALL
-            .iter()
-            .map(|&p| {
-                let lat = LogHistogram::new();
-                let (mut completed, mut failed, mut aborted) = (0u64, 0u64, 0u64);
-                let (mut expired, mut cancelled) = (0u64, 0u64);
-                let (mut batches, mut batched_images) = (0u64, 0u64);
-                for shard in &self.shards {
-                    let pm = shard.precision(p);
-                    completed += pm.completed.get();
-                    failed += pm.failed.get();
-                    aborted += pm.aborted.get();
-                    expired += pm.expired.get();
-                    cancelled += pm.cancelled.get();
-                    batches += pm.batches.get();
-                    batched_images += pm.batched_images.get();
-                    lat.merge_from(&pm.latency);
-                }
-                PrecisionSnapshot {
-                    precision: p.label(),
-                    completed,
-                    failed,
-                    aborted,
-                    expired,
-                    cancelled,
-                    batches,
-                    mean_batch: if batches == 0 {
-                        0.0
-                    } else {
-                        batched_images as f64 / batches as f64
-                    },
-                    latency_p50: lat.quantile(0.50),
-                    latency_p99: lat.quantile(0.99),
-                    latency_mean: lat.mean(),
-                }
-            })
-            .collect();
-        let completed: u64 = shards.iter().map(|s| s.completed).sum();
-        let aborted: u64 = shards.iter().map(|s| s.aborted).sum();
-        let failed: u64 = shards.iter().map(|s| s.failed).sum();
-        let expired: u64 = shards.iter().map(|s| s.expired).sum();
-        let cancelled: u64 = shards.iter().map(|s| s.cancelled).sum();
-        let retries: u64 = shards.iter().map(|s| s.retries).sum();
-        let batches: u64 = shards.iter().map(|s| s.batches).sum();
-        let batched_images: u64 = shards.iter().map(|s| s.batched_images).sum();
-        let inflight_batches: u64 = shards.iter().map(|s| s.inflight_batches).sum();
         let elapsed = self.started.elapsed();
-        TelemetrySnapshot {
-            submitted: self.submitted.get(),
-            completed,
-            rejected: self.rejected.get(),
-            rejected_shutdown: self.rejected_shutdown.get(),
-            aborted,
-            failed,
-            expired,
-            cancelled,
-            retries,
-            shard_restarts: self.shard_restarts.get(),
-            queue_depth: self.queue_depth.get(),
-            queue_depth_hwm: self.queue_depth_hwm.peek(),
-            shed: self.shed.get(),
-            inflight_batches,
-            batches,
-            mean_batch: if batches == 0 {
-                0.0
-            } else {
-                batched_images as f64 / batches as f64
-            },
+        let mut snap = TelemetrySnapshot {
             elapsed,
-            throughput_rps: if elapsed.is_zero() {
-                0.0
-            } else {
-                completed as f64 / elapsed.as_secs_f64()
-            },
             queue_wait_p50: queue_wait.quantile(0.50),
             queue_wait_p95: queue_wait.quantile(0.95),
             queue_wait_p99: queue_wait.quantile(0.99),
@@ -840,14 +1028,33 @@ impl ServerMetrics {
             latency_p99: latency.quantile(0.99),
             latency_mean: latency.mean(),
             service_mean: service.mean(),
-            precisions,
-            shards,
+            precisions: Precision::ALL
+                .iter()
+                .map(|&p| self.precision_snapshot(p))
+                .collect(),
             windows: self.window_snapshots(),
             events_emitted: self.events.emitted(),
             events_suppressed: self.events.suppressed(),
             events_dropped: self.events.dropped(),
             event_tail: self.events.tail(SNAPSHOT_EVENT_TAIL),
+            ..TelemetrySnapshot::default()
+        };
+        for m in &METRICS {
+            match &m.scope {
+                Scope::Server(live, Some(total)) => (total.set)(&mut snap, live(self)),
+                Scope::Shard(_, shard, Some(total)) => {
+                    (total.set)(&mut snap, shards.iter().map(shard.get).sum());
+                }
+                _ => {}
+            }
         }
+        let images: u64 = shards.iter().map(|s| s.batched_images).sum();
+        snap.mean_batch = mean_batch(images, snap.batches);
+        if !elapsed.is_zero() {
+            snap.throughput_rps = snap.completed as f64 / elapsed.as_secs_f64();
+        }
+        snap.shards = shards;
+        snap
     }
 
     /// [`ServerMetrics::snapshot`] plus the interval reset: drains the
@@ -866,396 +1073,99 @@ impl ServerMetrics {
 
     /// Renders every counter, gauge, and histogram in the Prometheus
     /// text exposition format — the machine-scrapable sibling of
-    /// [`TelemetrySnapshot::to_json`]. Metric names are stable and
-    /// documented in the README's Observability section.
+    /// [`TelemetrySnapshot::to_json`]: one family per `METRICS` row,
+    /// in table order. Metric names are stable and documented in the
+    /// README's Observability section.
     pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
         let mut o = String::with_capacity(16 * 1024);
-        let simple = |o: &mut String, name: &str, help: &str, kind: &str, v: u64| {
-            let _ = writeln!(o, "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {v}");
+        let windows = self.window_snapshots();
+        let wlabel = |w: &WindowSnapshot| format!("window=\"{}s\"", w.window.as_secs());
+        let plabel = |p: Precision| format!("precision=\"{}\"", p.label());
+        let shards = || {
+            let labelled = |(i, s)| (format!("shard=\"{i}\""), s);
+            self.shards
+                .iter()
+                .map(Arc::as_ref)
+                .enumerate()
+                .map(labelled)
         };
-        simple(
-            &mut o,
-            "pcnn_requests_submitted_total",
-            "Requests admitted into the queue.",
-            "counter",
-            self.submitted.get(),
-        );
-        simple(
-            &mut o,
-            "pcnn_requests_rejected_total",
-            "Requests refused by admission control (queue full).",
-            "counter",
-            self.rejected.get(),
-        );
-        simple(
-            &mut o,
-            "pcnn_requests_rejected_shutdown_total",
-            "Requests refused because the server was shutting down.",
-            "counter",
-            self.rejected_shutdown.get(),
-        );
-        simple(
-            &mut o,
-            "pcnn_queue_depth",
-            "Requests queued right now (sampled at push/pop).",
-            "gauge",
-            self.queue_depth.get(),
-        );
-        simple(
-            &mut o,
-            "pcnn_queue_depth_hwm",
-            "Highest queue depth observed since the last explicit reset (non-destructive read).",
-            "gauge",
-            self.queue_depth_hwm.peek(),
-        );
-        simple(
-            &mut o,
-            "pcnn_requests_shed_total",
-            "Low-priority requests shed by the health engine while Overloaded.",
-            "counter",
-            self.shed.get(),
-        );
-        simple(
-            &mut o,
-            "pcnn_shard_restarts_total",
-            "Batcher generations torn down and respawned by the supervisor.",
-            "counter",
-            self.shard_restarts.get(),
-        );
-
-        type ShardCounter = fn(&ShardMetrics) -> u64;
-        let per_shard: [(&str, &str, &str, ShardCounter); 9] = [
-            (
-                "pcnn_requests_completed_total",
-                "Requests fulfilled with an output.",
-                "counter",
-                |s| s.completed.get(),
-            ),
-            (
-                "pcnn_requests_failed_total",
-                "Requests failed by engine faults.",
-                "counter",
-                |s| s.failed.get(),
-            ),
-            (
-                "pcnn_requests_aborted_total",
-                "Requests aborted by shutdown.",
-                "counter",
-                |s| s.aborted.get(),
-            ),
-            (
-                "pcnn_deadline_exceeded_total",
-                "Requests dropped because their deadline elapsed before dispatch.",
-                "counter",
-                |s| s.expired.get(),
-            ),
-            (
-                "pcnn_requests_cancelled_total",
-                "Requests cancelled by their clients before dispatch.",
-                "counter",
-                |s| s.cancelled.get(),
-            ),
-            (
-                "pcnn_retries_total",
-                "Transient engine faults re-queued for another shard under the retry policy.",
-                "counter",
-                |s| s.retries.get(),
-            ),
-            (
-                "pcnn_batches_dispatched_total",
-                "Batches dispatched to the engine.",
-                "counter",
-                |s| s.batches.get(),
-            ),
-            (
-                "pcnn_batched_images_total",
-                "Images across dispatched batches.",
-                "counter",
-                |s| s.batched_images.get(),
-            ),
-            (
-                "pcnn_inflight_batches",
-                "Batches dispatched and not yet completed.",
-                "gauge",
-                |s| s.inflight_batches.get(),
-            ),
-        ];
-        for (name, help, kind, get) in per_shard {
-            let _ = writeln!(o, "# HELP {name} {help}\n# TYPE {name} {kind}");
-            for (i, s) in self.shards.iter().enumerate() {
-                let _ = writeln!(o, "{name}{{shard=\"{i}\"}} {}", get(s));
+        for m in &METRICS {
+            let mut f = family(&mut o, m.name, m.help, m.kind);
+            match &m.scope {
+                Scope::Server(live, _) => {
+                    f.sample("", live(self));
+                }
+                Scope::Shard(live, ..) => {
+                    for (label, s) in shards() {
+                        f.sample(&label, live(s));
+                    }
+                }
+                Scope::ShardHistogram(get) => {
+                    for (label, s) in shards() {
+                        f.histogram(&label, get(s));
+                    }
+                }
+                Scope::Precision(live, _) => {
+                    for p in Precision::ALL {
+                        let v: u64 = self.shards.iter().map(|s| live(s.precision(p))).sum();
+                        f.sample(&plabel(p), v);
+                    }
+                }
+                Scope::PrecisionHistogram(get) => {
+                    for p in Precision::ALL {
+                        let merged = LogHistogram::new();
+                        for s in &self.shards {
+                            merged.merge_from(get(s.precision(p)));
+                        }
+                        f.histogram(&plabel(p), &merged);
+                    }
+                }
+                Scope::Events => {
+                    for code in EventCode::ALL {
+                        for severity in Severity::ALL {
+                            let (c, s) = (code.label(), severity.label());
+                            let labels = format!("code=\"{c}\",severity=\"{s}\"");
+                            f.sample(&labels, self.events.total(code, severity));
+                        }
+                    }
+                }
+                Scope::Window(get) => {
+                    for w in &windows {
+                        f.sample(&wlabel(w), get(&w.total));
+                    }
+                }
+                Scope::WindowQuantiles => {
+                    for w in &windows {
+                        for (q, v) in [
+                            ("0.5", w.total.latency_p50),
+                            ("0.95", w.total.latency_p95),
+                            ("0.99", w.total.latency_p99),
+                        ] {
+                            let labels = format!("{},quantile=\"{q}\"", wlabel(w));
+                            f.sample(&labels, v.as_secs_f64());
+                        }
+                    }
+                }
+                // A shard row's label is `shard-<i>`; the series
+                // carries the bare index.
+                Scope::WindowBreakdown(key, rows, cell) => {
+                    for w in &windows {
+                        for s in rows(w) {
+                            let value = s.label.strip_prefix("shard-").unwrap_or(&s.label);
+                            f.sample(&format!("{},{key}=\"{value}\"", wlabel(w)), cell(s));
+                        }
+                    }
+                }
             }
         }
-
-        type ShardHist = fn(&ShardMetrics) -> &LogHistogram;
-        let hists: [(&str, &str, ShardHist); 3] = [
-            (
-                "pcnn_queue_wait_seconds",
-                "Admission to dispatch wait.",
-                |s| &s.queue_wait,
-            ),
-            (
-                "pcnn_latency_seconds",
-                "Admission to ticket fulfilment (end-to-end).",
-                |s| &s.latency,
-            ),
-            (
-                "pcnn_service_seconds",
-                "Engine time per dispatched batch.",
-                |s| &s.service,
-            ),
-        ];
-        for (name, help, get) in hists {
-            let _ = writeln!(o, "# HELP {name} {help}\n# TYPE {name} histogram");
-            for (i, s) in self.shards.iter().enumerate() {
-                render_histogram_series(&mut o, name, &format!("shard=\"{i}\""), get(s));
-            }
-        }
-
-        type PrecCounter = fn(&PrecisionMetrics) -> u64;
-        let per_precision: [(&str, &str, PrecCounter); 5] = [
-            (
-                "pcnn_precision_completed_total",
-                "Requests fulfilled, by execution precision.",
-                |p| p.completed.get(),
-            ),
-            (
-                "pcnn_precision_failed_total",
-                "Requests failed by engine faults, by execution precision.",
-                |p| p.failed.get(),
-            ),
-            (
-                "pcnn_precision_aborted_total",
-                "Requests aborted by shutdown, by execution precision.",
-                |p| p.aborted.get(),
-            ),
-            (
-                "pcnn_precision_batches_total",
-                "Batches dispatched, by execution precision.",
-                |p| p.batches.get(),
-            ),
-            (
-                "pcnn_precision_batched_images_total",
-                "Images across dispatched batches, by execution precision.",
-                |p| p.batched_images.get(),
-            ),
-        ];
-        for (name, help, get) in per_precision {
-            let _ = writeln!(o, "# HELP {name} {help}\n# TYPE {name} counter");
-            for p in Precision::ALL {
-                let v: u64 = self.shards.iter().map(|s| get(s.precision(p))).sum();
-                let _ = writeln!(o, "{name}{{precision=\"{}\"}} {v}", p.label());
-            }
-        }
-        let _ = writeln!(
-            o,
-            "# HELP pcnn_precision_latency_seconds End-to-end latency, by execution precision.\n\
-             # TYPE pcnn_precision_latency_seconds histogram"
-        );
-        for p in Precision::ALL {
-            let merged = LogHistogram::new();
-            for s in &self.shards {
-                merged.merge_from(&s.precision(p).latency);
-            }
-            render_histogram_series(
-                &mut o,
-                "pcnn_precision_latency_seconds",
-                &format!("precision=\"{}\"", p.label()),
-                &merged,
-            );
-        }
-        let _ = writeln!(
-            o,
-            "# HELP pcnn_events_total Structured control-plane events recorded, by code and severity (every occurrence, coalesced or not).\n\
-             # TYPE pcnn_events_total counter"
-        );
-        for code in EventCode::ALL {
-            for severity in Severity::ALL {
-                let _ = writeln!(
-                    o,
-                    "pcnn_events_total{{code=\"{}\",severity=\"{}\"}} {}",
-                    code.label(),
-                    severity.label(),
-                    self.events.total(code, severity)
-                );
-            }
-        }
-        simple(
-            &mut o,
-            "pcnn_events_suppressed_total",
-            "Event occurrences coalesced by per-code rate limiting (counted in totals, kept out of the ring).",
-            "counter",
-            self.events.suppressed(),
-        );
-        simple(
-            &mut o,
-            "pcnn_events_dropped_total",
-            "Events lost to ring slot contention (writers never wait).",
-            "counter",
-            self.events.dropped(),
-        );
-        self.render_window_series(&mut o);
         o
     }
-
-    /// Renders the rolling-window families (`pcnn_window_*`). All are
-    /// gauges — a trailing window's value moves both ways. Per-shard
-    /// and per-precision series carry only throughput and p99 to bound
-    /// cardinality; the full breakdown lives in the JSON snapshot.
-    fn render_window_series(&self, o: &mut String) {
-        use std::fmt::Write as _;
-        let snaps = self.window_snapshots();
-        if snaps.is_empty() {
-            return;
-        }
-        let wlabel = |w: &WindowSnapshot| format!("{}s", w.window.as_secs());
-        type TotalStat = fn(&WindowStats) -> f64;
-        let totals: [(&str, &str, TotalStat); 6] = [
-            (
-                "pcnn_window_completed",
-                "Requests completed inside the trailing window.",
-                |t| t.completed as f64,
-            ),
-            (
-                "pcnn_window_failed",
-                "Requests failed inside the trailing window.",
-                |t| t.failed as f64,
-            ),
-            (
-                "pcnn_window_aborted",
-                "Requests aborted inside the trailing window.",
-                |t| t.aborted as f64,
-            ),
-            (
-                "pcnn_window_throughput_rps",
-                "Completions per second over the trailing window.",
-                |t| t.throughput_rps,
-            ),
-            (
-                "pcnn_window_error_rate",
-                "failed / (completed+failed+aborted) over the trailing window.",
-                |t| t.error_rate,
-            ),
-            (
-                "pcnn_window_abort_rate",
-                "aborted / (completed+failed+aborted) over the trailing window.",
-                |t| t.abort_rate,
-            ),
-        ];
-        for (name, help, get) in totals {
-            let _ = writeln!(o, "# HELP {name} {help}\n# TYPE {name} gauge");
-            for w in &snaps {
-                let _ = writeln!(o, "{name}{{window=\"{}\"}} {}", wlabel(w), get(&w.total));
-            }
-        }
-        let _ = writeln!(
-            o,
-            "# HELP pcnn_window_latency_seconds End-to-end latency quantiles over the trailing window.\n\
-             # TYPE pcnn_window_latency_seconds gauge"
-        );
-        for w in &snaps {
-            for (q, v) in [
-                ("0.5", w.total.latency_p50),
-                ("0.95", w.total.latency_p95),
-                ("0.99", w.total.latency_p99),
-            ] {
-                let _ = writeln!(
-                    o,
-                    "pcnn_window_latency_seconds{{window=\"{}\",quantile=\"{q}\"}} {}",
-                    wlabel(w),
-                    v.as_secs_f64()
-                );
-            }
-        }
-        let _ = writeln!(
-            o,
-            "# HELP pcnn_window_shard_throughput_rps Per-shard completions per second over the trailing window.\n\
-             # TYPE pcnn_window_shard_throughput_rps gauge"
-        );
-        for w in &snaps {
-            for (i, s) in w.shards.iter().enumerate() {
-                let _ = writeln!(
-                    o,
-                    "pcnn_window_shard_throughput_rps{{window=\"{}\",shard=\"{i}\"}} {:.3}",
-                    wlabel(w),
-                    s.throughput_rps
-                );
-            }
-        }
-        let _ = writeln!(
-            o,
-            "# HELP pcnn_window_shard_latency_p99_seconds Per-shard p99 end-to-end latency over the trailing window.\n\
-             # TYPE pcnn_window_shard_latency_p99_seconds gauge"
-        );
-        for w in &snaps {
-            for (i, s) in w.shards.iter().enumerate() {
-                let _ = writeln!(
-                    o,
-                    "pcnn_window_shard_latency_p99_seconds{{window=\"{}\",shard=\"{i}\"}} {}",
-                    wlabel(w),
-                    s.latency_p99.as_secs_f64()
-                );
-            }
-        }
-        let _ = writeln!(
-            o,
-            "# HELP pcnn_window_precision_throughput_rps Per-precision completions per second over the trailing window.\n\
-             # TYPE pcnn_window_precision_throughput_rps gauge"
-        );
-        for w in &snaps {
-            for s in &w.precisions {
-                let _ = writeln!(
-                    o,
-                    "pcnn_window_precision_throughput_rps{{window=\"{}\",precision=\"{}\"}} {:.3}",
-                    wlabel(w),
-                    s.label,
-                    s.throughput_rps
-                );
-            }
-        }
-        let _ = writeln!(
-            o,
-            "# HELP pcnn_window_precision_latency_p99_seconds Per-precision p99 end-to-end latency over the trailing window.\n\
-             # TYPE pcnn_window_precision_latency_p99_seconds gauge"
-        );
-        for w in &snaps {
-            for s in &w.precisions {
-                let _ = writeln!(
-                    o,
-                    "pcnn_window_precision_latency_p99_seconds{{window=\"{}\",precision=\"{}\"}} {}",
-                    wlabel(w),
-                    s.label,
-                    s.latency_p99.as_secs_f64()
-                );
-            }
-        }
-    }
-}
-
-/// Renders one histogram as a cumulative Prometheus series: `_bucket`
-/// lines for every finite power-of-two upper bound, the `+Inf` bucket,
-/// `_sum` (seconds), and `_count`.
-fn render_histogram_series(o: &mut String, name: &str, labels: &str, h: &LogHistogram) {
-    use std::fmt::Write as _;
-    let counts = h.bucket_counts();
-    let mut cum = 0u64;
-    for (i, c) in counts.iter().enumerate() {
-        cum += c;
-        if let Some(upper_ns) = LogHistogram::bucket_upper_ns(i) {
-            let le = upper_ns as f64 * 1e-9;
-            let _ = writeln!(o, "{name}_bucket{{{labels},le=\"{le}\"}} {cum}");
-        }
-    }
-    let _ = writeln!(o, "{name}_bucket{{{labels},le=\"+Inf\"}} {cum}");
-    let _ = writeln!(o, "{name}_sum{{{labels}}} {}", h.total_ns() as f64 * 1e-9);
-    let _ = writeln!(o, "{name}_count{{{labels}}} {}", h.count());
 }
 
 /// A point-in-time telemetry reading — the serving-era successor of
 /// `pcnn_runtime::engine::ServeStats` (throughput and mean latency are
 /// still here, now joined by tail percentiles and admission counters).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
     /// Requests admitted.
     pub submitted: u64,
@@ -1321,8 +1231,7 @@ pub struct TelemetrySnapshot {
     pub precisions: Vec<PrecisionSnapshot>,
     /// Per-shard breakdown (one entry per batcher, in shard order).
     pub shards: Vec<ShardSnapshot>,
-    /// Rolling-window readings (1 s / 10 s / 60 s trailing), empty when
-    /// windowing is disabled.
+    /// Rolling-window readings (1 s / 10 s / 60 s trailing).
     pub windows: Vec<WindowSnapshot>,
     /// Structured events recorded, counting every occurrence (the
     /// rate limiter only gates ring publication, not this count).
@@ -1336,7 +1245,7 @@ pub struct TelemetrySnapshot {
 }
 
 /// A point-in-time reading of one precision class's traffic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PrecisionSnapshot {
     /// Precision label (`"f32"` or `"int8"`).
     pub precision: &'static str,
@@ -1365,30 +1274,21 @@ pub struct PrecisionSnapshot {
 impl PrecisionSnapshot {
     /// Renders the precision reading as a flat JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"precision\":\"{}\",\"completed\":{},\"failed\":{},",
-                "\"aborted\":{},\"expired\":{},\"cancelled\":{},\"batches\":{},",
-                "\"mean_batch\":{:.3},",
-                "\"latency_ms\":{{\"p50\":{:.6},\"p99\":{:.6},\"mean\":{:.6}}}}}"
-            ),
-            self.precision,
-            self.completed,
-            self.failed,
-            self.aborted,
-            self.expired,
-            self.cancelled,
-            self.batches,
-            self.mean_batch,
-            ms(self.latency_p50),
-            ms(self.latency_p99),
-            ms(self.latency_mean),
-        )
+        json::object(|o| {
+            o.str("precision", self.precision);
+            Field::write_all(precision_field, self, o);
+            o.fixed("mean_batch", self.mean_batch, 3)
+                .object("latency_ms", |l| {
+                    l.fixed("p50", ms(self.latency_p50), 6)
+                        .fixed("p99", ms(self.latency_p99), 6)
+                        .fixed("mean", ms(self.latency_mean), 6);
+                });
+        })
     }
 }
 
 /// A point-in-time reading of one shard's dispatch metrics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardSnapshot {
     /// Shard index (batcher `pcnn-serve-batcher-<shard>`).
     pub shard: usize,
@@ -1427,37 +1327,38 @@ pub struct ShardSnapshot {
 impl ShardSnapshot {
     /// Renders the shard reading as a flat JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"shard\":{},\"completed\":{},\"aborted\":{},\"failed\":{},",
-                "\"expired\":{},\"cancelled\":{},\"retries\":{},",
-                "\"batches\":{},\"batched_images\":{},\"inflight_batches\":{},",
-                "\"mean_batch\":{:.3},",
-                "\"queue_wait_ms\":{{\"p50\":{:.6},\"p99\":{:.6}}},",
-                "\"latency_ms\":{{\"p50\":{:.6},\"p99\":{:.6}}},",
-                "\"service_mean_ms\":{:.6}}}"
-            ),
-            self.shard,
-            self.completed,
-            self.aborted,
-            self.failed,
-            self.expired,
-            self.cancelled,
-            self.retries,
-            self.batches,
-            self.batched_images,
-            self.inflight_batches,
-            self.mean_batch,
-            ms(self.queue_wait_p50),
-            ms(self.queue_wait_p99),
-            ms(self.latency_p50),
-            ms(self.latency_p99),
-            ms(self.service_mean),
-        )
+        json::object(|o| {
+            o.int("shard", self.shard);
+            Field::write_all(shard_field, self, o);
+            o.fixed("mean_batch", self.mean_batch, 3)
+                .object("queue_wait_ms", |q| {
+                    q.fixed("p50", ms(self.queue_wait_p50), 6).fixed(
+                        "p99",
+                        ms(self.queue_wait_p99),
+                        6,
+                    );
+                })
+                .object("latency_ms", |l| {
+                    l.fixed("p50", ms(self.latency_p50), 6)
+                        .fixed("p99", ms(self.latency_p99), 6);
+                })
+                .fixed("service_mean_ms", ms(self.service_mean), 6);
+        })
     }
 }
 
-fn ms(d: Duration) -> f64 {
+/// Writes the `{"p50","p95","p99","mean"}` millisecond object every
+/// full latency reading shares.
+pub(crate) fn quantiles_ms(o: &mut json::Obj<'_>, [p50, p95, p99, mean]: [Duration; 4]) {
+    o.fixed("p50", ms(p50), 6)
+        .fixed("p95", ms(p95), 6)
+        .fixed("p99", ms(p99), 6)
+        .fixed("mean", ms(mean), 6);
+}
+
+/// A duration in (fractional) milliseconds — the unit of every latency
+/// the JSON and `Display` renderers print.
+pub(crate) fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
@@ -1574,82 +1475,38 @@ impl std::fmt::Display for TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Renders the snapshot as a flat JSON object (hand-rolled — the
-    /// workspace takes no serialisation dependency).
+    /// Renders the snapshot as one JSON object.
     pub fn to_json(&self) -> String {
-        let shards = self
-            .shards
-            .iter()
-            .map(ShardSnapshot::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        let precisions = self
-            .precisions
-            .iter()
-            .map(PrecisionSnapshot::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        let windows = self
-            .windows
-            .iter()
-            .map(WindowSnapshot::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        let event_tail = self
-            .event_tail
-            .iter()
-            .map(RecordedEvent::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            concat!(
-                "{{\"submitted\":{},\"completed\":{},\"rejected\":{},",
-                "\"rejected_shutdown\":{},\"aborted\":{},\"failed\":{},",
-                "\"expired\":{},\"cancelled\":{},\"retries\":{},\"shard_restarts\":{},",
-                "\"queue_depth\":{},\"queue_depth_hwm\":{},\"shed\":{},",
-                "\"inflight_batches\":{},\"batches\":{},",
-                "\"mean_batch\":{:.3},\"elapsed_s\":{:.6},\"throughput_rps\":{:.3},",
-                "\"queue_wait_ms\":{{\"p50\":{:.6},\"p95\":{:.6},\"p99\":{:.6},\"mean\":{:.6}}},",
-                "\"latency_ms\":{{\"p50\":{:.6},\"p95\":{:.6},\"p99\":{:.6},\"mean\":{:.6}}},",
-                "\"service_mean_ms\":{:.6},\"windows\":[{}],",
-                "\"events\":{{\"emitted\":{},\"suppressed\":{},\"dropped\":{},\"tail\":[{}]}},",
-                "\"precisions\":[{}],\"shards\":[{}]}}"
-            ),
-            self.submitted,
-            self.completed,
-            self.rejected,
-            self.rejected_shutdown,
-            self.aborted,
-            self.failed,
-            self.expired,
-            self.cancelled,
-            self.retries,
-            self.shard_restarts,
-            self.queue_depth,
-            self.queue_depth_hwm,
-            self.shed,
-            self.inflight_batches,
-            self.batches,
-            self.mean_batch,
-            self.elapsed.as_secs_f64(),
-            self.throughput_rps,
-            ms(self.queue_wait_p50),
-            ms(self.queue_wait_p95),
-            ms(self.queue_wait_p99),
-            ms(self.queue_wait_mean),
-            ms(self.latency_p50),
-            ms(self.latency_p95),
-            ms(self.latency_p99),
-            ms(self.latency_mean),
-            ms(self.service_mean),
-            windows,
-            self.events_emitted,
-            self.events_suppressed,
-            self.events_dropped,
-            event_tail,
-            precisions,
-            shards,
-        )
+        let queue_wait = [
+            self.queue_wait_p50,
+            self.queue_wait_p95,
+            self.queue_wait_p99,
+            self.queue_wait_mean,
+        ];
+        let latency = [
+            self.latency_p50,
+            self.latency_p95,
+            self.latency_p99,
+            self.latency_mean,
+        ];
+        json::object(|o| {
+            Field::write_all(telemetry_field, self, o);
+            o.fixed("mean_batch", self.mean_batch, 3)
+                .fixed("elapsed_s", self.elapsed.as_secs_f64(), 6)
+                .fixed("throughput_rps", self.throughput_rps, 3)
+                .object("queue_wait_ms", |q| quantiles_ms(q, queue_wait))
+                .object("latency_ms", |l| quantiles_ms(l, latency))
+                .fixed("service_mean_ms", ms(self.service_mean), 6)
+                .raw_array("windows", &self.windows, WindowSnapshot::to_json)
+                .object("events", |e| {
+                    e.int("emitted", self.events_emitted)
+                        .int("suppressed", self.events_suppressed)
+                        .int("dropped", self.events_dropped)
+                        .raw_array("tail", &self.event_tail, RecordedEvent::to_json);
+                })
+                .raw_array("precisions", &self.precisions, PrecisionSnapshot::to_json)
+                .raw_array("shards", &self.shards, ShardSnapshot::to_json);
+        })
     }
 }
 
@@ -1795,7 +1652,6 @@ mod tests {
                     .record(Duration::from_micros(10u64.pow(i as u32 + 1) + k));
             }
         }
-        assert_eq!(m.completed(), 30);
         let snap = m.snapshot();
         assert_eq!(snap.completed, 30);
         assert_eq!(snap.shards.len(), 3);
@@ -2081,20 +1937,92 @@ mod tests {
     }
 
     #[test]
-    fn windowing_disabled_is_truly_off() {
-        let m = ServerMetrics::with_options(1, false);
-        assert!(!m.windowed());
-        assert!(m.shard(0).windows.is_none());
-        // Recording helpers are no-ops, not panics.
-        m.shard(0)
-            .window_completed(Precision::F32, Duration::from_millis(1));
-        m.shard(0).window_failed(Precision::F32);
-        m.shard(0).window_aborted(Precision::F32);
-        assert!(m.merged_window(m.now_ns(), WINDOWS[0]).is_none());
+    fn every_table_metric_reaches_prometheus_and_its_snapshot_json() {
+        // One walk over the table: a declared metric can neither be
+        // missing from the exposition nor from the JSON of the snapshot
+        // that carries it.
+        let m = ServerMetrics::new(1);
         let snap = m.snapshot();
-        assert!(snap.windows.is_empty());
-        assert!(snap.to_json().contains("\"windows\":[]"));
-        assert!(!m.render_prometheus().contains("pcnn_window_"));
+        let text = m.render_prometheus();
+        validate_prometheus(&text);
+        let has = |json: &str, key: &str| json.contains(&format!("\"{key}\":"));
+        for metric in &METRICS {
+            let (name, help) = (metric.name, metric.help);
+            let header = format!("# HELP {name} {help}\n# TYPE {name} ");
+            assert_eq!(text.matches(&header).count(), 1, "{name}");
+            let sample = format!("\n{name}");
+            assert!(text.contains(&sample), "{name} renders no series");
+        }
+        for field in METRICS.iter().filter_map(|m| telemetry_field(&m.scope)) {
+            assert!(has(&snap.to_json(), field.key), "{}", field.key);
+        }
+        for field in METRICS.iter().filter_map(|m| shard_field(&m.scope)) {
+            assert!(has(&snap.shards[0].to_json(), field.key), "{}", field.key);
+        }
+        for field in METRICS.iter().filter_map(|m| precision_field(&m.scope)) {
+            assert!(
+                has(&snap.precisions[0].to_json(), field.key),
+                "{}",
+                field.key
+            );
+        }
+        // JSON positions are a permutation per snapshot type: two rows
+        // claiming one slot would reorder a frozen schema silently.
+        fn is_permutation(mut at: Vec<u8>) -> bool {
+            at.sort_unstable();
+            at.iter().enumerate().all(|(i, &a)| a as usize == i)
+        }
+        assert!(is_permutation(
+            METRICS
+                .iter()
+                .filter_map(|m| telemetry_field(&m.scope).map(|f| f.at))
+                .collect()
+        ));
+        assert!(is_permutation(
+            METRICS
+                .iter()
+                .filter_map(|m| shard_field(&m.scope).map(|f| f.at))
+                .collect()
+        ));
+        assert!(is_permutation(
+            METRICS
+                .iter()
+                .filter_map(|m| precision_field(&m.scope).map(|f| f.at))
+                .collect()
+        ));
+    }
+
+    #[test]
+    fn readme_documents_every_table_metric() {
+        // The README's Observability tables are the operator-facing
+        // list of stable names; a family added to the table without a
+        // README row (or renamed in one place only) fails here.
+        let readme = include_str!("../../../README.md");
+        for metric in &METRICS {
+            assert!(
+                readme.contains(&format!("`{}`", metric.name)),
+                "README.md does not document {}",
+                metric.name
+            );
+        }
+    }
+
+    #[test]
+    fn per_precision_expired_and_cancelled_reach_the_exposition() {
+        // Counted and in the JSON since deadlines/cancellation landed,
+        // but missing from the hand-kept Prometheus list until the
+        // table replaced it.
+        let m = ServerMetrics::new(2);
+        m.shard(0).precision(Precision::Int8).expired.add(2);
+        m.shard(1).precision(Precision::Int8).expired.add(3);
+        m.shard(1).precision(Precision::F32).cancelled.add(4);
+        let text = m.render_prometheus();
+        assert!(text.contains("pcnn_precision_expired_total{precision=\"int8\"} 5\n"));
+        assert!(text.contains("pcnn_precision_expired_total{precision=\"f32\"} 0\n"));
+        assert!(text.contains("pcnn_precision_cancelled_total{precision=\"f32\"} 4\n"));
+        let snap = m.snapshot();
+        assert_eq!(snap.precisions[Precision::Int8.index()].expired, 5);
+        assert_eq!(snap.precisions[Precision::F32.index()].cancelled, 4);
     }
 
     #[test]
@@ -2108,18 +2036,15 @@ mod tests {
         }
         m.shard(0).window_failed(Precision::F32);
         m.shard(1).window_aborted(Precision::F32);
-        let (hist, completed, failed, aborted) = m
-            .merged_window(m.now_ns(), Duration::from_secs(10))
-            .expect("windowing on");
+        let (hist, completed, failed, aborted) =
+            m.merged_window(m.now_ns(), Duration::from_secs(10));
         assert_eq!(completed, 60);
         assert_eq!(failed, 1);
         assert_eq!(aborted, 1);
         assert_eq!(hist.count(), 60);
         // A read far past every bucket sees an empty window.
         let far = m.now_ns() + 600 * 1_000_000_000;
-        let (hist, c, f, a) = m
-            .merged_window(far, Duration::from_secs(10))
-            .expect("windowing on");
+        let (hist, c, f, a) = m.merged_window(far, Duration::from_secs(10));
         assert_eq!((c, f, a), (0, 0, 0));
         assert_eq!(hist.count(), 0);
     }

@@ -12,21 +12,21 @@
 //! timelines: [`crate::Server::flight_recorder`] dumps them as JSON,
 //! and [`crate::DrainReport`] carries the final dump out of shutdown.
 //!
-//! The ring is a seqlock over plain atomic words: writers claim a slot
-//! with one `fetch_add`, flip its sequence odd, store the encoded span,
-//! and publish by storing the next even sequence; a writer that loses
-//! the odd-flip race (a lap collision) drops its span and ticks the
-//! drop counter instead of spinning. Readers copy the words and keep
-//! the copy only when the sequence was even and unchanged around the
-//! read. No locks anywhere, so recording can never stall the batcher
-//! or the completion callbacks it instruments.
+//! Each ring is a `SeqRing` — a seqlock over plain atomic words,
+//! shared with the event journal: a writer that loses a lap collision
+//! drops its span and ticks the drop counter instead of spinning, and
+//! readers discard torn copies. No locks anywhere, so recording can
+//! never stall the batcher or the completion callbacks it instruments.
 
+use pcnn_runtime::json;
 use pcnn_runtime::Precision;
-use pcnn_sync::atomic::{fence, AtomicU64, Ordering};
+use pcnn_sync::atomic::{AtomicU64, Ordering};
 use pcnn_sync::Arc;
 use std::time::Instant;
 
 use crate::events::{EventCode, EventJournal, Severity};
+use crate::metrics::Counter;
+use crate::seqring::SeqRing;
 
 /// Sampling and retention knobs of the flight recorder.
 #[derive(Debug, Clone)]
@@ -56,18 +56,18 @@ impl Default for TraceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanOutcome {
     /// The ticket resolved with an output tensor.
-    Completed,
+    Completed = 0,
     /// The engine failed the request ([`crate::ServeError::EngineFault`]),
     /// or its shard died mid-flight ([`crate::ServeError::ShardFailed`]).
-    Failed,
+    Failed = 1,
     /// An abort shutdown resolved the ticket ([`crate::ServeError::Aborted`]).
-    Aborted,
+    Aborted = 2,
     /// The request's deadline passed before dispatch
     /// ([`crate::ServeError::DeadlineExceeded`]).
-    Expired,
+    Expired = 3,
     /// The client cancelled the request before dispatch
     /// ([`crate::ServeError::Cancelled`]).
-    Cancelled,
+    Cancelled = 4,
 }
 
 impl SpanOutcome {
@@ -79,16 +79,6 @@ impl SpanOutcome {
             SpanOutcome::Aborted => "aborted",
             SpanOutcome::Expired => "expired",
             SpanOutcome::Cancelled => "cancelled",
-        }
-    }
-
-    fn code(self) -> u64 {
-        match self {
-            SpanOutcome::Completed => 0,
-            SpanOutcome::Failed => 1,
-            SpanOutcome::Aborted => 2,
-            SpanOutcome::Expired => 3,
-            SpanOutcome::Cancelled => 4,
         }
     }
 
@@ -152,31 +142,25 @@ impl RecordedSpan {
 
     /// The span as one JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"id\":{},\"shard\":{},\"precision\":\"{}\",\"outcome\":\"{}\",",
-                "\"batch_len\":{},\"admitted_ns\":{},\"dequeued_ns\":{},",
-                "\"coalesced_ns\":{},\"dispatched_ns\":{},\"executed_ns\":{},",
-                "\"completed_ns\":{}}}"
-            ),
-            self.id,
-            self.shard,
-            self.precision.label(),
-            self.outcome.label(),
-            self.batch_len,
-            self.admitted_ns,
-            self.dequeued_ns,
-            self.coalesced_ns,
-            self.dispatched_ns,
-            self.executed_ns,
-            self.completed_ns,
-        )
+        json::object(|o| {
+            o.int("id", self.id)
+                .int("shard", self.shard)
+                .str("precision", self.precision.label())
+                .str("outcome", self.outcome.label())
+                .int("batch_len", self.batch_len)
+                .int("admitted_ns", self.admitted_ns)
+                .int("dequeued_ns", self.dequeued_ns)
+                .int("coalesced_ns", self.coalesced_ns)
+                .int("dispatched_ns", self.dispatched_ns)
+                .int("executed_ns", self.executed_ns)
+                .int("completed_ns", self.completed_ns);
+        })
     }
 
     fn encode(&self) -> [u64; SPAN_WORDS] {
         let meta = ((self.shard as u64) << 48)
             | ((self.precision.index() as u64) << 40)
-            | (self.outcome.code() << 32)
+            | ((self.outcome as u64) << 32)
             | self.batch_len as u64;
         [
             self.id,
@@ -218,142 +202,40 @@ pub(crate) struct ActiveSpan {
     pub dequeued_ns: u64,
 }
 
-/// One seqlock slot: an even, nonzero sequence publishes the words.
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; SPAN_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// One shard's span ring.
-struct ShardRing {
-    /// Total slots ever claimed; `head % capacity` is the next slot.
-    head: AtomicU64,
-    slots: Vec<Slot>,
-}
-
-impl ShardRing {
-    fn new(capacity: usize) -> ShardRing {
-        ShardRing {
-            head: AtomicU64::new(0),
-            slots: (0..capacity.max(1)).map(|_| Slot::new()).collect(),
-        }
-    }
-
-    /// Returns `false` when the slot was lost to a lap-racing writer
-    /// (the span is dropped rather than ever spinning).
-    fn push(&self, span: &RecordedSpan) -> bool {
-        // ordering: ticket distribution only — the CAS below is what
-        // transfers slot ownership, so the counter itself needs no
-        // synchronization.
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        let slot = &self.slots[(ticket % cap) as usize];
-        let lap = ticket / cap;
-        // The slot's sequence after its previous publish (lap L - 1
-        // published 2L; a never-written slot holds 0 = lap 0's expected
-        // value). Claim it by flipping odd; losing the race means a
-        // writer `capacity` spans ahead already owns the slot.
-        //
-        let expected = 2 * lap;
-        // ordering: AcqRel on success — Acquire to see the previous
-        // lap's words before overwriting, Release to order our claim
-        // after any prior writes. Relaxed on failure: a lost claim
-        // touches nothing.
-        if slot
-            .seq
-            .compare_exchange(expected, expected + 1, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            return false;
-        }
-        // ordering: this Release fence pairs with the readers' Acquire
-        // fence in `collect`. Without it the relaxed word stores below
-        // are not ordered after the odd-sequence claim from the
-        // reader's point of view, so a reader could observe fresh words
-        // yet still see the old even sequence on its re-check and
-        // validate a torn span. (Found by the model checker's seqlock
-        // test; the claim CAS's AcqRel does not order *later* relaxed
-        // stores for remote observers.)
-        fence(Ordering::Release);
-        for (w, v) in slot.words.iter().zip(span.encode()) {
-            // ordering: plain data words; the surrounding fence/Release
-            // seq protocol publishes them, per-word ordering is not
-            // needed.
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(expected + 2, Ordering::Release);
-        true
-    }
-
-    fn collect(&self, out: &mut Vec<RecordedSpan>) {
-        for slot in &self.slots {
-            let before = slot.seq.load(Ordering::Acquire);
-            if before == 0 || before % 2 == 1 {
-                continue; // empty or mid-write
-            }
-            let mut words = [0u64; SPAN_WORDS];
-            for (v, w) in words.iter_mut().zip(&slot.words) {
-                // ordering: speculative snapshot; the Acquire fence +
-                // sequence re-check below discards it if a writer
-                // intervened, so the loads themselves can be relaxed.
-                *v = w.load(Ordering::Relaxed);
-            }
-            fence(Ordering::Acquire);
-            // ordering: the fence above pairs with the writer's Release
-            // fence/store, so this re-check load needs no ordering of
-            // its own — an unchanged even sequence proves the snapshot.
-            if slot.seq.load(Ordering::Relaxed) == before {
-                out.push(RecordedSpan::decode(&words));
-            }
-        }
-    }
-}
-
 /// The per-server flight recorder: request IDs, always-on trace
 /// counters, and one span ring per shard.
 pub struct FlightRecorder {
     epoch: Instant,
     sample_every: u64,
     next_id: AtomicU64,
-    rings: Vec<ShardRing>,
-    recorded: AtomicU64,
+    rings: Vec<SeqRing<SPAN_WORDS>>,
+    recorded: Counter,
     dropped: AtomicU64,
-    /// Forensics feed: when attached ([`FlightRecorder::attach_journal`])
-    /// every lap-race span drop emits a `trace_ring_overwrite` event;
-    /// the journal's per-code rate limiter coalesces overwrite storms.
+    /// Forensics feed: every lap-race span drop emits a
+    /// `trace_ring_overwrite` event here; the journal's per-code rate
+    /// limiter coalesces overwrite storms.
     journal: Option<Arc<EventJournal>>,
 }
 
 impl FlightRecorder {
-    /// A recorder for `shards` shard rings.
-    pub(crate) fn new(config: &TraceConfig, shards: usize) -> FlightRecorder {
+    /// A recorder for `shards` shard rings, reporting span overwrites
+    /// to `journal`.
+    pub(crate) fn new(
+        config: &TraceConfig,
+        shards: usize,
+        journal: Option<Arc<EventJournal>>,
+    ) -> FlightRecorder {
         FlightRecorder {
             epoch: Instant::now(),
             sample_every: config.sample_every,
             next_id: AtomicU64::new(0),
             rings: (0..shards.max(1))
-                .map(|_| ShardRing::new(config.ring_capacity))
+                .map(|_| SeqRing::new(config.ring_capacity))
                 .collect(),
-            recorded: AtomicU64::new(0),
+            recorded: Counter::default(),
             dropped: AtomicU64::new(0),
-            journal: None,
+            journal,
         }
-    }
-
-    /// Attaches the structured event journal span-ring overwrites are
-    /// reported to. Called before the recorder is shared (the server
-    /// wires it during construction), hence `&mut self`.
-    pub(crate) fn attach_journal(&mut self, journal: Arc<EventJournal>) {
-        self.journal = Some(journal);
     }
 
     /// Assigns the next request ID (IDs start at 1).
@@ -377,11 +259,12 @@ impl FlightRecorder {
     /// Publishes a resolved span into its shard's ring.
     pub(crate) fn record(&self, shard: usize, span: &RecordedSpan) {
         let ring = &self.rings[shard.min(self.rings.len() - 1)];
-        // ordering: monotone statistics counters; readers tolerate lag
-        // and read them independently of the span data they count.
-        if ring.push(span) {
-            self.recorded.fetch_add(1, Ordering::Relaxed);
+        if ring.push(span.encode()) {
+            self.recorded.inc();
         } else {
+            // ordering: monotone statistics counter, read independently
+            // of the span data it counts; the RMW's own value numbers
+            // the overwrite event.
             let dropped = self.dropped.fetch_add(1, Ordering::Relaxed) + 1;
             if let Some(journal) = &self.journal {
                 journal.emit(
@@ -407,8 +290,7 @@ impl FlightRecorder {
 
     /// Spans successfully published.
     pub fn spans_recorded(&self) -> u64 {
-        // ordering: statistics read; staleness is acceptable.
-        self.recorded.load(Ordering::Relaxed)
+        self.recorded.get()
     }
 
     /// Spans lost to lap-racing writers (never by blocking).
@@ -428,7 +310,7 @@ impl FlightRecorder {
     pub fn spans(&self) -> Vec<RecordedSpan> {
         let mut out = Vec::new();
         for ring in &self.rings {
-            ring.collect(&mut out);
+            ring.for_each(|words| out.push(RecordedSpan::decode(words)));
         }
         out.sort_by_key(|s| (s.admitted_ns, s.id));
         out
@@ -436,18 +318,13 @@ impl FlightRecorder {
 
     /// The flight-recorder dump as one JSON object.
     pub fn to_json(&self) -> String {
-        let spans: Vec<String> = self.spans().iter().map(RecordedSpan::to_json).collect();
-        format!(
-            concat!(
-                "{{\"requests\":{},\"sample_every\":{},\"spans_recorded\":{},",
-                "\"spans_dropped\":{},\"spans\":[{}]}}"
-            ),
-            self.requests(),
-            self.sample_every,
-            self.spans_recorded(),
-            self.spans_dropped(),
-            spans.join(",")
-        )
+        json::object(|o| {
+            o.int("requests", self.requests())
+                .int("sample_every", self.sample_every)
+                .int("spans_recorded", self.spans_recorded())
+                .int("spans_dropped", self.spans_dropped())
+                .raw_array("spans", &self.spans(), RecordedSpan::to_json);
+        })
     }
 }
 
@@ -480,6 +357,7 @@ mod tests {
                 ring_capacity: 8,
             },
             1,
+            None,
         );
         for i in 0..5u64 {
             rec.record(0, &span(i + 1, 100 * i));
@@ -507,6 +385,7 @@ mod tests {
                 ring_capacity: 4,
             },
             1,
+            None,
         );
         for i in 0..10u64 {
             rec.record(0, &span(i + 1, 100 * i));
@@ -525,6 +404,7 @@ mod tests {
                 ring_capacity: 4,
             },
             1,
+            None,
         );
         // Publish in *reverse* admission order so that after the ring
         // wraps, slot order disagrees with admission order: spans
@@ -554,6 +434,7 @@ mod tests {
                 ring_capacity: 8,
             },
             1,
+            None,
         );
         let sampled: Vec<u64> = (0..16)
             .map(|_| rec.begin())
@@ -567,6 +448,7 @@ mod tests {
                 ring_capacity: 8,
             },
             1,
+            None,
         );
         assert!(!(1..100).any(|id| off.is_sampled(id)), "0 disables spans");
     }
@@ -597,6 +479,7 @@ mod tests {
                 ring_capacity: 32,
             },
             2,
+            None,
         ));
         let writers: Vec<_> = (0..4u64)
             .map(|w| {
@@ -619,12 +502,22 @@ mod tests {
 
     #[test]
     fn json_dump_is_brace_balanced_and_carries_the_counters() {
-        let rec = FlightRecorder::new(&TraceConfig::default(), 2);
+        let rec = FlightRecorder::new(&TraceConfig::default(), 2, None);
         let id = rec.begin();
         let mut s = span(id, 50);
         s.shard = 1;
         rec.record(1, &s);
         let json = rec.to_json();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"requests":1,"sample_every":64,"spans_recorded":1,"spans_dropped":0,"#,
+                r#""spans":[{"id":1,"shard":1,"precision":"f32","outcome":"completed","#,
+                r#""batch_len":3,"admitted_ns":50,"dequeued_ns":51,"coalesced_ns":52,"#,
+                r#""dispatched_ns":53,"executed_ns":54,"completed_ns":55}]}"#
+            ),
+            "the dump's exact schema (keys, order) is what postmortem tooling parses"
+        );
         assert!(json.contains("\"requests\":1"));
         assert!(json.contains("\"sample_every\":64"));
         assert!(json.contains("\"spans_recorded\":1"));
@@ -638,12 +531,8 @@ mod tests {
     }
 }
 
-/// Interleaving tests for the span seqlock under the deterministic
-/// model checker, including its simulated weak memory: the writer's
-/// Release fence between the odd-sequence claim and the word stores is
-/// load-bearing (without it a reader can observe fresh words yet
-/// re-check against the stale even sequence and validate a torn span —
-/// the reduced shape lives in `pcnn-sync`'s self-tests). Compiled only
+/// The recorder's counters under the deterministic model checker (the
+/// ring protocol itself is checked in [`crate::seqring`]). Compiled only
 /// under the `model-check` facade.
 #[cfg(all(test, any(pcnn_model_check, feature = "model-check")))]
 mod model_tests {
@@ -676,49 +565,6 @@ mod model_tests {
     }
 
     #[test]
-    fn seqlock_ring_never_validates_a_torn_span() {
-        let report = check("trace-seqlock-ring", opts(), || {
-            // One slot, two writers, one concurrent reader: maximum
-            // contention on the seq protocol.
-            let ring = Arc::new(ShardRing::new(1));
-            let a = span(1, 100);
-            let b = span(2, 1_000);
-            let w1 = {
-                let ring = Arc::clone(&ring);
-                thread::spawn(move || ring.push(&a))
-            };
-            let w2 = {
-                let ring = Arc::clone(&ring);
-                thread::spawn(move || ring.push(&b))
-            };
-            let reader = {
-                let ring = Arc::clone(&ring);
-                thread::spawn(move || {
-                    let mut out = Vec::new();
-                    ring.collect(&mut out);
-                    out
-                })
-            };
-            let mid = reader.join().unwrap();
-            let published_1 = w1.join().unwrap();
-            let published_2 = w2.join().unwrap();
-            // Anything the racing reader validated is one of the two
-            // spans in full — never a mix of their words.
-            for s in &mid {
-                assert!(*s == a || *s == b, "reader validated a torn span: {s:?}");
-            }
-            // The ticket-0 writer's claim always lands; a quiescent
-            // collect decodes the last publisher's span intact.
-            assert!(published_1 || published_2, "no writer claimed the slot");
-            let mut fin = Vec::new();
-            ring.collect(&mut fin);
-            assert_eq!(fin.len(), 1, "slot published exactly one span");
-            assert!(fin[0] == a || fin[0] == b);
-        });
-        assert!(report.schedules_run > 0);
-    }
-
-    #[test]
     fn recorder_counters_match_push_outcomes() {
         let report = check("trace-recorder-counters", opts(), || {
             // Two concurrent records into a single-slot shard: however
@@ -729,6 +575,7 @@ mod model_tests {
                     ring_capacity: 1,
                 },
                 1,
+                None,
             ));
             let writers: Vec<_> = (0..2u64)
                 .map(|i| {

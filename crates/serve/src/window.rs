@@ -48,7 +48,8 @@
 //! the same order of fuzz as the relaxed-atomic races the cumulative
 //! histograms already accept. Writers never wait and never loop.
 
-use crate::metrics::LogHistogram;
+use crate::metrics::{quantiles_ms, LogHistogram};
+use pcnn_runtime::json;
 use pcnn_sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -84,9 +85,9 @@ fn tag_of(abs: u64) -> u64 {
 /// claiming CAS and its zeroing — and be swept away. That loss is
 /// bounded to samples in flight at a single rotation instant, which
 /// the histogram ring accepts for latency statistics. The counter
-/// ring, where exact counts matter, does NOT use this helper: it
-/// packs tag and count into one word precisely to close that window
-/// (the model checker's rotation test exposes it otherwise).
+/// ring, where exact counts matter, does NOT use this helper: its
+/// [`EpochCell`]s pack tag and count into one word precisely to close
+/// that window (the model checker's rotation test exposes it otherwise).
 fn claim(slot_epoch: &AtomicU64, abs: u64) -> Claim {
     let tag = tag_of(abs);
     let cur = slot_epoch.load(Ordering::Acquire);
@@ -114,56 +115,98 @@ enum Claim {
     Stale,
 }
 
-/// Bits of a packed counter slot holding the event count; the bucket's
-/// (truncated) epoch tag occupies the rest.
+/// Bits of a packed [`EpochCell`] word holding the count; the epoch's
+/// (truncated) tag occupies the rest.
 const COUNT_BITS: u32 = 32;
 const COUNT_MASK: u64 = (1 << COUNT_BITS) - 1;
 
-/// Packs a truncated epoch tag and an event count into one slot word.
-fn pack(tag: u64, count: u64) -> u64 {
-    (tag << COUNT_BITS) | count
-}
-
-fn packed_tag(word: u64) -> u64 {
-    word >> COUNT_BITS
-}
-
-fn packed_count(word: u64) -> u64 {
-    word & COUNT_MASK
-}
-
-/// Truncated epoch tag for packed counter slots. Comparison across the
-/// 32-bit wrap uses serial-number arithmetic ([`tag_newer`]); two
-/// buckets 2^32 laps apart alias (34 years of 250 ms buckets), which
-/// telemetry tolerates. The all-zero initial word never matches a real
-/// tag because `tag_of` starts at 1.
-fn packed_tag_of(abs: u64) -> u64 {
-    tag_of(abs) & COUNT_MASK
-}
-
-/// Serial-number "strictly newer" across the 32-bit tag wrap.
-fn tag_newer(a: u64, b: u64) -> bool {
-    a != b && (a.wrapping_sub(b) & COUNT_MASK) < (1 << (COUNT_BITS - 1))
-}
-
-/// A rolling event counter: a ring of time buckets, each one atomic
-/// word packing the bucket's epoch tag with its event count, summed
-/// over a trailing window on read.
+/// One `tag << 32 | count` word: a count that belongs to one epoch (a
+/// time bucket, a rate-limit window) and restarts when a newer epoch
+/// arrives. Both users — [`WindowedCounter`]'s slots and the event
+/// journal's per-code rate limiter — need the same guarantee: the
+/// rotation to a new epoch *and* the rotating writer's deposit happen
+/// in one CAS, so a concurrent depositor either observes the new tag
+/// (and folds its own count in) or loses the race and retries against
+/// the updated word. An earlier two-cell scheme (separate epoch + value
+/// atomics, as the histogram ring still uses for its multi-word
+/// payload) had a lost-update window between the winner's epoch CAS and
+/// its zeroing store; the model checker's rotation tests expose it.
 ///
-/// Packing tag and count into a single word is what makes rotation
-/// lossless: a slot rotates to its next bucket *and* deposits the
-/// rotating writer's events in one CAS, so a concurrent adder either
-/// observes the new tag (and folds its events in with its own CAS) or
-/// loses the race and retries against the updated word. An earlier
-/// two-cell scheme (separate epoch + value atomics, as the histogram
-/// ring still uses for its multi-word payload) had a lost-update
-/// window between the winner's epoch CAS and its zeroing store; the
-/// model checker's rotation interleaving test exposes it.
+/// The tag is `epoch + 1` truncated to 32 bits and compared with
+/// serial-number arithmetic: epochs 2^32 apart alias (34 years of
+/// 250 ms buckets), an epoch more than 2^31 ahead of the cell's reads
+/// as stale, and the all-zero initial word matches no epoch.
+#[derive(Debug, Default)]
+pub(crate) struct EpochCell(AtomicU64);
+
+impl EpochCell {
+    fn tag_of(epoch: u64) -> u64 {
+        tag_of(epoch) & COUNT_MASK
+    }
+
+    /// Adds `n` to `epoch`'s count, clamped at `cap` (at most
+    /// 2^32 − 1). Returns `false` — leaving the word untouched — when
+    /// the count already sits at `cap`, or when the cell has moved on
+    /// to a newer epoch (a stale stamp must not reclaim it). One CAS
+    /// when uncontended; retries only while racing another depositor.
+    pub(crate) fn deposit(&self, epoch: u64, n: u64, cap: u64) -> bool {
+        let tag = Self::tag_of(epoch);
+        let cap = cap.min(COUNT_MASK);
+        // ordering: Relaxed throughout — tag and count travel in one
+        // word, so there is no cross-cell publication to order; the
+        // CAS only has to be atomic, not a release point.
+        let mut cur = self.0.load(Ordering::Relaxed);
+        loop {
+            let (cur_tag, count) = (cur >> COUNT_BITS, cur & COUNT_MASK);
+            let next = if cur_tag == tag {
+                if count >= cap {
+                    return false;
+                }
+                (count + n).min(cap)
+            } else if cur == 0 || (tag.wrapping_sub(cur_tag) & COUNT_MASK) < (1 << 31) {
+                // Never written, or serial-number "newer": rotate the
+                // cell to our epoch and deposit in the same word — the
+                // step that must be indivisible for rotation to be
+                // lossless.
+                n.min(cap)
+            } else {
+                return false;
+            };
+            // ordering: Relaxed per the single-word protocol above.
+            match self.0.compare_exchange_weak(
+                cur,
+                (tag << COUNT_BITS) | next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    /// The count deposited for `epoch`, zero when the cell holds any
+    /// other epoch.
+    pub(crate) fn count_at(&self, epoch: u64) -> u64 {
+        // ordering: Relaxed — one load reads tag and count together,
+        // so a torn tag/count pair is impossible and nothing else is
+        // published through this word.
+        let word = self.0.load(Ordering::Relaxed);
+        if word >> COUNT_BITS == Self::tag_of(epoch) {
+            word & COUNT_MASK
+        } else {
+            0
+        }
+    }
+}
+
+/// A rolling event counter: a ring of time buckets, each one
+/// `EpochCell` holding the bucket's event count, summed over a
+/// trailing window on read.
 #[derive(Debug)]
 pub struct WindowedCounter {
     width_ns: u64,
-    /// `tag << 32 | count` per slot; see [`pack`].
-    slots: Vec<AtomicU64>,
+    slots: Vec<EpochCell>,
 }
 
 impl Default for WindowedCounter {
@@ -184,43 +227,18 @@ impl WindowedCounter {
         assert!(width_ns > 0 && slots > 1, "degenerate ring geometry");
         WindowedCounter {
             width_ns,
-            slots: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..slots).map(|_| EpochCell::default()).collect(),
         }
     }
 
     /// Adds `n` events at time `now_ns` (nanoseconds since the owner's
-    /// epoch). Lock-free: one CAS when uncontended; retries only while
-    /// racing another writer for the same slot. Per-bucket counts
-    /// saturate at 2^32 - 1 rather than carrying into the tag.
+    /// epoch). Lock-free (`EpochCell::deposit`); per-bucket counts
+    /// saturate at 2^32 − 1, and a sample stamped a full ring behind
+    /// its slot's current bucket is dropped.
     pub fn add_at(&self, now_ns: u64, n: u64) {
         let abs = now_ns / self.width_ns;
         let i = (abs % self.slots.len() as u64) as usize;
-        let tag = packed_tag_of(abs);
-        let slot = &self.slots[i];
-        // ordering: Relaxed throughout — tag and count travel in one
-        // word, so there is no cross-cell publication to order; the
-        // CAS only has to be atomic, not a release point.
-        let mut cur = slot.load(Ordering::Relaxed);
-        loop {
-            let next = if packed_tag(cur) == tag {
-                // Same bucket: fold our events in (saturating).
-                pack(tag, (packed_count(cur) + n).min(COUNT_MASK))
-            } else if tag_newer(tag, packed_tag(cur)) {
-                // Rotate the slot to our bucket and deposit our events
-                // in the same word — the step that must be indivisible
-                // for rotation to be lossless.
-                pack(tag, n.min(COUNT_MASK))
-            } else {
-                // The slot already belongs to a newer bucket: our
-                // timestamp is a full ring behind. Drop the sample.
-                return;
-            };
-            // ordering: Relaxed per the single-word protocol above.
-            match slot.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        self.slots[i].deposit(abs, n, COUNT_MASK);
     }
 
     /// Sum of the events recorded in the trailing `window` ending at
@@ -232,18 +250,9 @@ impl WindowedCounter {
         let lo =
             now_ns.saturating_sub(window.as_nanos().min(u64::MAX as u128) as u64) / self.width_ns;
         let lo = lo.max(abs_now.saturating_sub(len - 1));
-        let mut sum = 0u64;
-        for abs in lo..=abs_now {
-            let i = (abs % len) as usize;
-            // ordering: Relaxed — one load reads tag and count
-            // together, so a torn tag/count pair is impossible and
-            // nothing else is published through this word.
-            let word = self.slots[i].load(Ordering::Relaxed);
-            if packed_tag(word) == packed_tag_of(abs) {
-                sum += packed_count(word);
-            }
-        }
-        sum
+        (lo..=abs_now)
+            .map(|abs| self.slots[(abs % len) as usize].count_at(abs))
+            .sum()
     }
 }
 
@@ -448,24 +457,24 @@ impl WindowStats {
 
     /// Renders the reading as a flat JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"label\":\"{}\",\"completed\":{},\"failed\":{},\"aborted\":{},",
-                "\"throughput_rps\":{:.3},\"error_rate\":{:.6},\"abort_rate\":{:.6},",
-                "\"latency_ms\":{{\"p50\":{:.6},\"p95\":{:.6},\"p99\":{:.6},\"mean\":{:.6}}}}}"
-            ),
-            self.label,
-            self.completed,
-            self.failed,
-            self.aborted,
-            self.throughput_rps,
-            self.error_rate,
-            self.abort_rate,
-            self.latency_p50.as_secs_f64() * 1e3,
-            self.latency_p95.as_secs_f64() * 1e3,
-            self.latency_p99.as_secs_f64() * 1e3,
-            self.latency_mean.as_secs_f64() * 1e3,
-        )
+        json::object(|o| {
+            o.str("label", &self.label)
+                .int("completed", self.completed)
+                .int("failed", self.failed)
+                .int("aborted", self.aborted)
+                .fixed("throughput_rps", self.throughput_rps, 3)
+                .fixed("error_rate", self.error_rate, 6)
+                .fixed("abort_rate", self.abort_rate, 6)
+                .object("latency_ms", |l| {
+                    let latency = [
+                        self.latency_p50,
+                        self.latency_p95,
+                        self.latency_p99,
+                        self.latency_mean,
+                    ];
+                    quantiles_ms(l, latency)
+                });
+        })
     }
 }
 
@@ -486,25 +495,12 @@ pub struct WindowSnapshot {
 impl WindowSnapshot {
     /// Renders this window (total + breakdowns) as a JSON object.
     pub fn to_json(&self) -> String {
-        let shards = self
-            .shards
-            .iter()
-            .map(WindowStats::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        let precisions = self
-            .precisions
-            .iter()
-            .map(WindowStats::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"window_s\":{:.3},\"total\":{},\"shards\":[{}],\"precisions\":[{}]}}",
-            self.window.as_secs_f64(),
-            self.total.to_json(),
-            shards,
-            precisions,
-        )
+        json::object(|o| {
+            o.fixed("window_s", self.window.as_secs_f64(), 3)
+                .raw("total", &self.total.to_json())
+                .raw_array("shards", &self.shards, WindowStats::to_json)
+                .raw_array("precisions", &self.precisions, WindowStats::to_json);
+        })
     }
 }
 

@@ -20,10 +20,15 @@
 //! 4. **facade-only** — migrated modules never name `std::sync` /
 //!    `std::thread` directly; `pcnn_sync` is the single seam. Escape
 //!    hatch: a `// lint: allow(std-sync)` comment on the line.
+//! 5. **json-writer-only** — JSON is emitted through
+//!    `pcnn_runtime::json`, never hand-rolled: a string literal inside
+//!    a `format!` / `write!` / `writeln!` / `push_str` call may not
+//!    spell an escaped-brace object opener or a quoted key. The writer
+//!    module itself and integration-test directories are exempt.
 //!
 //! The checks are intentionally textual (no `syn` on this offline
 //! toolchain): line-oriented, comment/string aware, with `#[cfg(test)]`
-//! (and `#[cfg(all(test, …))]`) regions skipped for rules 2 and 4. `--fixtures` runs the audit
+//! (and `#[cfg(all(test, …))]`) regions skipped for rules 2, 4 and 5. `--fixtures` runs the audit
 //! against `crates/xtask/fixtures/`, where every file carries
 //! `//~ ERROR <rule>` markers, and fails unless the findings match the
 //! markers exactly — the lint's own regression test.
@@ -51,6 +56,17 @@ const FACADE_SCOPE: &[&str] = &[
     "crates/runtime/src/profile.rs",
 ];
 
+/// The one module allowed to spell JSON syntax in string literals.
+const JSON_MODULE: &str = "crates/runtime/src/json.rs";
+
+/// Calls whose string literals the json-writer-only rule inspects.
+const EMITTER_CALLS: &[&str] = &["format!(", "write!(", "writeln!(", "push_str("];
+
+/// What a hand-rolled JSON emitter looks like in source text: an
+/// escaped `{` followed by an escaped quote (an object opening inside a
+/// format string), or an escaped quote followed by `:` (a quoted key).
+const JSON_NEEDLES: &[&str] = &["{{\\\"", "\\\":"];
+
 /// How many lines above a flagged line a justifying comment may sit.
 const COMMENT_WINDOW: usize = 6;
 
@@ -58,6 +74,7 @@ const RULE_UNSAFE: &str = "unsafe-comment";
 const RULE_ORDERING: &str = "ordering-justified";
 const RULE_INTRINSICS: &str = "gated-intrinsics";
 const RULE_FACADE: &str = "facade-only";
+const RULE_JSON: &str = "json-writer-only";
 
 pub struct Violation {
     pub file: PathBuf,
@@ -108,6 +125,7 @@ fn run_tree(root: &Path) -> ExitCode {
     let mut files = Vec::new();
     collect_rs(&root.join("crates"), &mut files);
     collect_rs(&root.join("src"), &mut files);
+    collect_rs(&root.join("examples"), &mut files);
     files.sort();
 
     let mut violations = Vec::new();
@@ -192,7 +210,13 @@ fn run_fixtures(root: &Path) -> ExitCode {
             }
         }
     }
-    for rule in [RULE_UNSAFE, RULE_ORDERING, RULE_INTRINSICS, RULE_FACADE] {
+    for rule in [
+        RULE_UNSAFE,
+        RULE_ORDERING,
+        RULE_INTRINSICS,
+        RULE_FACADE,
+        RULE_JSON,
+    ] {
         if !rules_seen.iter().any(|r| r == rule) {
             eprintln!("fixture GAP: no fixture exercises rule [{rule}]");
             failed = true;
@@ -238,7 +262,11 @@ struct LineInfo {
     code: String,
     /// The `//` comment text, if any (block-comment text folded in).
     comment: String,
+    /// The contents of the line's string literals, as typed.
+    strings: String,
     in_test: bool,
+    /// Inside the parentheses of a `format!`-family / `push_str` call.
+    in_emitter: bool,
     in_tf_fn: bool,
 }
 
@@ -254,6 +282,7 @@ fn lint_text(rel: &str, text: &str, force_all_scopes: bool) -> Vec<Violation> {
 
     let ordering_scope = force_all_scopes || in_scope(rel, ORDERING_SCOPE);
     let facade_scope = force_all_scopes || in_scope(rel, FACADE_SCOPE);
+    let json_scope = force_all_scopes || !(rel == JSON_MODULE || rel.contains("/tests/"));
 
     for (i, info) in lines.iter().enumerate() {
         let lineno = i + 1;
@@ -295,6 +324,22 @@ fn lint_text(rel: &str, text: &str, force_all_scopes: bool) -> Vec<Violation> {
                 rule: RULE_INTRINSICS,
                 msg: "arch intrinsic outside a `#[target_feature]`-gated fn \
                       (dispatch through the `tensor::simd` tokens)"
+                    .to_string(),
+            });
+        }
+
+        // Rule 5: JSON goes through the writer.
+        if json_scope
+            && !info.in_test
+            && info.in_emitter
+            && JSON_NEEDLES.iter().any(|n| info.strings.contains(n))
+        {
+            out.push(Violation {
+                file: PathBuf::from(rel),
+                line: lineno,
+                rule: RULE_JSON,
+                msg: "hand-rolled JSON in a format/write/push_str literal \
+                      (build it with `pcnn_runtime::json`)"
                     .to_string(),
             });
         }
@@ -386,17 +431,20 @@ fn scan(text: &str) -> Vec<LineInfo> {
     let mut in_block_comment = false;
     let mut in_string = false;
     for raw in text.lines() {
-        let (code, comment, still_in_block, still_in_string) =
+        let (code, comment, strings, still_in_block, still_in_string) =
             split_line(raw, in_block_comment, in_string);
         in_block_comment = still_in_block;
         in_string = still_in_string;
         infos.push(LineInfo {
             code,
             comment,
+            strings,
             in_test: false,
+            in_emitter: false,
             in_tf_fn: false,
         });
     }
+    mark_emitter_calls(&mut infos);
     mark_regions(&mut infos, "#[cfg(test)]", false, |l, v| l.in_test = v);
     mark_regions(&mut infos, "#[cfg(all(test", false, |l, v| l.in_test = v);
     mark_regions(&mut infos, "#[target_feature", false, |l, v| l.in_tf_fn = v);
@@ -405,6 +453,30 @@ fn scan(text: &str) -> Vec<LineInfo> {
         l.in_tf_fn = v
     });
     infos
+}
+
+/// Marks every line from an emitter call's opening parenthesis to its
+/// matching close (parentheses are counted on blanked code, so the
+/// ones inside string literals do not count).
+fn mark_emitter_calls(infos: &mut [LineInfo]) {
+    let mut depth = 0usize;
+    for info in infos {
+        let mut rest = info.code.as_str();
+        if depth == 0 {
+            let Some(at) = EMITTER_CALLS.iter().filter_map(|c| rest.find(c)).min() else {
+                continue;
+            };
+            rest = &rest[at..];
+        }
+        info.in_emitter = true;
+        for c in rest.chars() {
+            match c {
+                '(' => depth += 1,
+                ')' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+    }
 }
 
 /// Marks the braced item following each `marker` line (attribute runs
@@ -465,9 +537,14 @@ fn mark_regions(
 /// multi-line string continues on the next line, with or without a
 /// trailing `\`). String and char-literal contents are blanked in the
 /// code part so their bytes never trigger rules.
-fn split_line(raw: &str, mut in_block: bool, mut in_str: bool) -> (String, String, bool, bool) {
+fn split_line(
+    raw: &str,
+    mut in_block: bool,
+    mut in_str: bool,
+) -> (String, String, String, bool, bool) {
     let mut code = String::with_capacity(raw.len());
     let mut comment = String::new();
+    let mut strings = String::new();
     let bytes: Vec<char> = raw.chars().collect();
     let mut i = 0;
     let n = bytes.len();
@@ -486,6 +563,7 @@ fn split_line(raw: &str, mut in_block: bool, mut in_str: bool) -> (String, Strin
         if in_str {
             if c == '\\' {
                 code.push(' ');
+                strings.extend(&bytes[i..(i + 2).min(n)]);
                 i += 2;
                 continue;
             }
@@ -494,6 +572,7 @@ fn split_line(raw: &str, mut in_block: bool, mut in_str: bool) -> (String, Strin
                 code.push('"');
             } else {
                 code.push(' ');
+                strings.push(c);
             }
             i += 1;
             continue;
@@ -537,7 +616,7 @@ fn split_line(raw: &str, mut in_block: bool, mut in_str: bool) -> (String, Strin
             }
         }
     }
-    (code, comment, in_block, in_str)
+    (code, comment, strings, in_block, in_str)
 }
 
 #[cfg(test)]
@@ -550,12 +629,13 @@ mod tests {
 
     #[test]
     fn split_strips_comments_and_strings() {
-        let (code, comment, inb, ins) =
+        let (code, comment, strings, inb, ins) =
             split_line(r#"let x = "unsafe // no"; // SAFETY: yes"#, false, false);
         assert!(!inb);
         assert!(!ins);
         assert!(!code.contains("unsafe"));
         assert!(comment.contains("SAFETY: yes"));
+        assert_eq!(strings, "unsafe // no");
     }
 
     #[test]
@@ -681,6 +761,27 @@ mod tests {
         let waived = "use std::sync::Mutex; // lint: allow(std-sync) — seed for model history\n";
         assert!(lint("crates/serve/src/queue.rs", waived).is_empty());
         assert!(lint("crates/runtime/src/quant_kernels.rs", bad).is_empty());
+    }
+
+    #[test]
+    fn hand_rolled_json_flagged_in_emitter_calls_only() {
+        let key = "fn f(v: u64) -> String {\n    format!(\n        \"\\\"calls\\\":{}\",\n        v\n    )\n}\n";
+        let v = lint("crates/serve/src/trace.rs", key);
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].rule, v[0].line), (RULE_JSON, 3));
+        let opener = "fn f(o: &mut String) { o.push_str(\"{{\\\"a\"); }\n";
+        assert_eq!(lint("examples/demo.rs", opener).len(), 1);
+        // The same literals outside an emitter call (a test-style
+        // `contains` probe), in a Prometheus label set, in the writer
+        // module, in test code, or in an integration test are fine.
+        let probe = "fn f(j: &str) -> bool { j.contains(\"\\\"calls\\\":3\") }\n";
+        assert!(lint("crates/serve/src/trace.rs", probe).is_empty());
+        let prom = "fn f(o: &mut String, i: u8) { write!(o, \"x{{shard=\\\"{i}\\\"}} 1\"); }\n";
+        assert!(lint("crates/serve/src/metrics.rs", prom).is_empty());
+        assert!(lint("crates/runtime/src/json.rs", key).is_empty());
+        assert!(lint("crates/serve/tests/golden_json.rs", key).is_empty());
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{key}}}\n");
+        assert!(lint("crates/serve/src/trace.rs", &in_test).is_empty());
     }
 
     #[test]

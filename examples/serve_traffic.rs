@@ -27,7 +27,7 @@
 use pcnn::core::PrunePlan;
 use pcnn::nn::models::{vgg16_proxy, VggProxyConfig};
 use pcnn::runtime::compile::{prune_and_compile, CompileOptions};
-use pcnn::runtime::Engine;
+use pcnn::runtime::{json, Engine};
 use pcnn::serve::{
     AttributionReport, BreakerState, EventCode, FaultPlan, HealthState, IncidentTrigger,
     RetryPolicy, ServeConfig, ServeError, Server, ShutdownMode, SloConfig, SupervisorConfig,
@@ -237,7 +237,7 @@ fn trace_demo(smoke: bool, shards: usize) {
 /// traced, the profiler is on, and the run decomposes recorded spans
 /// into queue-wait / coalesce / dispatch-wait / execute /
 /// completion-notify segments per rolling window and percentile band,
-/// cross-references the engine's pad/kernel/epilogue phase split,
+/// cross-references the engine's pad/kernel phase split,
 /// checks the health engine reports `Healthy` at this (comfortable)
 /// load, and writes the attribution + health blocks into
 /// `PROFILE_serve.json` for CI to parse.
@@ -312,15 +312,11 @@ fn attribution_demo(smoke: bool, shards: usize) {
     assert!(prom.contains("pcnn_build_info{version="));
 
     // --- PROFILE_serve.json with attribution + health blocks --------------
-    let profile_json = profile.to_json();
-    let body = profile_json
-        .strip_suffix('}')
-        .expect("profile JSON is an object");
-    let json = format!(
-        "{body},\"attribution\":{},\"health\":{}}}",
-        report.to_json(),
-        health.to_json()
-    );
+    let json = json::object(|o| {
+        o.extend(&profile.to_json())
+            .raw("attribution", &report.to_json())
+            .raw("health", &health.to_json());
+    });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/PROFILE_serve.json");
     std::fs::write(path, &json).expect("write PROFILE_serve.json");
     println!("profile + attribution written to {path}");
@@ -415,15 +411,11 @@ fn incident_demo(smoke: bool, shards: usize) {
     // --- PROFILE_serve.json with diagnostics + incident blocks ------------
     let diag = server.diagnostics();
     assert_eq!(diag.trigger, IncidentTrigger::OnDemand);
-    let profile_json = server.engine().exec_profile().to_json();
-    let body = profile_json
-        .strip_suffix('}')
-        .expect("profile JSON is an object");
-    let json = format!(
-        "{body},\"diagnostics\":{},\"incident\":{}}}",
-        diag.to_json(),
-        incident.to_json()
-    );
+    let json = json::object(|o| {
+        o.extend(&server.engine().exec_profile().to_json())
+            .raw("diagnostics", &diag.to_json())
+            .raw("incident", &incident.to_json());
+    });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/PROFILE_serve.json");
     std::fs::write(path, &json).expect("write PROFILE_serve.json");
     println!("profile + diagnostics + incident written to {path}");
@@ -583,24 +575,24 @@ fn chaos_demo(smoke: bool, shards: usize) {
 
     // --- CHAOS_serve.json for CI ------------------------------------------
     let snap = server.metrics().snapshot();
-    let statuses: Vec<String> = (0..server.shards())
-        .map(|i| {
-            let s = server.shard_status(i);
-            format!(
-                "{{\"shard\":{},\"generation\":{},\"restarts\":{},\"breaker\":\"{}\"}}",
-                s.shard, s.generation, s.restarts, s.breaker
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"crashes_fired\":{},\"stalls_fired\":{},\"health\":\"{}\",\"shards\":[{}],\"telemetry\":{},\"events\":{}}}",
-        faults.crashes_fired(),
-        faults.stalls_fired(),
-        health.state,
-        statuses.join(","),
-        snap.to_json(),
-        journal.to_json(),
-    );
+    let json = json::object(|o| {
+        o.int("crashes_fired", faults.crashes_fired())
+            .int("stalls_fired", faults.stalls_fired())
+            .str("health", health.state.label())
+            .array("shards", |a| {
+                for i in 0..server.shards() {
+                    let s = server.shard_status(i);
+                    a.object(|o| {
+                        o.int("shard", s.shard)
+                            .int("generation", s.generation)
+                            .int("restarts", s.restarts)
+                            .str("breaker", &s.breaker.to_string());
+                    });
+                }
+            })
+            .raw("telemetry", &snap.to_json())
+            .raw("events", &journal.to_json());
+    });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/CHAOS_serve.json");
     std::fs::write(path, &json).expect("write CHAOS_serve.json");
     println!("chaos drill report written to {path}");
