@@ -9,8 +9,8 @@
 //! * `scalar` — SIMD pinned to the scalar fallback, per-kernel walk;
 //! * `simd`   — the active SIMD tier (AVX2 where detected), per-kernel
 //!   walk (what every geometry without a tile runs);
-//! * `tiled`  — active SIMD tier on the output-stationary tile walk,
-//!   the production path (width 2 has no tile and repeats `simd`).
+//! * `tiled`  — active SIMD tier on the band-resident tile walk, the
+//!   production path (width 2 has no tile and repeats `simd`).
 //!
 //! Each tier's *layer speedup* is measured against a dense baseline
 //! running the **same machinery** with the full 9-tap pattern

@@ -22,16 +22,29 @@
 //!    distilled [`PatternSet`] (one kernel per SPM code) or the full 2⁹
 //!    pattern space, and keeps one flat per-code tap-offset table for
 //!    the padded width its layer runs at. Both precisions execute a
-//!    layer with **one output-stationary walk**
-//!    ([`pcnn_tensor::direct::tile_walk_at`]): per output channel and
-//!    image, a register tile of the output plane is seeded with the
-//!    bias, every live input-channel kernel streams its taps through it
-//!    in ascending `ic` (SPM order as stored — nothing is reordered or
-//!    repacked), and the fused ReLU / int8 requantisation runs on the
-//!    registers before a single store. Geometries without a tile
-//!    (stride ≠ 1, kernels other than 3×3 pad 1, untiled widths, more
-//!    than 9 taps) run the same channel loop one kernel per dispatch;
-//!    geometry alone chooses, and the two agree bit for bit.
+//!    layer with **one band-resident, output-stationary walk**
+//!    ([`pcnn_tensor::direct::band_walk_at`]). Loop order: image → row
+//!    band → output channel → register tile → live kernel. Entering a
+//!    band, its rows of all `in_c` input planes are padded (f32: a
+//!    copy; int8: quantised at that image's scale) into a band-sized
+//!    scratch; then every output channel runs over it — a register
+//!    tile of the output plane is seeded with the bias, every live
+//!    input-channel kernel streams its taps through it in ascending
+//!    `ic` (SPM order as stored — nothing is reordered or repacked),
+//!    and the fused ReLU / int8 requantisation runs on the registers
+//!    before a single store. A band is a whole number of tiles, as
+//!    many as keep its `rows + 2` padded rows of all input planes
+//!    inside 32 KiB ([`pcnn_tensor::direct::BAND_BYTES`]) and never
+//!    fewer than one: f32 at 64 channels × 16 wide is one 4-row tile
+//!    (27 KiB), int8 and thin layers hold the whole plane. The band is
+//!    the operand every output channel re-reads, so it is the one
+//!    sized to live in L1; the weights are read once per band and
+//!    stream from L2 (each kernel's `n` values feed `n × rows × ow`
+//!    MACs per read), and partial sums never leave registers.
+//!    Geometries without a tile (stride ≠ 1, kernels other than 3×3
+//!    pad 1, untiled widths, more than 9 taps) pad the whole batch and
+//!    run a channel loop one kernel per dispatch; geometry alone
+//!    chooses, and the two agree bit for bit.
 //!
 //! 2. **Layer compiler** ([`compile`]). A pruned model lowers to an
 //!    immutable [`graph::ExecutableGraph`] of ops ([`ops::Op`]):
@@ -54,9 +67,8 @@
 //!    ([`engine::Engine::infer_coalesced`],
 //!    [`engine::Engine::infer_coalesced_async`]): same-shape
 //!    single-image requests stack into one batched graph pass, which
-//!    amortises padded-plane construction and each output channel's
-//!    kernel decode across the whole batch
-//!    ([`PatternConv::forward_batch`]).
+//!    amortises per-op dispatch, offset tables and scratch across the
+//!    whole batch ([`PatternConv::forward_batch`]).
 //!
 //! 4. **Quantised backend** ([`quant_conv`], [`quant_kernels`]). The
 //!    same compiled topology carries an optional **int8** lowering
@@ -65,8 +77,8 @@
 //!    `pcnn_core::quant` while the pattern codes, registries, and offset
 //!    tables are shared verbatim — the economy the paper's SPM format
 //!    exists for. Execution quantises activations per image (fused into
-//!    plane padding), accumulates `i8 × i8` MACs in an `i32` register
-//!    tile of the same walk, and requantises it in registers with the
+//!    the walk's band padding), accumulates `i8 × i8` MACs in an `i32`
+//!    register tile of the same walk, and requantises it in registers with the
 //!    folded BN shift and fused ReLU
 //!    ([`quant_conv::QuantPatternConv`]). [`quant_conv::Precision`]
 //!    selects the datapath per call ([`engine::Engine::infer_with`],
@@ -107,9 +119,12 @@
 //! The parity suite (`tests/parity.rs`) checks sparse execution against
 //! the dense im2col reference to 1e-5 for every proxy network of the
 //! paper's zoo at n = 2 and n = 4, fused and unfused, and holds the
-//! tile walk against the per-kernel walk bit for bit on every proxy
-//! layer; property tests do the same over generated geometries and
-//! round-trip random pattern assignments through the kernel registry.
+//! band walk against the per-kernel walk bit for bit on every proxy
+//! layer; property tests do the same over generated geometries (every
+//! band shape included) and round-trip random pattern assignments
+//! through the kernel registry; `tests/bit_identity.rs` pins the
+//! outputs of two proxies to checksums recorded before the band walk
+//! existed.
 //!
 //! [`PatternSet`]: pcnn_core::PatternSet
 

@@ -114,7 +114,7 @@ impl Op {
                 y
             }
             Op::Relu => tops::relu_forward(x),
-            Op::MaxPool { window } => pool::maxpool2d_forward(x, *window).output,
+            Op::MaxPool { window } => pool::maxpool2d_infer(x, *window),
             Op::GlobalAvgPool => pool::global_avgpool_forward(x),
             Op::Flatten => {
                 let n = x.shape()[0];

@@ -1,19 +1,23 @@
 //! The executable pattern-sparse convolution layer.
 //!
 //! [`PatternConv`] owns an SPM-encoded weight layer plus its compiled
-//! [`KernelRegistry`] and executes the convolution directly: each input
-//! plane is zero-padded once per batch, then one **output-stationary
-//! walk** computes the output channel by channel — a register tile of
-//! the output plane is seeded with the bias, every live input-channel
-//! kernel of that channel streams its `n` taps through it in ascending
-//! `ic`, and the fused ReLU runs on the registers on the way to a
-//! single store ([`pcnn_tensor::direct::tile_walk_at`]). Geometries
-//! without a tile (stride ≠ 1, kernels other than 3×3 pad 1, untiled
-//! widths, more than 9 taps) run the same channel loop one kernel at a
-//! time through [`pcnn_tensor::direct::accumulate_plane_batch_dyn`];
-//! both produce bit-identical results. Compared with dense im2col this
-//! touches `n/k²` of the weights and never materialises the column
-//! matrix.
+//! [`KernelRegistry`] and executes the convolution directly with one
+//! **band-resident, output-stationary walk**
+//! ([`pcnn_tensor::direct::band_walk_at`]): image by image, one row
+//! band of all `in_c` input planes — sized to stay in L1 — is
+//! zero-padded into a band-sized scratch, and every output channel
+//! then runs over it: a register tile of the output plane is seeded
+//! with the bias, every live input-channel kernel of that channel
+//! streams its `n` taps through it in ascending `ic`, and the fused
+//! ReLU runs on the registers on the way to a single store. The band
+//! is the operand read `out_c` times, so it is the one kept close; the
+//! weights stream past once per band. Geometries without a tile
+//! (stride ≠ 1, kernels other than 3×3 pad 1, untiled widths, more
+//! than 9 taps) pad the whole batch once and run a channel loop one
+//! kernel at a time through
+//! [`pcnn_tensor::direct::accumulate_plane_batch_dyn`]; both produce
+//! bit-identical results. Compared with dense im2col this touches
+//! `n/k²` of the weights and never materialises the column matrix.
 //!
 //! Kernels whose non-zero sequence is entirely zero — the signature of
 //! an *orthogonal* coarse-grained pruning pass (kernel/channel pruning
@@ -26,8 +30,8 @@ use pcnn_core::pattern::PatternSet;
 use pcnn_core::spm::{EncodeSpmError, SpmLayer};
 use pcnn_tensor::conv::Conv2dShape;
 use pcnn_tensor::direct::{
-    accumulate_plane_batch_dyn_at, has_tile, pad_plane_overwrite, padded_dims, relu_in_place_at,
-    tile_walk_at, BatchPlanes, BiasRelu, SpmKernels,
+    accumulate_plane_batch_dyn_at, band_walk_at, has_tile, pad_plane_overwrite, padded_dims,
+    relu_in_place_at, BatchPlanes, BiasRelu, SpmKernels,
 };
 use pcnn_tensor::simd::{self, SimdLevel};
 use pcnn_tensor::Tensor;
@@ -38,8 +42,8 @@ use std::time::Instant;
 /// [`Walk::PerKernel`] to hold the two against each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Walk {
-    /// The output-stationary tile walk wherever the geometry has a
-    /// tile ([`pcnn_tensor::direct::has_tile`]), per-kernel elsewhere.
+    /// The band-resident tile walk wherever the geometry has a tile
+    /// ([`pcnn_tensor::direct::has_tile`]), per-kernel elsewhere.
     Tiled,
     /// One dispatch per live `(oc, ic)` kernel on every geometry.
     PerKernel,
@@ -167,17 +171,18 @@ impl PatternConv {
         self.forward_tensor(input, None)
     }
 
-    /// The batched execution path: pads **every** plane of **every**
-    /// image once per batch, then walks the layer output channel by
-    /// output channel (see the module docs), all images of the batch
-    /// under one channel's kernels while they are hot. This is what
-    /// makes dynamic batching in `pcnn-serve` cheaper than per-image
-    /// dispatch even on a single core.
+    /// The batched execution path: one walk over the whole batch (see
+    /// the module docs), so the offset table, the dispatch and the
+    /// scratch are paid once per layer rather than once per image —
+    /// what makes dynamic batching in `pcnn-serve` cheaper than
+    /// per-image dispatch even on a single core.
     ///
     /// `input` is `n` contiguous `in_c × h × w` images; `out` is `n`
     /// contiguous `out_c × oh × ow` outputs, fully overwritten.
-    /// `scratch` is reused across calls (grows to `n · in_c` padded
-    /// planes).
+    /// `scratch` is reused across calls: it grows to one band of padded
+    /// planes (at most [`pcnn_tensor::direct::BAND_BYTES`] unless one
+    /// tile's rows exceed that), or to `n · in_c` padded planes where
+    /// the geometry has no tile.
     ///
     /// # Panics
     ///
@@ -218,8 +223,9 @@ impl PatternConv {
 
     /// [`PatternConv::forward`] with per-phase instrumentation into a
     /// profiler slot — the profiled graph walk's entry point. The
-    /// caller's entry time anchors the pass, so output allocation counts
-    /// into the pad phase.
+    /// caller's entry time anchors the pass: the pad phase is
+    /// everything before the first kernel (output allocation included)
+    /// plus every band's padding.
     pub(crate) fn forward_profiled(&self, input: &Tensor, stats: &LayerStats) -> Tensor {
         self.forward_tensor(input, Some((stats, Instant::now())))
     }
@@ -270,10 +276,58 @@ impl PatternConv {
         let (ph, pw) = padded_dims(h, w, shape.pad);
         let plane_len = ph * pw;
         let in_c = shape.in_c;
+        let nz = self.spm.nonzeros_per_kernel();
+        let offsets = self.registry.offset_table(pw);
+        let record = |pad_ns: u64, dispatches: u64, padded: usize| {
+            if let Some((stats, start)) = profile {
+                let total = start.elapsed().as_nanos() as u64;
+                stats.record_conv(&ConvPass {
+                    images: n as u64,
+                    pad_ns,
+                    kernel_ns: total.saturating_sub(pad_ns),
+                    kernel_dispatches: dispatches,
+                    zero_kernels_skipped: self.skipped_kernels() as u64,
+                    padded_bytes: (padded * std::mem::size_of::<f32>()) as u64,
+                    level,
+                });
+            }
+        };
+        // Everything before the first kernel is the pad phase.
+        let since_entry = || profile.map_or(0, |(_, start)| start.elapsed().as_nanos() as u64);
 
-        // Pad each input plane once per batch, all images up front. The
-        // overwrite variant tolerates stale scratch contents, so a
-        // reused buffer costs one write per element, not two.
+        if walk == Walk::Tiled && has_tile(shape, nz, oh, ow) {
+            let kernels = SpmKernels {
+                codes: self.spm.codes(),
+                weights: self.spm.nonzeros(),
+                skip: &self.skip,
+                offsets: &offsets,
+                taps: nz,
+                in_c,
+            };
+            let epilogue = BiasRelu {
+                bias: self.bias.as_deref(),
+                relu: self.relu,
+            };
+            let prologue_ns = since_entry();
+            let pass = band_walk_at(
+                level,
+                &kernels,
+                epilogue,
+                input,
+                out,
+                oh,
+                ow,
+                scratch,
+                profile.is_some(),
+            );
+            record(prologue_ns + pass.pad_ns, 1, pass.padded);
+            return;
+        }
+
+        // No tile for this geometry: pad each input plane once per
+        // batch, all images up front. The overwrite variant tolerates
+        // stale scratch contents, so a reused buffer costs one write
+        // per element, not two.
         let scratch_len = n * in_c * plane_len;
         if scratch.len() < scratch_len {
             scratch.resize(scratch_len, 0.0);
@@ -288,23 +342,8 @@ impl PatternConv {
                 &mut scratch[pi * plane_len..(pi + 1) * plane_len],
             );
         }
+        let pad_ns = since_entry();
 
-        // Phase boundary: padding (plus the caller's output allocation)
-        // is the pad phase; the walk, epilogue included, is the kernel
-        // phase.
-        let pad_done = profile.is_some().then(Instant::now);
-
-        let nz = self.spm.nonzeros_per_kernel();
-        let offsets = self.registry.offset_table(pw);
-        let tiled = walk == Walk::Tiled && has_tile(shape, nz, oh, ow);
-        let kernels = SpmKernels {
-            codes: self.spm.codes(),
-            weights: self.spm.nonzeros(),
-            skip: &self.skip,
-            offsets: &offsets,
-            taps: nz,
-            in_c,
-        };
         let mut dispatches = 0u64;
         for oc in 0..shape.out_c {
             let bias = self.bias.as_ref().map_or(0.0, |b| b[oc]);
@@ -318,17 +357,8 @@ impl PatternConv {
                 plane_len,
                 n,
             };
-            if tiled {
-                let epilogue = BiasRelu {
-                    bias,
-                    relu: self.relu,
-                };
-                tile_walk_at(level, &kernels, oc, epilogue, scratch, out, geo, oh, ow);
-                dispatches += 1;
-                continue;
-            }
-            // No tile for this geometry: seed the channel's planes with
-            // the bias, add one kernel at a time, then the ReLU.
+            // Seed the channel's planes with the bias, add one kernel
+            // at a time, then the ReLU.
             for ni in 0..n {
                 let base = ni * out_img + oc * out_plane_len;
                 out[base..base + out_plane_len].fill(bias);
@@ -363,20 +393,7 @@ impl PatternConv {
                 }
             }
         }
-
-        if let Some((stats, start)) = profile {
-            let total = start.elapsed().as_nanos() as u64;
-            let pad_ns = pad_done.map_or(0, |p| (p - start).as_nanos() as u64);
-            stats.record_conv(&ConvPass {
-                images: n as u64,
-                pad_ns,
-                kernel_ns: total.saturating_sub(pad_ns),
-                kernel_dispatches: dispatches,
-                zero_kernels_skipped: self.skipped_kernels() as u64,
-                padded_bytes: (scratch_len * std::mem::size_of::<f32>()) as u64,
-                level,
-            });
-        }
+        record(pad_ns, dispatches, scratch_len);
     }
 
     /// Executes one `in_c × h × w` image into a preallocated
@@ -399,6 +416,7 @@ mod tests {
     use super::*;
     use pcnn_core::project::project_onto_set;
     use pcnn_tensor::conv::conv2d_direct;
+    use pcnn_tensor::direct::BAND_BYTES;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn random_pruned(out_c: usize, in_c: usize, set: &PatternSet, seed: u64) -> Tensor {
@@ -520,6 +538,24 @@ mod tests {
                 assert_eq!(single, &whole.as_slice()[ni * out_len..(ni + 1) * out_len]);
             }
         }
+    }
+
+    #[test]
+    fn tiled_scratch_is_one_band_not_one_batch() {
+        // 8 images × 64 planes of 16×16: the padded batch would be
+        // 165 888 floats (648 KiB); one band is 64 × 6 × 18.
+        let set = PatternSet::full(9, 4);
+        let shape = Conv2dShape::new(64, 2, 3, 1, 1);
+        let w = random_pruned(2, 64, &set, 51);
+        let conv = PatternConv::from_dense(&w, shape, &set).expect("encode");
+        let batch = random_input(&[8, 64, 16, 16], 53);
+        let mut out = vec![0.0f32; 8 * 2 * 16 * 16];
+        let mut scratch = Vec::new();
+        conv.forward_batch(batch.as_slice(), 8, 16, 16, &mut out, &mut scratch);
+        assert_eq!(scratch.len(), 64 * 6 * 18);
+        assert!(scratch.len() <= BAND_BYTES / std::mem::size_of::<f32>());
+        let want = conv2d_direct(&batch, &w, None, &shape);
+        pcnn_tensor::assert_slices_close(&out, want.as_slice(), 1e-4);
     }
 
     #[test]

@@ -8,16 +8,20 @@
 //! `Engine::enable_profiling`), at which point every graph pass records
 //! per-layer wall time split by phase:
 //!
-//! * **pad** — padded-plane construction, including activation
-//!   quantisation and accumulator setup on the int8 path;
-//! * **kernel** — the kernel walk, fused ReLU / requantisation
-//!   included: the epilogue runs on the output tile's registers, so
-//!   there is no separate phase to time and `pad + kernel = total`.
+//! * **pad** — everything before the first kernel of the pass (output
+//!   allocation, the int8 path's per-image scale derivation) plus
+//!   padded-plane construction, activation quantisation included. The
+//!   band walk pads one row band at a time between kernel runs, so its
+//!   share is the sum over bands, each timed only while profiling;
+//! * **kernel** — the rest of the pass: the kernel walk, fused ReLU /
+//!   requantisation included. The epilogue runs on the output tile's
+//!   registers, so there is no separate phase to time and
+//!   `pad + kernel = total`.
 //!
-//! Convolution layers additionally count kernel dispatches (tile-walk
-//! calls, one per output channel; live kernels on geometries without a
-//! tile), zero kernels skipped, bytes of padded planes built, and the
-//! SIMD tier actually dispatched. The aggregate snapshot
+//! Convolution layers additionally count kernel dispatches (one per
+//! band-walk call, i.e. per layer pass; live kernels on geometries
+//! without a tile), zero kernels skipped, bytes written by padding, and
+//! the SIMD tier actually dispatched. The aggregate snapshot
 //! ([`ExecProfile`]) is the measured per-layer cost model the
 //! bench-driven kernel-plan work consumes — the same role profiled
 //! execution plays in the PatDNN/PCONV compiler line.
@@ -286,19 +290,23 @@ pub struct LayerProfile {
     pub calls: u64,
     /// Images processed across those passes.
     pub images: u64,
-    /// Wall time in the pad/quantise phase.
+    /// Wall time in the pad/quantise phase: the pass's prologue plus,
+    /// for the band walk, the sum over its bands.
     pub pad_ns: u64,
     /// Wall time in the kernel walk, fused ReLU / requantisation
     /// included (whole-op time for non-convolution layers).
     pub kernel_ns: u64,
     /// `pad_ns + kernel_ns`.
     pub total_ns: u64,
-    /// Kernel dispatches issued: tile-walk calls (one per output
-    /// channel), or live kernels where the geometry has no tile.
+    /// Kernel dispatches issued: band-walk calls (one per pass), or
+    /// live kernels where the geometry has no tile.
     pub kernel_dispatches: u64,
     /// All-zero kernels skipped per pass.
     pub zero_kernels_skipped: u64,
-    /// Bytes of padded input planes built across passes.
+    /// Bytes written by padding across passes: every band of every
+    /// image for the band walk (a halo row counts once per band that
+    /// holds it), the whole padded batch where the geometry has no
+    /// tile.
     pub padded_bytes: u64,
     /// SIMD tier last dispatched (`"-"` until a conv pass records).
     pub simd_level: &'static str,

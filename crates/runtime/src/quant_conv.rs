@@ -14,18 +14,21 @@
 //!
 //! 1. activations quantise per image (`i8`, symmetric, scale from that
 //!    image's max-abs — so a request's result never depends on its
-//!    batch peers), fused into the padded-plane construction the
-//!    batched runtime performs anyway;
+//!    batch peers), fused into the band padding of the walk
+//!    ([`pcnn_tensor::direct::band_walk_at`], the walk
+//!    [`crate::pattern_conv::PatternConv`] runs in f32): an i8 band
+//!    holds four times the rows of an f32 one, so most layers quantise
+//!    each image's planes whole, once;
 //! 2. every surviving tap contributes an `i8 × i8` MAC into an `i32`
 //!    accumulator — a register tile of the output plane that every
-//!    live kernel of the output channel streams through
-//!    ([`pcnn_tensor::direct::tile_walk_at`], the walk
-//!    [`crate::pattern_conv::PatternConv`] runs in f32);
+//!    live kernel of the output channel streams through;
 //! 3. requantisation maps the tile back to `f32` (`acc · s_w · s_a`),
 //!    adds the folded batch-norm shift, and applies the fused ReLU
 //!    before its single store — the `i32` sums never reach memory.
-//!    Geometries without a tile accumulate one output channel at a
-//!    time into `i32` planes, one kernel per dispatch
+//!    Geometries without a tile quantise-and-pad the whole batch up
+//!    front ([`crate::quant_kernels::quantize_batch_planes`]),
+//!    accumulate one output channel at a time into `i32` planes, one
+//!    kernel per dispatch
 //!    ([`pcnn_tensor::direct::accumulate_plane_batch_dyn_i8`]), and
 //!    requantise those ([`crate::quant_kernels::requantize_plane`]);
 //!    the results are equal.
@@ -43,7 +46,7 @@ use crate::registry::KernelRegistry;
 use pcnn_core::quant::{dequantize, quantize_symmetric, QuantParams};
 use pcnn_tensor::conv::{conv2d_direct, Conv2dShape};
 use pcnn_tensor::direct::{
-    accumulate_plane_batch_dyn_i8_at, has_tile, padded_dims, tile_walk_at, BatchPlanes, Requant,
+    accumulate_plane_batch_dyn_i8_at, band_walk_at, has_tile, padded_dims, BatchPlanes, Requant,
     SpmKernels,
 };
 use pcnn_tensor::simd::{self, SimdLevel};
@@ -107,8 +110,9 @@ impl Default for QuantOptions {
     }
 }
 
-/// Reusable scratch of the quantised batch path: the i8 padded planes,
-/// the per-image requantisation scales, and — only for geometries
+/// Reusable scratch of the quantised batch path: the i8 padded planes
+/// (one band of them where the geometry has a tile, the whole batch's
+/// where it has none), the per-image scales, and — only for geometries
 /// without a tile — one output channel's i32 accumulator planes. Grown
 /// on first use and recycled across calls.
 #[derive(Debug, Default)]
@@ -248,10 +252,9 @@ impl QuantPatternConv {
     }
 
     /// The batched integer execution path, mirroring
-    /// [`PatternConv::forward_batch`]: every plane of every image is
-    /// quantised-and-padded once up front, then the layer runs output
-    /// channel by output channel, each channel's tile requantised in
-    /// registers at its image's own scale.
+    /// [`PatternConv::forward_batch`]: one walk over the whole batch,
+    /// each image's bands quantised at its own scale on the way in and
+    /// each tile requantised in registers at that scale on the way out.
     ///
     /// `input` is `n` contiguous `in_c × h × w` f32 images; `out` is `n`
     /// contiguous `out_c × oh × ow` f32 outputs, fully overwritten.
@@ -295,8 +298,9 @@ impl QuantPatternConv {
 
     /// [`QuantPatternConv::forward`] with per-phase instrumentation into
     /// a profiler slot — the profiled graph walk's entry point. The pad
-    /// phase covers activation quantisation and padded-plane
-    /// construction; requantisation is part of the kernel phase.
+    /// phase covers everything before the first kernel (output
+    /// allocation, the per-image scale derivation) plus every band's
+    /// quantise-and-pad; requantisation is part of the kernel phase.
     pub(crate) fn forward_profiled(&self, input: &Tensor, stats: &LayerStats) -> Tensor {
         self.forward_tensor(input, Some((stats, Instant::now())))
     }
@@ -344,10 +348,67 @@ impl QuantPatternConv {
         assert_eq!(input.len(), n * in_img, "input length mismatch");
         assert_eq!(out.len(), n * out_img, "output length mismatch");
 
-        // Per-image activation quantisation, fused into plane padding:
-        // each request keeps its own scale so batching never changes
-        // its result.
+        // Per-image activation scales: each request keeps its own, so
+        // batching never changes its result.
         let aparams = per_image_activation_params_at(level, input, n, self.act_bits);
+        let (ph, pw) = padded_dims(h, w, shape.pad);
+        let plane_len = ph * pw;
+        let in_c = shape.in_c;
+        let offsets = self.registry.offset_table(pw);
+        let record = |pad_ns: u64, dispatches: u64, padded: usize| {
+            if let Some((stats, start)) = profile {
+                let total = start.elapsed().as_nanos() as u64;
+                stats.record_conv(&ConvPass {
+                    images: n as u64,
+                    pad_ns,
+                    kernel_ns: total.saturating_sub(pad_ns),
+                    kernel_dispatches: dispatches,
+                    zero_kernels_skipped: self.skipped_kernels() as u64,
+                    padded_bytes: padded as u64,
+                    level,
+                });
+            }
+        };
+        // Everything before the first kernel is the pad phase.
+        let since_entry = || profile.map_or(0, |(_, start)| start.elapsed().as_nanos() as u64);
+
+        if walk == Walk::Tiled && has_tile(shape, self.n, oh, ow) {
+            scratch.scales.clear();
+            scratch.scales.extend(aparams.iter().map(|ap| ap.scale));
+            let kernels = SpmKernels {
+                codes: &self.codes,
+                weights: &self.qweights,
+                skip: &self.skip,
+                offsets: &offsets,
+                taps: self.n,
+                in_c,
+            };
+            let epilogue = Requant {
+                act_scales: &scratch.scales,
+                // Every image quantises at `act_bits`: one top code.
+                q_max: aparams.first().map_or(0, QuantParams::q_max),
+                weight_scale: self.wparams.scale,
+                bias: self.bias.as_deref(),
+                relu: self.relu,
+            };
+            let prologue_ns = since_entry();
+            let pass = band_walk_at(
+                level,
+                &kernels,
+                epilogue,
+                input,
+                out,
+                oh,
+                ow,
+                &mut scratch.padded,
+                profile.is_some(),
+            );
+            record(prologue_ns + pass.pad_ns, 1, pass.padded);
+            return;
+        }
+
+        // No tile for this geometry: quantise and pad every plane of
+        // every image up front.
         quantize_batch_planes_at(
             level,
             input,
@@ -363,53 +424,15 @@ impl QuantPatternConv {
         scratch
             .scales
             .extend(aparams.iter().map(|ap| self.wparams.scale * ap.scale));
-
-        let (ph, pw) = padded_dims(h, w, shape.pad);
-        let plane_len = ph * pw;
-        let in_c = shape.in_c;
         let padded = &scratch.padded[..n * in_c * plane_len];
         let scales = &scratch.scales[..];
+        let pad_ns = since_entry();
 
-        // Phase boundary: quantise + pad (plus the caller's output
-        // allocation) is the pad phase; the walk, requantisation
-        // included, is the kernel phase.
-        let pad_done = profile.is_some().then(Instant::now);
-
-        let offsets = self.registry.offset_table(pw);
-        let tiled = walk == Walk::Tiled && has_tile(shape, self.n, oh, ow);
-        let kernels = SpmKernels {
-            codes: &self.codes,
-            weights: &self.qweights,
-            skip: &self.skip,
-            offsets: &offsets,
-            taps: self.n,
-            in_c,
-        };
         let mut dispatches = 0u64;
         for oc in 0..shape.out_c {
             let bias = self.bias.as_ref().map_or(0.0, |b| b[oc]);
-            if tiled {
-                let epilogue = Requant {
-                    scales,
-                    bias,
-                    relu: self.relu,
-                };
-                // Output channel `oc` of every image, read from the
-                // images' padded planes.
-                let geo = BatchPlanes {
-                    out_base: oc * out_plane_len,
-                    out_stride: out_img,
-                    in_base: 0,
-                    in_stride: in_c * plane_len,
-                    plane_len,
-                    n,
-                };
-                tile_walk_at(level, &kernels, oc, epilogue, padded, out, geo, oh, ow);
-                dispatches += 1;
-                continue;
-            }
-            // No tile for this geometry: sum the channel's kernels one
-            // at a time into i32 planes, then requantise those.
+            // Sum the channel's kernels one at a time into i32 planes,
+            // then requantise those.
             let acc = &mut scratch.acc;
             acc.clear();
             acc.resize(n * out_plane_len, 0);
@@ -452,20 +475,7 @@ impl QuantPatternConv {
                 );
             }
         }
-
-        if let Some((stats, start)) = profile {
-            let total = start.elapsed().as_nanos() as u64;
-            let pad_ns = pad_done.map_or(0, |p| (p - start).as_nanos() as u64);
-            stats.record_conv(&ConvPass {
-                images: n as u64,
-                pad_ns,
-                kernel_ns: total.saturating_sub(pad_ns),
-                kernel_dispatches: dispatches,
-                zero_kernels_skipped: self.skipped_kernels() as u64,
-                padded_bytes: (n * in_c * plane_len) as u64,
-                level,
-            });
-        }
+        record(pad_ns, dispatches, n * in_c * plane_len);
     }
 
     /// The dequantise-then-f32 reference: quantises the activations with
@@ -622,6 +632,26 @@ mod tests {
                 assert_eq!(*b, 0.0, "pruned position must stay exactly zero");
             }
         }
+    }
+
+    #[test]
+    fn tiled_scratch_is_one_band_not_one_batch() {
+        // 8 images × 96 planes of 16×16: the padded batch would be
+        // 248 832 codes; one band is 96 × 18 × 18 — a whole plane each,
+        // since i8 rows are a quarter the size of f32 ones.
+        let set = PatternSet::full(9, 4);
+        let shape = Conv2dShape::new(96, 2, 3, 1, 1);
+        let w = random_pruned(2, 96, &set, 51);
+        let q = quantized(&w, shape, &set);
+        let x = random_input(&[8, 96, 16, 16], 53);
+        let mut out = vec![0.0f32; 8 * 2 * 16 * 16];
+        let mut scratch = QuantScratch::new();
+        q.forward_batch(x.as_slice(), 8, 16, 16, &mut out, &mut scratch);
+        assert_eq!(scratch.padded.len(), 96 * 18 * 18);
+        assert!(scratch.padded.len() <= pcnn_tensor::direct::BAND_BYTES);
+        assert!(scratch.acc.is_empty(), "the i32 sums never reach memory");
+        let want = q.forward_reference(&x);
+        pcnn_tensor::assert_slices_close(&out, want.as_slice(), 1e-4);
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //! depend on which other requests the dynamic batcher happened to
 //! coalesce it with.
 //!
-//! Activation quantisation is *fused into plane padding*
-//! ([`pcnn_tensor::direct::pad_quant_plane_overwrite`]): the batched
-//! runtime pads every input plane once per batch anyway, so the i8
-//! activation tensor is materialised directly in padded form and costs
-//! no extra pass. The scale derivation goes through
+//! Activation quantisation is *fused into plane padding*: the band walk
+//! quantises each row band as it pads it
+//! ([`pcnn_tensor::direct::band_walk_at`]), and geometries without a
+//! tile quantise-and-pad the whole batch up front
+//! ([`quantize_batch_planes`] over
+//! [`pcnn_tensor::direct::pad_quant_plane_overwrite`]) — either way the
+//! i8 activations exist only in padded form and cost no extra pass.
+//! Both go through one row quantiser. The scale derivation goes through
 //! [`QuantParams::for_max_abs`], guaranteeing codes bit-identical to
 //! `pcnn_core::quant::quantize_symmetric` — which is what lets the
 //! parity suite compare the integer path against the
@@ -233,6 +236,71 @@ mod tests {
                 assert!(buf[plane * ph * pw..plane * ph * pw + pw]
                     .iter()
                     .all(|&q| q == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn pad_quant_codes_match_quantize_symmetric_at_the_edges_on_both_tiers() {
+        // A 127.0 pins the scale at exactly 1, so every ±x.5 below is a
+        // true tie (round half away from zero) and the neighbours of
+        // one half sit one ulp either side of it. Width 19 runs two
+        // vector steps and a 3-element scalar tail per row.
+        let ties: Vec<f32> = (0..56)
+            .map(|i| (i as f32 + 0.5) * if i % 2 == 0 { 1.0 } else { -1.0 })
+            .chain([127.0, -127.0, 126.5, -126.5, 0.0, -0.0])
+            .chain([0.499_999_97, -0.499_999_97, 0.500_000_06, -0.500_000_06])
+            .chain((0..10).map(|i| i as f32 * 0.37 - 1.9))
+            .collect();
+        let (h, w) = (4usize, 19usize);
+        assert_eq!(ties.len(), h * w);
+        let (want, params) = quantize_symmetric(&ties, 8);
+        assert_eq!(params.scale, 1.0);
+        assert_eq!(&want[..4], &[1, -2, 3, -4]);
+
+        // Beyond the top code, infinite and not a number: the formula's
+        // clamp saturates the first two and `NaN as i8` is the zero
+        // code. (`quantize_symmetric` cannot be handed these — an
+        // infinity would become the scale — so the oracle is its
+        // formula at the scale above.)
+        let wild = [
+            127.49f32,
+            127.5,
+            -127.5,
+            128.0,
+            -300.0,
+            1.0e30,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let wild: Vec<f32> = wild.iter().cycle().take(h * w).copied().collect();
+        let formula = |v: f32| (v * (1.0 / params.scale)).round().clamp(-127.0, 127.0) as i8;
+        assert_eq!(formula(f32::NAN), 0);
+        assert_eq!(formula(f32::NEG_INFINITY), -127);
+
+        let (ph, pw) = padded_dims(h, w, 1);
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            for (plane, want) in [
+                (&ties, want.clone()),
+                (&wild, wild.iter().map(|&v| formula(v)).collect()),
+            ] {
+                let mut buf = vec![55i8; ph * pw];
+                pad_quant_plane_overwrite_at(level, plane, h, w, 1, params.scale, 127, &mut buf);
+                for y in 0..ph {
+                    for x in 0..pw {
+                        let interior = (1..=h).contains(&y) && (1..=w).contains(&x);
+                        let code = if interior {
+                            want[(y - 1) * w + x - 1]
+                        } else {
+                            0
+                        };
+                        assert_eq!(buf[y * pw + x], code, "({y}, {x}) on {level}");
+                    }
+                }
             }
         }
     }

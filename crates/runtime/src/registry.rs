@@ -14,8 +14,8 @@
 //!   offset rows of the input geometry the layer runs at.
 //!
 //! The unrolled executors themselves live in [`pcnn_tensor::direct`]:
-//! the output-stationary tile walk
-//! ([`pcnn_tensor::direct::tile_walk_at`]) and, for geometries
+//! the band-resident, output-stationary walk
+//! ([`pcnn_tensor::direct::band_walk_at`]) and, for geometries
 //! without a tile, the per-kernel
 //! [`pcnn_tensor::direct::accumulate_plane_batch_dyn`].
 

@@ -167,7 +167,7 @@ fn run_pinned(op: &Op, x: &Tensor, level: SimdLevel, walk: Walk) -> Option<Vec<f
 }
 
 /// Holds every pattern layer of `ops` against itself at the activation
-/// it really sees: the output-stationary tile walk and the per-kernel
+/// it really sees: the band-resident tile walk and the per-kernel
 /// walk, on both SIMD tiers and through the production entry point,
 /// must agree **bit for bit** (f32 — the same rounding sequence per
 /// output element) and exactly (int8). Returns the sequence's output.

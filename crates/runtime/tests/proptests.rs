@@ -98,85 +98,150 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(384))]
+/// Runs one generated layer through both walks on both SIMD tiers and
+/// both precisions and holds them to the scalar per-kernel walk: bit
+/// for bit in f32 (the same rounding sequence per output element),
+/// exactly in int8. The layer carries an all-zero kernel and a fully
+/// pruned output channel with a negative bias, which only the epilogue
+/// ever touches. Both scratches are reused across the runs, so a band
+/// walk also has to cope with whatever the previous walk left behind.
+#[allow(clippy::too_many_arguments)] // one axis of the property each
+fn assert_walks_agree(
+    in_c: usize,
+    oh: usize,
+    ow: usize,
+    stride: usize,
+    batch: usize,
+    n: usize,
+    relu: bool,
+    seed: u64,
+) {
+    let out_c = 4usize;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let set = PatternSet::full(9, n);
+    let mut w = Tensor::from_vec(
+        (0..out_c * in_c * 9)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect(),
+        &[out_c, in_c, 3, 3],
+    );
+    for kernel in w.as_mut_slice().chunks_mut(9) {
+        let _ = project_onto_set(kernel, &set);
+    }
+    // Kernel (oc 0, ic 1) and all of output channel 2 are pruned.
+    w.as_mut_slice()[9..18].fill(0.0);
+    w.as_mut_slice()[2 * in_c * 9..3 * in_c * 9].fill(0.0);
+    let shape = Conv2dShape::new(in_c, out_c, 3, stride, 1);
+    let conv = PatternConv::from_dense(&w, shape, &set)
+        .expect("projected weights conform")
+        .with_bias(vec![0.3, -0.2, -0.75, 0.1])
+        .with_relu(relu);
+    assert!(conv.skipped_kernels() > in_c);
+    let quant = QuantPatternConv::from_pattern_conv(&conv, &QuantOptions::default());
 
-    /// The output-stationary tile walk against the per-kernel walk it
-    /// replaced, on both SIMD tiers: bit for bit in f32 (the same
-    /// rounding sequence per output element), exactly in int8. Heights
-    /// run past, short of and between multiples of every tile height;
-    /// stride 2 and the untiled widths have no tile and must route to
-    /// the per-kernel walk on their own. Every layer carries an
-    /// all-zero kernel and a fully pruned output channel with a
-    /// negative bias, which only the epilogue ever touches.
+    // The input size that yields an `oh × ow` output.
+    let (h, wd) = ((oh - 1) * stride + 1, (ow - 1) * stride + 1);
+    assert_eq!(shape.out_hw(h, wd), (oh, ow));
+    let x: Vec<f32> = (0..batch * in_c * h * wd)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    let out_len = batch * out_c * oh * ow;
+    let (mut scratch, mut qscratch) = (Vec::new(), QuantScratch::new());
+    let mut run = |level: SimdLevel, walk: Walk| {
+        let mut f = vec![f32::NAN; out_len];
+        conv.forward_batch_at(level, walk, &x, batch, h, wd, &mut f, &mut scratch);
+        let mut q = vec![f32::NAN; out_len];
+        quant.forward_batch_at(level, walk, &x, batch, h, wd, &mut q, &mut qscratch);
+        (f, q)
+    };
+    let (want_f, want_q) = run(SimdLevel::Scalar, Walk::PerKernel);
+    if relu {
+        // The pruned channel is its negative bias, clamped.
+        let plane = oh * ow;
+        assert!(want_f[2 * plane..3 * plane].iter().all(|&v| v == 0.0));
+    }
+    for (level, walk) in [
+        (SimdLevel::Scalar, Walk::Tiled),
+        (SimdLevel::Avx2.effective(), Walk::PerKernel),
+        (SimdLevel::Avx2.effective(), Walk::Tiled),
+    ] {
+        let (got_f, got_q) = run(level, walk);
+        for (what, got, want) in [("f32", &got_f, &want_f), ("int8", &got_q, &want_q)] {
+            for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{} {:?} on {} diverges at {} ({} vs {}): in_c={} n={} oh={} ow={} stride={} batch={}",
+                    what, walk, level, i, a, b, in_c, n, oh, ow, stride, batch
+                );
+            }
+        }
+    }
+}
+
+/// Input-channel counts on both sides of the band budget
+/// (`pcnn_tensor::direct::BAND_BYTES`, 32 KiB of padded rows): 3 keeps
+/// every plane whole in both precisions; 24 makes f32 bands of several
+/// tiles at widths 16 and 32; 64 makes f32 bands of a single tile at
+/// widths 8, 16 and 32 and int8 bands of several tiles at width 32.
+const IN_CHANNELS: [usize; 3] = [3, 24, 64];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The band-resident walk against the per-kernel walk it replaced
+    /// (see [`assert_walks_agree`]). Heights run past, short of and
+    /// between multiples of every tile and band height, so last bands
+    /// and last tiles slide back; stride 2 and the untiled widths have
+    /// no tile and must route to the per-kernel walk on their own.
     #[test]
-    fn tile_walk_equals_per_kernel_walk_bitwise(
+    fn band_walk_equals_per_kernel_walk_bitwise(
         n in 1usize..=9,
+        channels in 0usize..IN_CHANNELS.len(),
         width in 0usize..WIDTHS.len(),
-        oh in 1usize..=11,
-        stride in 1usize..=2,
+        oh in 1usize..=19,
+        strided in 0usize..4,
         batch in 0usize..BATCHES.len(),
         relu in prop::bool::ANY,
         seed in 0u64..1_000_000,
     ) {
-        let (ow, batch) = (WIDTHS[width], BATCHES[batch]);
-        let (in_c, out_c) = (3usize, 4usize);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let set = PatternSet::full(9, n);
-        let mut w = Tensor::from_vec(
-            (0..out_c * in_c * 9).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
-            &[out_c, in_c, 3, 3],
+        let stride = if strided == 0 { 2 } else { 1 };
+        assert_walks_agree(
+            IN_CHANNELS[channels], oh, WIDTHS[width], stride, BATCHES[batch], n, relu, seed,
         );
-        for kernel in w.as_mut_slice().chunks_mut(9) {
-            let _ = project_onto_set(kernel, &set);
-        }
-        // Kernel (oc 0, ic 1) and all of output channel 2 are pruned.
-        w.as_mut_slice()[9..18].fill(0.0);
-        w.as_mut_slice()[2 * in_c * 9..3 * in_c * 9].fill(0.0);
-        let shape = Conv2dShape::new(in_c, out_c, 3, stride, 1);
-        let conv = PatternConv::from_dense(&w, shape, &set)
-            .expect("projected weights conform")
-            .with_bias(vec![0.3, -0.2, -0.75, 0.1])
-            .with_relu(relu);
-        prop_assert!(conv.skipped_kernels() > in_c);
-        let quant = QuantPatternConv::from_pattern_conv(&conv, &QuantOptions::default());
+    }
+}
 
-        // The input size that yields an `oh × ow` output.
-        let (h, wd) = ((oh - 1) * stride + 1, (ow - 1) * stride + 1);
-        prop_assert_eq!(shape.out_hw(h, wd), (oh, ow));
-        let x: Vec<f32> = (0..batch * in_c * h * wd)
-            .map(|_| rng.gen_range(-1.0f32..1.0))
-            .collect();
-        let out_len = batch * out_c * oh * ow;
-        let run = |level: SimdLevel, walk: Walk| {
-            let mut f = vec![f32::NAN; out_len];
-            conv.forward_batch_at(level, walk, &x, batch, h, wd, &mut f, &mut Vec::new());
-            let mut q = vec![f32::NAN; out_len];
-            let mut scratch = QuantScratch::new();
-            quant.forward_batch_at(level, walk, &x, batch, h, wd, &mut q, &mut scratch);
-            (f, q)
-        };
-        let (want_f, want_q) = run(SimdLevel::Scalar, Walk::PerKernel);
-        if relu {
-            // The pruned channel is its negative bias, clamped.
-            let plane = oh * ow;
-            prop_assert!(want_f[2 * plane..3 * plane].iter().all(|&v| v == 0.0));
-        }
-        for (level, walk) in [
-            (SimdLevel::Scalar, Walk::Tiled),
-            (SimdLevel::Avx2.effective(), Walk::PerKernel),
-            (SimdLevel::Avx2.effective(), Walk::Tiled),
-        ] {
-            let (got_f, got_q) = run(level, walk);
-            for (what, got, want) in [("f32", &got_f, &want_f), ("int8", &got_q, &want_q)] {
-                for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
-                    prop_assert_eq!(
-                        a.to_bits(), b.to_bits(),
-                        "{} {:?} on {} diverges at {} ({} vs {}): n={} oh={} ow={} stride={} batch={}",
-                        what, walk, level, i, a, b, n, oh, ow, stride, batch
-                    );
-                }
-            }
+/// Every band shape, by construction rather than by luck of the draw.
+/// `rows` below is the band height `band_rows` picks for the f32 walk
+/// (int8 bands hold four times the rows).
+#[test]
+fn band_walk_covers_every_band_shape() {
+    // (in_c, oh, ow, batch, taps)
+    let cases = [
+        // One-tile bands: 64 × 18 × 4 B a row, 4 rows + halo = 27 KiB.
+        (64, 16, 16, 1, 4),
+        // ... whose fifth band holds 3 new rows and slides back to 15.
+        (64, 19, 16, 3, 2),
+        // `oh` equal to one tile: a single band, nothing slides.
+        (64, 4, 16, 8, 9),
+        (3, 2, 32, 1, 5),
+        // Two-tile bands (8 rows), then a slid one-tile band (rows 8..11).
+        (40, 11, 16, 3, 4),
+        // A 16-row band, then 3 rows short of a tile: the band slides.
+        (24, 19, 16, 1, 3),
+        // Whole-plane bands with a tile that slides inside the band.
+        (3, 11, 32, 8, 1),
+        (5, 9, 4, 3, 6),
+        // A single 8-row tile already over budget (37.5 KiB).
+        (96, 8, 8, 1, 4),
+        (64, 13, 8, 1, 7),
+        // int8 one-tile bands: 300 × 34 B a row, 2 rows + halo = 40 KiB.
+        (300, 5, 32, 1, 4),
+    ];
+    for (case, &(in_c, oh, ow, batch, taps)) in cases.iter().enumerate() {
+        for relu in [false, true] {
+            assert_walks_agree(in_c, oh, ow, 1, batch, taps, relu, 7 + case as u64);
         }
     }
 }

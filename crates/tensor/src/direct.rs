@@ -15,6 +15,28 @@
 //!   and lets the compiler vectorise across `ox`, which is exactly the
 //!   "compiled pattern kernel" trick of PCONV-style runtimes.
 //!
+//! On top of them sits the walk the runtime actually executes tiled
+//! geometries with, [`band_walk_at`] — band-resident and
+//! output-stationary:
+//!
+//! * **loop order** — image → row band → output channel → register
+//!   tile → live kernel. Entering a band, its rows (plus one halo row
+//!   either side) of all `in_c` input planes are padded into a
+//!   band-sized scratch — copied for f32, quantised at the image's scale
+//!   for int8 — and every output channel then runs over that band;
+//! * **band height** — as many whole tiles as keep
+//!   `in_c · (rows + 2) · pw · size_of(element)` inside [`BAND_BYTES`]
+//!   (32 KiB), never fewer than one, never more than the plane;
+//! * **what lives in L1** — the band: it is re-read by every output
+//!   channel, `out_c` times, so it is the operand sized to stay close.
+//!   Partial sums live in registers and each output is stored once;
+//! * **why the weights stream** — a kernel's `n` values are read once
+//!   per (image, band) and feed `n · rows · ow` MACs, so streaming the
+//!   layer's weights from L2 costs little next to re-reading the input,
+//!   which is what the earlier oc-major walk did: it padded the whole
+//!   batch up front and pulled all of it through L1 once per output
+//!   channel.
+//!
 //! The padded-offset convention: for a tap at kernel position
 //! `(ky, kx)`, `off = ky · pw + kx` where `pw = w + 2·pad`, and an
 //! output row `oy` reads from `base = oy · stride · pw`. With the output
@@ -25,6 +47,7 @@ use crate::conv::Conv2dShape;
 #[cfg(target_arch = "x86_64")]
 use crate::simd::Avx2Token;
 use crate::simd::{self, ScalarToken, SimdLevel, SimdToken};
+use std::time::Instant;
 
 /// Padded plane dimensions `(ph, pw)` for an `h × w` plane.
 pub fn padded_dims(h: usize, w: usize, pad: usize) -> (usize, usize) {
@@ -82,6 +105,37 @@ pub fn pad_plane_overwrite(plane: &[f32], h: usize, w: usize, pad: usize, buf: &
         row[pad + w..].fill(0.0);
     }
     buf[(h + pad) * pw..].fill(0.0);
+}
+
+/// The band walk's f32 pad: overwrites `dst` with rows
+/// `first .. first + dst.len() / (w + 2)` of the plane's one-wide
+/// zero-bordered twin (row `p` of the twin is input row `p − 1`, or
+/// zeros outside the plane). Rows of [`pad_plane_overwrite`]'s output at
+/// `pad = 1`, with plain stores for the two border elements; that
+/// function keeps its own loop because its timing is a benchmark probe
+/// (`tensor.pad_plane_ns`) the band walk was not meant to move.
+#[inline(always)]
+fn pad_band_rows(plane: &[f32], h: usize, w: usize, first: usize, dst: &mut [f32]) {
+    let pw = w + 2;
+    for (p, row) in (first..).zip(dst.chunks_exact_mut(pw)) {
+        if p == 0 || p > h {
+            row.fill(0.0);
+            continue;
+        }
+        row[0] = 0.0;
+        row[1..=w].copy_from_slice(&plane[(p - 1) * w..p * w]);
+        row[pw - 1] = 0.0;
+    }
+}
+
+/// Zeroes one border run of codes. A 3×3 layer's border is a single
+/// element, which deserves a plain store rather than a `memset` call.
+#[inline(always)]
+fn zero_border(border: &mut [i8]) {
+    match border {
+        [one] => *one = 0,
+        run => run.fill(0),
+    }
 }
 
 /// Accumulates one output row from `N` weighted taps of a padded plane:
@@ -622,10 +676,14 @@ pub fn pad_quant_plane_overwrite(
 }
 
 /// [`pad_quant_plane_overwrite`] with the SIMD tier pinned by the
-/// caller. The quantisation formula is identical on both tiers — the
-/// AVX2 instantiation exists because the baseline x86-64 build lowers
-/// `f32::round` to a libm call per element (no SSE4.1), which made the
-/// activation pass the dominant int8 cost on tiny planes.
+/// caller. The codes are identical on both tiers; the AVX2
+/// instantiation quantises eight activations per step
+/// ([`SimdToken::f32x8_quantize_store`]), where the baseline x86-64
+/// build pays a libm `roundf` call per element.
+///
+/// # Panics
+///
+/// Panics if `plane.len() != h · w` or `buf.len() != ph · pw`.
 #[allow(clippy::too_many_arguments)] // quant-plane geometry is irreducible
 pub fn pad_quant_plane_overwrite_at(
     level: SimdLevel,
@@ -637,6 +695,9 @@ pub fn pad_quant_plane_overwrite_at(
     q_max: i32,
     buf: &mut [i8],
 ) {
+    assert_eq!(plane.len(), h * w, "plane length mismatch");
+    let (ph, pw) = padded_dims(h, w, pad);
+    assert_eq!(buf.len(), ph * pw, "padded buffer length mismatch");
     match level.effective() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
@@ -644,20 +705,18 @@ pub fn pad_quant_plane_overwrite_at(
             // (cached) CPUID check on this host.
             unsafe { pad_quant_avx2(plane, h, w, pad, scale, q_max, buf) }
         }
-        _ => pad_quant_impl(plane, h, w, pad, scale, q_max, buf),
+        _ => pad_quant_rows(ScalarToken, plane, h, w, pad, 0, scale, q_max, buf),
     }
 }
 
-/// The AVX2 instantiation of [`pad_quant_impl`]: same code, compiled
-/// with the feature enabled so the round/clamp/narrow loop vectorises
-/// (`vroundps`-based, 8 activations per step).
+/// The AVX2 instantiation of [`pad_quant_rows`] over a whole plane.
 ///
 /// # Safety
 ///
 /// AVX2 must be available on the executing CPU.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn pad_quant_avx2(
+unsafe fn pad_quant_avx2(
     plane: &[f32],
     h: usize,
     w: usize,
@@ -666,34 +725,54 @@ fn pad_quant_avx2(
     q_max: i32,
     buf: &mut [i8],
 ) {
-    pad_quant_impl(plane, h, w, pad, scale, q_max, buf);
+    // SAFETY: the function's own contract guarantees AVX2.
+    let token = unsafe { Avx2Token::assert_available() };
+    pad_quant_rows(token, plane, h, w, pad, 0, scale, q_max, buf);
 }
 
+/// Overwrites `dst` with rows `first .. first + dst.len() / pw` of the
+/// plane's quantised, `pad`-wide zero-bordered twin (row `p` of the twin
+/// is input row `p − pad`, or zero codes outside the plane) — the whole
+/// twin for [`pad_quant_plane_overwrite`], one row band of it for the
+/// band walk — the interior as codes
+/// `clamp(round(v / scale), ±q_max)` — eight per step through the token,
+/// a tail of `w % 8` by the same formula in scalar.
 #[inline(always)]
-fn pad_quant_impl(
+#[allow(clippy::too_many_arguments)]
+fn pad_quant_rows<S: SimdToken>(
+    t: S,
     plane: &[f32],
     h: usize,
     w: usize,
     pad: usize,
+    first: usize,
     scale: f32,
     q_max: i32,
-    buf: &mut [i8],
+    dst: &mut [i8],
 ) {
-    assert_eq!(plane.len(), h * w, "plane length mismatch");
-    let (ph, pw) = padded_dims(h, w, pad);
-    assert_eq!(buf.len(), ph * pw, "padded buffer length mismatch");
+    let pw = w + 2 * pad;
     let q_max_f = q_max as f32;
     let inv = 1.0 / scale;
-    buf[..pad * pw].fill(0);
-    for y in 0..h {
-        let row = &mut buf[(y + pad) * pw..(y + pad + 1) * pw];
-        row[..pad].fill(0);
-        for (q, &v) in row[pad..pad + w].iter_mut().zip(&plane[y * w..(y + 1) * w]) {
+    let (inv_v, q_max_v) = (t.f32x8_splat(inv), t.f32x8_splat(q_max_f));
+    for (p, row) in (first..).zip(dst.chunks_exact_mut(pw)) {
+        if p < pad || p >= h + pad {
+            row.fill(0);
+            continue;
+        }
+        let y = p - pad;
+        zero_border(&mut row[..pad]);
+        let src = &plane[y * w..(y + 1) * w];
+        let codes = &mut row[pad..pad + w];
+        let mut x = 0;
+        while x + 8 <= w {
+            t.f32x8_quantize_store(t.f32x8_load(&src[x..]), inv_v, q_max_v, &mut codes[x..]);
+            x += 8;
+        }
+        for (q, &v) in codes[x..].iter_mut().zip(&src[x..]) {
             *q = (v * inv).round().clamp(-q_max_f, q_max_f) as i8;
         }
-        row[pad + w..].fill(0);
+        zero_border(&mut row[pad + w..]);
     }
-    buf[(h + pad) * pw..].fill(0);
 }
 
 /// Maximum absolute value of `data` (0 for an empty slice), dispatched
@@ -1451,27 +1530,36 @@ pub fn accumulate_rows_dyn(
 }
 
 // ---------------------------------------------------------------------------
-// The output-stationary tile walk.
+// The band-resident, output-stationary walk.
 //
 // The per-kernel entry points above re-load, update and re-store a whole
-// output plane once per (oc, ic) kernel. The walk below turns that
-// inside out, the way the paper's PE keeps partial sums local: a register
-// tile of one output channel is seeded once, every live input-channel
-// kernel of that channel streams through it in ascending `ic`, and the
-// epilogue (ReLU, or the int8 requantisation) runs on the registers on
-// the way to a single store.
+// output plane once per (oc, ic) kernel, over a padded copy of the whole
+// batch. The walk below turns both inside out, the way the paper's PE
+// keeps partial sums local and its input buffer small:
+//
+//   for each image
+//     for each row band of the plane
+//       pad the band's rows of all `in_c` input planes into the scratch
+//       for each output channel
+//         for each register tile of the band
+//           seed the tile · stream the channel's live kernels through
+//           it in ascending `ic` · epilogue on the registers · one store
+//
+// (Band height, what lives in L1 and why the weights stream: module
+// docs.) Partial sums never leave registers, the outputs are written
+// exactly once, and the padded input never exists beyond one band.
 //
 // A tile is `G` row groups × `C` blocks; one block is one SIMD register
 // of outputs gathered from `R` consecutive rows (`R > 1` packs narrow
 // planes: `C · LANES / R` is the plane width). Tap count, plane width
 // and tile shape are compile-time constants, so each tap's window of
-// the padded plane is sliced — and bounds-checked — once per kernel and
+// the padded band is sliced — and bounds-checked — once per kernel and
 // every load inside it is at a constant offset.
 // ---------------------------------------------------------------------------
 
-/// One layer's kernels as the output-stationary walk reads them: SPM
-/// order (kernel `oc · in_c + ic`), `taps` non-zeros per kernel, and
-/// one flat row of `taps` padded-plane offsets per pattern code.
+/// One layer's kernels as the band walk reads them: SPM order (kernel
+/// `oc · in_c + ic`), `taps` non-zeros per kernel, and one flat row of
+/// `taps` padded-plane offsets per pattern code.
 #[derive(Debug, Clone, Copy)]
 pub struct SpmKernels<'a, W> {
     /// Per-kernel pattern codes.
@@ -1488,27 +1576,33 @@ pub struct SpmKernels<'a, W> {
     pub in_c: usize,
 }
 
-/// The f32 walk's epilogue: the tile is seeded with `bias` and clamped
-/// at zero on the way out when `relu`.
+/// The f32 walk's two ends: bands are zero-bordered copies of the input
+/// rows, tiles are seeded with their channel's bias and clamped at zero
+/// on the way out when `relu`.
 #[derive(Debug, Clone, Copy)]
-pub struct BiasRelu {
-    /// The output channel's bias.
-    pub bias: f32,
+pub struct BiasRelu<'a> {
+    /// One bias per output channel; `None` seeds every tile with zero.
+    pub bias: Option<&'a [f32]>,
     /// Fused ReLU.
     pub relu: bool,
 }
 
-/// The int8 walk's epilogue: image `i`'s `i32` sums return to f32 at
-/// `scales[i]` (weight scale × that image's activation scale) through
-/// [`requantize`]. The walk sums two taps' products in i16 before
-/// widening, so weight and activation codes must lie within ±127 — what
-/// symmetric quantisation produces; a −128 code can wrap a pair.
+/// The int8 walk's two ends: image `i`'s bands are quantised at
+/// `act_scales[i]` on the way in, and its `i32` sums return to f32 at
+/// `weight_scale · act_scales[i]` through [`requantize`] on the way out.
+/// The walk sums two taps' products in i16 before widening, so weight
+/// and activation codes must lie within ±127 — what symmetric
+/// quantisation produces; a −128 code can wrap a pair.
 #[derive(Debug, Clone, Copy)]
 pub struct Requant<'a> {
-    /// One combined scale per image of the batch.
-    pub scales: &'a [f32],
-    /// The output channel's bias.
-    pub bias: f32,
+    /// One activation scale per image of the batch.
+    pub act_scales: &'a [f32],
+    /// The top activation code (at most 127).
+    pub q_max: i32,
+    /// The layer's weight scale.
+    pub weight_scale: f32,
+    /// One bias per output channel; `None` adds zero.
+    pub bias: Option<&'a [f32]>,
     /// Fused ReLU.
     pub relu: bool,
 }
@@ -1537,10 +1631,10 @@ fn tile_rows(ow: usize) -> Option<usize> {
     }
 }
 
-/// Whether the output-stationary walk has a tile for this geometry: a
-/// 3×3 stride-1 pad-1 convolution with 1..=9 taps per kernel onto a
-/// plane of a tiled width and at least one tile of rows. Everything
-/// else runs the per-kernel entry points.
+/// Whether the band walk has a tile for this geometry: a 3×3 stride-1
+/// pad-1 convolution with 1..=9 taps per kernel onto a plane of a tiled
+/// width and at least one tile of rows. Everything else runs the
+/// per-kernel entry points.
 pub fn has_tile(shape: &Conv2dShape, taps: usize, oh: usize, ow: usize) -> bool {
     shape.kernel == 3
         && shape.stride == 1
@@ -1549,13 +1643,41 @@ pub fn has_tile(shape: &Conv2dShape, taps: usize, oh: usize, ow: usize) -> bool 
         && tile_rows(ow).is_some_and(|rows| oh >= rows)
 }
 
-/// Runs one output channel of a pattern convolution over a batch,
-/// output-stationary: image `i`'s `oh × ow` plane at
-/// `geo.out_base + i · geo.out_stride` is computed tile by tile from
-/// its `in_c` padded planes (the first at `geo.in_base + i ·
-/// geo.in_stride`, `geo.plane_len` apart) and written exactly once.
-/// The epilogue picks the precision: [`BiasRelu`] walks f32 planes,
-/// [`Requant`] i8 planes.
+/// Bytes of padded input one band may hold, set against the 32–48 KiB
+/// L1 data caches of current x86 cores: most of L1 goes to the one
+/// operand the walk re-reads `out_c` times, the rest to the weights and
+/// outputs streaming past it.
+pub const BAND_BYTES: usize = 32 * 1024;
+
+/// Output rows per band: as many whole tiles as keep the band's
+/// `rows + 2` padded rows of all input planes (`row_bytes` each) inside
+/// [`BAND_BYTES`], never fewer than one tile and never more than the
+/// plane. f32 at 64 channels × 16 wide is one 4-row tile (27 KiB); int8
+/// and thin layers take the whole plane.
+fn band_rows(row_bytes: usize, tile_rows: usize, oh: usize) -> usize {
+    let fit = (BAND_BYTES / row_bytes).saturating_sub(2);
+    ((fit / tile_rows).max(1) * tile_rows).min(oh)
+}
+
+/// What a band walk did besides writing the outputs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BandPass {
+    /// Nanoseconds spent padding bands; 0 unless the walk was asked to
+    /// time them.
+    pub pad_ns: u64,
+    /// Band elements written by padding, summed over every band of
+    /// every image (a halo row counts once per band that holds it).
+    pub padded: usize,
+}
+
+/// Runs one pattern-convolution layer over a batch, band by band (loop
+/// order and band height: module docs). `input` is `n`
+/// contiguous `in_c × oh × ow` f32 images, `out` `n` contiguous
+/// `out_c × oh × ow` outputs, each written exactly once; `scratch`
+/// grows to one band of padded input planes — at most [`BAND_BYTES`]
+/// unless a single tile's rows already exceed that — and is otherwise
+/// left alone. The epilogue picks the precision: [`BiasRelu`] walks f32
+/// bands, [`Requant`] quantises them to i8.
 ///
 /// Per output element the f32 arithmetic is that of seeding the plane
 /// with the bias and applying [`accumulate_plane_batch_dyn`] per live
@@ -1565,34 +1687,46 @@ pub fn has_tile(shape: &Conv2dShape, taps: usize, oh: usize, ow: usize) -> bool 
 /// never reach memory; they equal [`accumulate_plane_batch_dyn_i8`]'s
 /// (integer sums are exact in any order) and go through [`requantize`].
 ///
+/// The clock is read around each band's padding only when `time_pad`.
+///
 /// # Panics
 ///
-/// Panics unless [`has_tile`] holds for the geometry, if a slice is too
-/// short for it, or if a [`Requant`] has fewer than `geo.n` scales.
+/// Panics unless [`has_tile`] holds for the geometry, or if a slice's
+/// length disagrees with it.
 #[allow(clippy::too_many_arguments)] // kernel geometry is irreducible
-pub fn tile_walk_at<E: TileEpilogue>(
+pub fn band_walk_at<E: TileEpilogue>(
     level: SimdLevel,
     kernels: &SpmKernels<'_, E::Wt>,
-    oc: usize,
     epilogue: E,
-    padded: &[E::In],
+    input: &[f32],
     out: &mut [f32],
-    geo: BatchPlanes,
     oh: usize,
     ow: usize,
-) {
+    scratch: &mut Vec<E::In>,
+    time_pad: bool,
+) -> BandPass {
     match level.effective() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
             // SAFETY: `effective()` returns Avx2 only after a positive
             // (cached) CPUID check on this host.
-            unsafe { tile_walk_avx2(kernels, oc, epilogue, padded, out, geo, oh, ow) }
+            unsafe { band_walk_avx2(kernels, epilogue, input, out, oh, ow, scratch, time_pad) }
         }
-        _ => tile_walk_taps(ScalarToken, kernels, oc, epilogue, padded, out, geo, oh, ow),
+        _ => band_walk_taps(
+            ScalarToken,
+            kernels,
+            epilogue,
+            input,
+            out,
+            oh,
+            ow,
+            scratch,
+            time_pad,
+        ),
     }
 }
 
-/// The AVX2 instantiation of [`tile_walk_taps`].
+/// The AVX2 instantiation of [`band_walk_taps`].
 ///
 /// # Safety
 ///
@@ -1600,56 +1734,59 @@ pub fn tile_walk_at<E: TileEpilogue>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn tile_walk_avx2<E: TileEpilogue>(
+unsafe fn band_walk_avx2<E: TileEpilogue>(
     kernels: &SpmKernels<'_, E::Wt>,
-    oc: usize,
     epilogue: E,
-    padded: &[E::In],
+    input: &[f32],
     out: &mut [f32],
-    geo: BatchPlanes,
     oh: usize,
     ow: usize,
-) {
+    scratch: &mut Vec<E::In>,
+    time_pad: bool,
+) -> BandPass {
     // SAFETY: the function's own contract guarantees AVX2.
     let token = unsafe { Avx2Token::assert_available() };
-    tile_walk_taps(token, kernels, oc, epilogue, padded, out, geo, oh, ow);
+    band_walk_taps(
+        token, kernels, epilogue, input, out, oh, ow, scratch, time_pad,
+    )
 }
 
 /// Monomorphises the tap count.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_walk_taps<S: SimdToken, E: TileEpilogue>(
+fn band_walk_taps<S: SimdToken, E: TileEpilogue>(
     t: S,
     k: &SpmKernels<'_, E::Wt>,
-    oc: usize,
     e: E,
-    padded: &[E::In],
+    input: &[f32],
     out: &mut [f32],
-    geo: BatchPlanes,
     oh: usize,
     ow: usize,
-) {
+    scratch: &mut Vec<E::In>,
+    time_pad: bool,
+) -> BandPass {
     match k.taps {
-        1 => e.walk::<S, 1>(t, k, oc, padded, out, geo, oh, ow),
-        2 => e.walk::<S, 2>(t, k, oc, padded, out, geo, oh, ow),
-        3 => e.walk::<S, 3>(t, k, oc, padded, out, geo, oh, ow),
-        4 => e.walk::<S, 4>(t, k, oc, padded, out, geo, oh, ow),
-        5 => e.walk::<S, 5>(t, k, oc, padded, out, geo, oh, ow),
-        6 => e.walk::<S, 6>(t, k, oc, padded, out, geo, oh, ow),
-        7 => e.walk::<S, 7>(t, k, oc, padded, out, geo, oh, ow),
-        8 => e.walk::<S, 8>(t, k, oc, padded, out, geo, oh, ow),
-        9 => e.walk::<S, 9>(t, k, oc, padded, out, geo, oh, ow),
+        1 => e.walk::<S, 1>(t, k, input, out, oh, ow, scratch, time_pad),
+        2 => e.walk::<S, 2>(t, k, input, out, oh, ow, scratch, time_pad),
+        3 => e.walk::<S, 3>(t, k, input, out, oh, ow, scratch, time_pad),
+        4 => e.walk::<S, 4>(t, k, input, out, oh, ow, scratch, time_pad),
+        5 => e.walk::<S, 5>(t, k, input, out, oh, ow, scratch, time_pad),
+        6 => e.walk::<S, 6>(t, k, input, out, oh, ow, scratch, time_pad),
+        7 => e.walk::<S, 7>(t, k, input, out, oh, ow, scratch, time_pad),
+        8 => e.walk::<S, 8>(t, k, input, out, oh, ow, scratch, time_pad),
+        9 => e.walk::<S, 9>(t, k, input, out, oh, ow, scratch, time_pad),
         n => panic!("{n} taps per kernel have no tile"),
     }
 }
 
-/// The precision-specific half of the tile walk — how one block of
-/// outputs is seeded, fed one kernel, and stored — and the tile shape
-/// per plane width. Implemented by the two epilogues, [`BiasRelu`]
-/// (f32) and [`Requant`] (int8), and by nothing else.
+/// The precision-specific half of the band walk — how a band of input
+/// rows is padded, and how one block of outputs is seeded, fed one
+/// kernel, and stored — and the tile shape per plane width. Implemented
+/// by the two epilogues, [`BiasRelu`] (f32) and [`Requant`] (int8), and
+/// by nothing else.
 pub trait TileEpilogue: Copy {
-    /// Padded-plane element.
-    type In: Copy;
+    /// Padded-band element.
+    type In: Copy + Default;
     /// Stored weight element.
     type Wt: Copy;
     /// A weight broadcast across a register.
@@ -1665,16 +1802,32 @@ pub trait TileEpilogue: Copy {
         self,
         t: S,
         k: &SpmKernels<'_, Self::Wt>,
-        oc: usize,
-        padded: &[Self::In],
+        input: &[f32],
         out: &mut [f32],
-        geo: BatchPlanes,
         oh: usize,
         ow: usize,
+        scratch: &mut Vec<Self::In>,
+        time_pad: bool,
+    ) -> BandPass;
+
+    /// The band-pad half: overwrites `dst` with rows
+    /// `first .. first + dst.len() / (w + 2)` of the one-wide
+    /// zero-bordered twin of `plane`, an `h × w` input plane of image
+    /// `image`, in this precision's band element.
+    #[allow(clippy::too_many_arguments)]
+    fn pad_rows<S: SimdToken>(
+        self,
+        t: S,
+        image: usize,
+        plane: &[f32],
+        h: usize,
+        w: usize,
+        first: usize,
+        dst: &mut [Self::In],
     );
 
-    /// The block before its first kernel.
-    fn seed<S: SimdToken>(self, t: S) -> Self::Acc;
+    /// A block of output channel `oc` before its first kernel.
+    fn seed<S: SimdToken>(self, t: S, oc: usize) -> Self::Acc;
 
     /// Broadcasts one weight.
     fn splat<S: SimdToken>(t: S, w: Self::Wt) -> Self::Splat;
@@ -1690,11 +1843,12 @@ pub trait TileEpilogue: Copy {
         pw: usize,
     ) -> Self::Acc;
 
-    /// Epilogue and store of one finished block of image `image`.
-    fn finish<S: SimdToken>(self, t: S, acc: Self::Acc, image: usize, out: &mut [f32]);
+    /// Epilogue and store of one finished block of image `image`,
+    /// output channel `oc`.
+    fn finish<S: SimdToken>(self, t: S, acc: Self::Acc, image: usize, oc: usize, out: &mut [f32]);
 }
 
-impl TileEpilogue for BiasRelu {
+impl TileEpilogue for BiasRelu<'_> {
     type In = f32;
     type Wt = f32;
     type Splat = simd::F32x8;
@@ -1708,25 +1862,39 @@ impl TileEpilogue for BiasRelu {
         self,
         t: S,
         k: &SpmKernels<'_, f32>,
-        oc: usize,
-        padded: &[f32],
+        input: &[f32],
         out: &mut [f32],
-        geo: BatchPlanes,
         oh: usize,
         ow: usize,
-    ) {
+        scratch: &mut Vec<f32>,
+        time_pad: bool,
+    ) -> BandPass {
         match ow {
-            4 => tile_walk::<S, Self, N, 2, 1, 2>(t, self, k, oc, padded, out, geo, oh),
-            8 => tile_walk::<S, Self, N, 1, 1, 8>(t, self, k, oc, padded, out, geo, oh),
-            16 => tile_walk::<S, Self, N, 1, 2, 4>(t, self, k, oc, padded, out, geo, oh),
-            32 => tile_walk::<S, Self, N, 1, 4, 2>(t, self, k, oc, padded, out, geo, oh),
+            4 => band_walk::<S, Self, N, 2, 1, 2>(t, self, k, input, out, oh, scratch, time_pad),
+            8 => band_walk::<S, Self, N, 1, 1, 8>(t, self, k, input, out, oh, scratch, time_pad),
+            16 => band_walk::<S, Self, N, 1, 2, 4>(t, self, k, input, out, oh, scratch, time_pad),
+            32 => band_walk::<S, Self, N, 1, 4, 2>(t, self, k, input, out, oh, scratch, time_pad),
             _ => panic!("plane width {ow} has no tile"),
         }
     }
 
     #[inline(always)]
-    fn seed<S: SimdToken>(self, t: S) -> simd::F32x8 {
-        t.f32x8_splat(self.bias)
+    fn pad_rows<S: SimdToken>(
+        self,
+        _t: S,
+        _image: usize,
+        plane: &[f32],
+        h: usize,
+        w: usize,
+        first: usize,
+        dst: &mut [f32],
+    ) {
+        pad_band_rows(plane, h, w, first, dst);
+    }
+
+    #[inline(always)]
+    fn seed<S: SimdToken>(self, t: S, oc: usize) -> simd::F32x8 {
+        t.f32x8_splat(self.bias.map_or(0.0, |b| b[oc]))
     }
 
     #[inline(always)]
@@ -1758,7 +1926,14 @@ impl TileEpilogue for BiasRelu {
     }
 
     #[inline(always)]
-    fn finish<S: SimdToken>(self, t: S, acc: simd::F32x8, _image: usize, out: &mut [f32]) {
+    fn finish<S: SimdToken>(
+        self,
+        t: S,
+        acc: simd::F32x8,
+        _image: usize,
+        _oc: usize,
+        out: &mut [f32],
+    ) {
         let v = if self.relu { t.f32x8_relu(acc) } else { acc };
         t.f32x8_store(v, out);
     }
@@ -1784,24 +1959,39 @@ impl TileEpilogue for Requant<'_> {
         self,
         t: S,
         k: &SpmKernels<'_, i8>,
-        oc: usize,
-        padded: &[i8],
+        input: &[f32],
         out: &mut [f32],
-        geo: BatchPlanes,
         oh: usize,
         ow: usize,
-    ) {
+        scratch: &mut Vec<i8>,
+        time_pad: bool,
+    ) -> BandPass {
         match ow {
-            4 => tile_walk::<S, Self, N, 4, 1, 1>(t, self, k, oc, padded, out, geo, oh),
-            8 => tile_walk::<S, Self, N, 2, 1, 4>(t, self, k, oc, padded, out, geo, oh),
-            16 => tile_walk::<S, Self, N, 1, 1, 4>(t, self, k, oc, padded, out, geo, oh),
-            32 => tile_walk::<S, Self, N, 1, 2, 2>(t, self, k, oc, padded, out, geo, oh),
+            4 => band_walk::<S, Self, N, 4, 1, 1>(t, self, k, input, out, oh, scratch, time_pad),
+            8 => band_walk::<S, Self, N, 2, 1, 4>(t, self, k, input, out, oh, scratch, time_pad),
+            16 => band_walk::<S, Self, N, 1, 1, 4>(t, self, k, input, out, oh, scratch, time_pad),
+            32 => band_walk::<S, Self, N, 1, 2, 2>(t, self, k, input, out, oh, scratch, time_pad),
             _ => panic!("plane width {ow} has no tile"),
         }
     }
 
     #[inline(always)]
-    fn seed<S: SimdToken>(self, _t: S) -> Self::Acc {
+    fn pad_rows<S: SimdToken>(
+        self,
+        t: S,
+        image: usize,
+        plane: &[f32],
+        h: usize,
+        w: usize,
+        first: usize,
+        dst: &mut [i8],
+    ) {
+        let scale = self.act_scales[image];
+        pad_quant_rows(t, plane, h, w, 1, first, scale, self.q_max, dst);
+    }
+
+    #[inline(always)]
+    fn seed<S: SimdToken>(self, _t: S, _oc: usize) -> Self::Acc {
         (simd::I32x8::zero(), simd::I32x8::zero())
     }
 
@@ -1845,11 +2035,19 @@ impl TileEpilogue for Requant<'_> {
     }
 
     #[inline(always)]
-    fn finish<S: SimdToken>(self, t: S, (lo, hi): Self::Acc, image: usize, out: &mut [f32]) {
-        let scale = self.scales[image];
+    fn finish<S: SimdToken>(
+        self,
+        t: S,
+        (lo, hi): Self::Acc,
+        image: usize,
+        oc: usize,
+        out: &mut [f32],
+    ) {
+        let scale = self.weight_scale * self.act_scales[image];
+        let bias = self.bias.map_or(0.0, |b| b[oc]);
         let f = |v: simd::I32x8| {
             simd::F32x8(std::array::from_fn(|k| {
-                requantize(v.0[k], scale, self.bias, self.relu)
+                requantize(v.0[k], scale, bias, self.relu)
             }))
         };
         t.f32x8_store(f(lo), out);
@@ -1857,17 +2055,17 @@ impl TileEpilogue for Requant<'_> {
     }
 }
 
-/// The walk itself, once for both precisions and both tiers: for every
-/// image and every tile of output channel `oc`'s plane, seed the tile,
-/// stream the channel's live kernels through it in ascending `ic`
-/// (pattern code → offset row → `N` splatted weights → `N` tap
-/// windows), then finish and store. When `oh` is not a multiple of the
-/// tile height the last tile slides back to end on the last row and
-/// recomputes the overlap — every output is computed whole, so the
+/// The walk itself, once for both precisions and both tiers (loop order
+/// in the section comment above). Within a band every output channel
+/// seeds its tiles, streams its live kernels through them in ascending
+/// `ic` (pattern code → offset row → `N` splatted weights → `N` tap
+/// windows of the band), then finishes and stores. A band — or, inside
+/// one, a tile — that would overrun its end slides back to end on it and
+/// recomputes the overlap: every output is computed whole, so the
 /// rewrite stores the same value.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_walk<
+fn band_walk<
     S: SimdToken,
     E: TileEpilogue,
     const N: usize,
@@ -1878,66 +2076,108 @@ fn tile_walk<
     t: S,
     e: E,
     k: &SpmKernels<'_, E::Wt>,
-    oc: usize,
-    padded: &[E::In],
+    input: &[f32],
     out: &mut [f32],
-    geo: BatchPlanes,
     oh: usize,
-) {
+    scratch: &mut Vec<E::In>,
+    time_pad: bool,
+) -> BandPass {
     let ow = C * E::LANES / R;
     let pw = ow + 2;
     let rows = G * R;
     // One tap's footprint under a tile: `rows` rows, the last `ow` wide.
     let window = (rows - 1) * pw + ow;
+    let in_c = k.in_c;
+    let out_c = k.codes.len() / in_c;
+    let plane = oh * ow;
+    let n = out.len() / (out_c * plane);
     assert!(
-        oh >= rows && geo.plane_len == (oh + 2) * pw,
+        oh >= rows && out.len() == n * out_c * plane && input.len() == n * in_c * plane,
         "geometry has no tile"
     );
-    let oc_codes = &k.codes[oc * k.in_c..(oc + 1) * k.in_c];
-    let oc_skip = &k.skip[oc * k.in_c..(oc + 1) * k.in_c];
-    let oc_weights = &k.weights[oc * k.in_c * N..(oc + 1) * k.in_c * N];
-    for image in 0..geo.n {
-        let ib = geo.in_base + image * geo.in_stride;
-        let planes = &padded[ib..ib + k.in_c * geo.plane_len];
-        let ob = geo.out_base + image * geo.out_stride;
-        let plane_out = &mut out[ob..ob + oh * ow];
+    assert!(
+        k.codes.len() == out_c * in_c
+            && k.skip.len() == k.codes.len()
+            && k.weights.len() == k.codes.len() * N,
+        "kernel table length mismatch"
+    );
+
+    let band = band_rows(in_c * pw * std::mem::size_of::<E::In>(), rows, oh);
+    let band_plane = (band + 2) * pw;
+    if scratch.len() < in_c * band_plane {
+        scratch.resize(in_c * band_plane, E::In::default());
+    }
+    let planes = &mut scratch[..in_c * band_plane];
+
+    let mut pass = BandPass::default();
+    for (image, (image_in, image_out)) in input
+        .chunks_exact(in_c * plane)
+        .zip(out.chunks_exact_mut(out_c * plane))
+        .enumerate()
+    {
         let mut next = 0;
         while next < oh {
-            let y = next.min(oh - rows);
-            next += rows;
-            let mut acc = [[e.seed(t); C]; G];
-            for (ic, ((&code, &skip), wts)) in oc_codes
-                .iter()
-                .zip(oc_skip)
-                .zip(oc_weights.chunks_exact(N))
-                .enumerate()
+            // Output rows y0..y1, read from padded rows y0..y1 + 2.
+            let y0 = next.min(oh - rows);
+            let y1 = (next + band).min(oh);
+            next = y1;
+            let pad_start = time_pad.then(Instant::now);
+            for (src, dst) in image_in
+                .chunks_exact(plane)
+                .zip(planes.chunks_exact_mut(band_plane))
             {
-                if skip {
-                    continue;
-                }
-                let code = code as usize;
-                let offs: &[usize; N] = k.offsets[code * N..(code + 1) * N]
-                    .try_into()
-                    .expect("an offset row is N long");
-                let w: [E::Splat; N] = std::array::from_fn(|j| E::splat(t, wts[j]));
-                let origin = ic * geo.plane_len + y * pw;
-                let win: [&[E::In]; N] =
-                    std::array::from_fn(|j| &planes[origin + offs[j]..origin + offs[j] + window]);
-                for (g, row) in acc.iter_mut().enumerate() {
-                    for (c, block) in row.iter_mut().enumerate() {
-                        let at = g * R * pw + c * E::LANES;
-                        *block = E::mac::<S, N, R>(t, *block, &w, &win, at, pw);
-                    }
-                }
+                e.pad_rows(t, image, src, oh, ow, y0, &mut dst[..(y1 - y0 + 2) * pw]);
             }
-            for (g, row) in acc.iter().enumerate() {
-                for (c, &block) in row.iter().enumerate() {
-                    let at = y * ow + (g * C + c) * E::LANES;
-                    e.finish(t, block, image, &mut plane_out[at..]);
+            if let Some(start) = pad_start {
+                pass.pad_ns += start.elapsed().as_nanos() as u64;
+            }
+            pass.padded += in_c * (y1 - y0 + 2) * pw;
+
+            for (oc, plane_out) in image_out.chunks_exact_mut(plane).enumerate() {
+                let oc_codes = &k.codes[oc * in_c..(oc + 1) * in_c];
+                let oc_skip = &k.skip[oc * in_c..(oc + 1) * in_c];
+                let oc_weights = &k.weights[oc * in_c * N..(oc + 1) * in_c * N];
+                let mut tile = y0;
+                while tile < y1 {
+                    let y = tile.min(y1 - rows);
+                    tile += rows;
+                    let mut acc = [[e.seed(t, oc); C]; G];
+                    for (ic, ((&code, &skip), wts)) in oc_codes
+                        .iter()
+                        .zip(oc_skip)
+                        .zip(oc_weights.chunks_exact(N))
+                        .enumerate()
+                    {
+                        if skip {
+                            continue;
+                        }
+                        let code = code as usize;
+                        let offs: &[usize; N] = k.offsets[code * N..(code + 1) * N]
+                            .try_into()
+                            .expect("an offset row is N long");
+                        let w: [E::Splat; N] = std::array::from_fn(|j| E::splat(t, wts[j]));
+                        let origin = ic * band_plane + (y - y0) * pw;
+                        let win: [&[E::In]; N] = std::array::from_fn(|j| {
+                            &planes[origin + offs[j]..origin + offs[j] + window]
+                        });
+                        for (g, row) in acc.iter_mut().enumerate() {
+                            for (c, block) in row.iter_mut().enumerate() {
+                                let at = g * R * pw + c * E::LANES;
+                                *block = E::mac::<S, N, R>(t, *block, &w, &win, at, pw);
+                            }
+                        }
+                    }
+                    for (g, row) in acc.iter().enumerate() {
+                        for (c, &block) in row.iter().enumerate() {
+                            let at = y * ow + (g * C + c) * E::LANES;
+                            e.finish(t, block, image, oc, &mut plane_out[at..]);
+                        }
+                    }
                 }
             }
         }
     }
+    pass
 }
 
 #[cfg(test)]
@@ -2117,15 +2357,30 @@ mod tests {
         // must hold. Two output channels over three input channels,
         // kernel (oc 1, ic 0) skipped; heights make the last tile slide.
         let images = 2usize;
-        let scales = [0.5f32, 0.25];
+        let act_scales = [1.0f32, 2.0];
+        let weight_scale = 0.25f32;
+        let bias = [-1.5f32, 40_000.0];
         let codes = [0u16, 1, 2, 1, 0, 2];
         let skip = [false, false, false, true, false, false];
         for (oh, ow, n) in [(6usize, 4usize, 9usize), (9, 8, 4), (5, 16, 5), (3, 32, 2)] {
             let pw = ow + 2;
             let plane_len = (oh + 2) * pw;
-            let padded: Vec<i8> = (0..images * 3 * plane_len)
-                .map(|i| if i % 5 == 0 { -127 } else { 127 })
+            // Image i's activations are ±127 of its own scale.
+            let input: Vec<f32> = (0..images * 3 * oh * ow)
+                .map(|i| {
+                    let code = if i % 5 == 0 { -127.0 } else { 127.0 };
+                    code * act_scales[i / (3 * oh * ow)]
+                })
                 .collect();
+            let mut padded = vec![0i8; images * 3 * plane_len];
+            for (pi, (plane, buf)) in input
+                .chunks_exact(oh * ow)
+                .zip(padded.chunks_exact_mut(plane_len))
+                .enumerate()
+            {
+                pad_quant_plane_overwrite(plane, oh, ow, 1, act_scales[pi / 3], 127, buf);
+            }
+            assert!(padded.iter().all(|&q| q == 0 || q.abs() == 127));
             let weights: Vec<i8> = (0..6 * n)
                 .map(|i| if i % 7 == 3 { -127 } else { 127 })
                 .collect();
@@ -2142,66 +2397,111 @@ mod tests {
                 taps: n,
                 in_c: 3,
             };
-            let mut got = vec![f32::NAN; images * 2 * oh * ow];
-            let mut want = got.clone();
-            for oc in 0..2 {
-                let geo = BatchPlanes {
-                    out_base: oc * oh * ow,
-                    out_stride: 2 * oh * ow,
-                    in_base: 0,
-                    in_stride: 3 * plane_len,
-                    plane_len,
-                    n: images,
-                };
+            for relu in [false, true] {
                 let e = Requant {
-                    scales: &scales,
-                    bias: -1.5,
-                    relu: oc == 1,
+                    act_scales: &act_scales,
+                    q_max: 127,
+                    weight_scale,
+                    bias: Some(&bias),
+                    relu,
                 };
-                tile_walk_at(
+                let mut got = vec![f32::NAN; images * 2 * oh * ow];
+                let mut scratch = Vec::new();
+                band_walk_at(
                     simd::active(),
                     &kernels,
-                    oc,
                     e,
-                    &padded,
+                    &input,
                     &mut got,
-                    geo,
                     oh,
                     ow,
+                    &mut scratch,
+                    false,
                 );
-                let mut acc = vec![0i32; images * oh * ow];
-                for ic in 0..3 {
-                    let ki = oc * 3 + ic;
-                    if skip[ki] {
-                        continue;
-                    }
-                    let code = codes[ki] as usize;
-                    let per_kernel = BatchPlanes {
+                let mut want = vec![f32::NAN; got.len()];
+                for oc in 0..2 {
+                    let geo = BatchPlanes {
                         out_base: 0,
                         out_stride: oh * ow,
-                        in_base: ic * plane_len,
-                        ..geo
+                        in_base: 0,
+                        in_stride: 3 * plane_len,
+                        plane_len,
+                        n: images,
                     };
-                    accumulate_plane_batch_dyn_i8(
-                        &mut acc,
-                        &padded,
-                        per_kernel,
-                        oh,
-                        ow,
-                        pw,
-                        &offsets[code * n..(code + 1) * n],
-                        &weights[ki * n..(ki + 1) * n],
-                        1,
-                    );
-                }
-                for (i, &scale) in scales.iter().enumerate() {
-                    for p in 0..oh * ow {
-                        want[geo.out_base + i * geo.out_stride + p] =
-                            requantize(acc[i * oh * ow + p], scale, e.bias, e.relu);
+                    let mut acc = vec![0i32; images * oh * ow];
+                    for ic in 0..3 {
+                        let ki = oc * 3 + ic;
+                        if skip[ki] {
+                            continue;
+                        }
+                        let code = codes[ki] as usize;
+                        accumulate_plane_batch_dyn_i8(
+                            &mut acc,
+                            &padded,
+                            BatchPlanes {
+                                in_base: ic * plane_len,
+                                ..geo
+                            },
+                            oh,
+                            ow,
+                            pw,
+                            &offsets[code * n..(code + 1) * n],
+                            &weights[ki * n..(ki + 1) * n],
+                            1,
+                        );
+                    }
+                    for (i, &act) in act_scales.iter().enumerate() {
+                        for p in 0..oh * ow {
+                            want[(i * 2 + oc) * oh * ow + p] = requantize(
+                                acc[i * oh * ow + p],
+                                weight_scale * act,
+                                bias[oc],
+                                relu,
+                            );
+                        }
                     }
                 }
+                assert_eq!(got, want, "oh={oh} ow={ow} n={n} relu={relu}");
             }
-            assert_eq!(got, want, "oh={oh} ow={ow} n={n}");
+        }
+    }
+
+    #[test]
+    fn band_rows_hold_the_budget_and_never_drop_below_one_tile() {
+        // f32, 64 channels × 16 wide: 64 · 18 · 4 B = 4.5 KiB per row —
+        // one 4-row tile (6 rows, 27 KiB).
+        assert_eq!(band_rows(64 * 18 * 4, 4, 16), 4);
+        // The same layer in int8 holds the whole plane (18 rows, 20 KiB).
+        assert_eq!(band_rows(64 * 18, 4, 16), 16);
+        // 32 channels: 14 rows fit, three tiles do.
+        assert_eq!(band_rows(32 * 18 * 4, 4, 16), 12);
+        // 96 channels × 8 wide, f32: one 8-row tile is already 37.5 KiB.
+        assert_eq!(band_rows(96 * 10 * 4, 8, 8), 8);
+        for (row_bytes, tile, oh) in [(4608usize, 4usize, 16usize), (2304, 4, 11), (72, 2, 9)] {
+            let rows = band_rows(row_bytes, tile, oh);
+            assert!(rows == oh || rows.is_multiple_of(tile));
+            assert!(rows == tile || (rows + 2) * row_bytes <= BAND_BYTES);
+        }
+    }
+
+    #[test]
+    fn pad_rows_of_a_band_are_rows_of_the_whole_padded_plane() {
+        let (h, w) = (5usize, 4usize);
+        let plane: Vec<f32> = (0..h * w).map(|v| v as f32 - 7.5).collect();
+        let (ph, pw) = padded_dims(h, w, 1);
+        let mut whole = vec![9.0f32; ph * pw];
+        pad_plane_overwrite(&plane, h, w, 1, &mut whole);
+        let mut whole_q = vec![9i8; ph * pw];
+        pad_quant_plane_overwrite(&plane, h, w, 1, 0.1, 127, &mut whole_q);
+        for first in 0..ph {
+            for rows in 1..=ph - first {
+                let mut band = vec![3.0f32; rows * pw];
+                pad_band_rows(&plane, h, w, first, &mut band);
+                assert_eq!(band, &whole[first * pw..(first + rows) * pw]);
+                let mut band_q = vec![3i8; rows * pw];
+                pad_quant_rows(ScalarToken, &plane, h, w, 1, first, 0.1, 127, &mut band_q);
+                assert_eq!(band_q, &whole_q[first * pw..(first + rows) * pw]);
+            }
         }
     }
 }

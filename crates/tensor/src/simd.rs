@@ -157,8 +157,8 @@ impl I32x8 {
 ///
 /// Tokens are zero-sized proof objects: [`Avx2Token`] can only be
 /// obtained inside the `#[target_feature(enable = "avx2")]` dispatch
-/// wrappers of [`crate::direct`], which is what makes its intrinsic
-/// calls sound.
+/// wrappers of [`crate::direct`] and [`crate::pool`], which is what
+/// makes its intrinsic calls sound.
 pub trait SimdToken: Copy {
     /// Loads 8 f32 lanes from the front of `s`.
     fn f32x8_load(self, s: &[f32]) -> F32x8;
@@ -183,6 +183,19 @@ pub trait SimdToken: Copy {
     /// `+0.0`, and `-0.0` (which is not `< 0`) passes through, so every
     /// tier and every walk order agrees bitwise.
     fn f32x8_relu(self, v: F32x8) -> F32x8;
+    /// Lane-wise `if new > best { new } else { best }` — one step of a
+    /// running-maximum scan: a NaN in `new` never wins and equal values
+    /// (signed zeros included) keep `best`.
+    fn f32x8_max_keep(self, new: F32x8, best: F32x8) -> F32x8;
+    /// Splits the 16 consecutive lanes `a ‖ b` into their even-indexed
+    /// and odd-indexed halves — the column pairs of a 2-wide pooling
+    /// window.
+    fn f32x8_deinterleave(self, a: F32x8, b: F32x8) -> (F32x8, F32x8);
+    /// Quantises 8 lanes to i8 codes at the front of `dst`, lane-wise
+    /// `clamp(round(v · inv), ±q_max) as i8`: one multiply, round half
+    /// away from zero, NaN to the zero code — `pcnn_core::quant`'s
+    /// formula. `q_max` lanes must not exceed 127.
+    fn f32x8_quantize_store(self, v: F32x8, inv: F32x8, q_max: F32x8, dst: &mut [i8]);
 
     /// Widens 16 i8 lanes from the front of `s` to i16.
     fn i16x16_widen(self, s: &[i8]) -> I16x16;
@@ -279,6 +292,33 @@ impl SimdToken for ScalarToken {
     }
 
     #[inline(always)]
+    fn f32x8_max_keep(self, new: F32x8, best: F32x8) -> F32x8 {
+        F32x8(std::array::from_fn(|k| {
+            if new.0[k] > best.0[k] {
+                new.0[k]
+            } else {
+                best.0[k]
+            }
+        }))
+    }
+
+    #[inline(always)]
+    fn f32x8_deinterleave(self, a: F32x8, b: F32x8) -> (F32x8, F32x8) {
+        let lane = |i: usize| if i < 8 { a.0[i] } else { b.0[i - 8] };
+        (
+            F32x8(std::array::from_fn(|k| lane(2 * k))),
+            F32x8(std::array::from_fn(|k| lane(2 * k + 1))),
+        )
+    }
+
+    #[inline(always)]
+    fn f32x8_quantize_store(self, v: F32x8, inv: F32x8, q_max: F32x8, dst: &mut [i8]) {
+        for (k, q) in dst[..8].iter_mut().enumerate() {
+            *q = (v.0[k] * inv.0[k]).round().clamp(-q_max.0[k], q_max.0[k]) as i8;
+        }
+    }
+
+    #[inline(always)]
     fn i16x16_widen(self, s: &[i8]) -> I16x16 {
         I16x16(std::array::from_fn(|k| s[k] as i16))
     }
@@ -355,8 +395,8 @@ mod avx2 {
 
     /// The AVX2 token. Constructing one asserts AVX2 is available —
     /// only the `#[target_feature(enable = "avx2")]` dispatch wrappers
-    /// in [`crate::direct`] do so, after the runtime check in
-    /// [`super::active`].
+    /// in [`crate::direct`] and [`crate::pool`] do so, after the
+    /// runtime check in [`super::active`].
     #[derive(Debug, Clone, Copy)]
     pub struct Avx2Token(());
 
@@ -503,6 +543,70 @@ mod avx2 {
             unsafe {
                 let mask = _mm256_cmp_ps::<_CMP_LT_OQ>(f(v), _mm256_setzero_ps());
                 uf(_mm256_andnot_ps(mask, f(v)))
+            }
+        }
+
+        #[inline(always)]
+        fn f32x8_max_keep(self, new: F32x8, best: F32x8) -> F32x8 {
+            // vmaxps is `a > b ? a : b` with the second operand
+            // returned on a NaN or on equal zeros of either sign —
+            // exactly the scalar token's comparison.
+            // SAFETY: register-only op.
+            unsafe { uf(_mm256_max_ps(f(new), f(best))) }
+        }
+
+        #[inline(always)]
+        fn f32x8_deinterleave(self, a: F32x8, b: F32x8) -> (F32x8, F32x8) {
+            // vshufps picks lanes (0,2 | 0,2) or (1,3 | 1,3) of each
+            // 128-bit half of (a, b); vpermpd then puts the four
+            // 64-bit pairs back in memory order.
+            // SAFETY: register-only ops.
+            unsafe {
+                let even = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(f(a), f(b)));
+                let odd = _mm256_castps_pd(_mm256_shuffle_ps::<0b11_01_11_01>(f(a), f(b)));
+                (
+                    uf(_mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(
+                        even,
+                    ))),
+                    uf(_mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(
+                        odd,
+                    ))),
+                )
+            }
+        }
+
+        #[inline(always)]
+        fn f32x8_quantize_store(self, v: F32x8, inv: F32x8, q_max: F32x8, dst: &mut [i8]) {
+            assert!(dst.len() >= 8);
+            // Round half away from zero is `trunc(x + copysign(0.5 − ulp,
+            // x))`, which is exact where `x + 0.5` would round up across
+            // a tie. vminps/vmaxps return their second operand on a NaN,
+            // so with the value second a NaN lane survives the clamp and
+            // the ordered-compare mask then zeroes it (`NaN as i8` is
+            // 0). The clamped lanes are integers within ±127, so both
+            // saturating packs are exact.
+            // SAFETY: register-only ops, then one 8-byte store into the
+            // 8 bytes asserted in bounds above.
+            unsafe {
+                let x = _mm256_mul_ps(f(v), f(inv));
+                let sign = _mm256_and_ps(x, _mm256_set1_ps(-0.0));
+                let half = _mm256_or_ps(sign, _mm256_set1_ps(0.499_999_97));
+                let r = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(
+                    _mm256_add_ps(x, half),
+                );
+                let top = f(q_max);
+                let bottom = _mm256_xor_ps(top, _mm256_set1_ps(-0.0));
+                let clamped = _mm256_max_ps(bottom, _mm256_min_ps(top, r));
+                let ordered = _mm256_cmp_ps::<_CMP_ORD_Q>(clamped, clamped);
+                let codes = _mm256_cvtps_epi32(_mm256_and_ps(clamped, ordered));
+                let words = _mm_packs_epi32(
+                    _mm256_castsi256_si128(codes),
+                    _mm256_extracti128_si256::<1>(codes),
+                );
+                _mm_storel_epi64(
+                    dst.as_mut_ptr() as *mut __m128i,
+                    _mm_packs_epi16(words, words),
+                );
             }
         }
 
@@ -689,6 +793,41 @@ mod tests {
         let acc = t.f32x8_mul_acc(t.f32x8_splat(1.0), t.f32x8_splat(2.0), v);
         assert_eq!(acc.0, [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
         assert_eq!(t.f32x8_relu(acc).0[..3], [0.0, 0.0, 0.0]);
+        let kept = t.f32x8_max_keep(
+            F32x8([1.0, f32::NAN, 0.0, -0.0, 2.0, -1.0, f32::NAN, 5.0]),
+            F32x8([0.5, 3.0, -0.0, 0.0, 2.0, 4.0, f32::NEG_INFINITY, f32::NAN]),
+        );
+        let want = [
+            1.0f32,
+            3.0,
+            -0.0,
+            0.0,
+            2.0,
+            4.0,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        assert_eq!(kept.0.map(f32::to_bits), want.map(f32::to_bits));
+        let (even, odd) = t.f32x8_deinterleave(t.f32x8_load(&a), t.f32x8_load(&a[4..]));
+        assert_eq!(even.0, [-2.0, -1.0, 0.0, 1.0, 0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(odd.0, [-1.5, -0.5, 0.5, 1.5, 0.5, 1.5, 2.5, 3.5]);
+        let mut codes = [9i8; 9];
+        t.f32x8_quantize_store(
+            F32x8([
+                0.5,
+                -0.5,
+                1.5,
+                2.4,
+                300.0,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                -0.2,
+            ]),
+            t.f32x8_splat(1.0),
+            t.f32x8_splat(127.0),
+            &mut codes,
+        );
+        assert_eq!(codes, [1, -1, 2, 2, 127, -127, 0, 0, 9]);
         let mut out = [9.0f32; 10];
         t.f32x8_store_partial(acc, &mut out, 2);
         assert_eq!(&out[..3], &[-3.0, -2.0, 9.0]);
@@ -752,6 +891,54 @@ mod tests {
                 a.f32x8_mul_acc(sv, sw, a.f32x8_splat(0.37))
             );
             assert_eq!(s.f32x8_relu(sv), a.f32x8_relu(sv));
+            assert_eq!(s.f32x8_deinterleave(sv, sw), a.f32x8_deinterleave(sv, sw));
+            // Values that separate a correct quantiser and running
+            // maximum from a near miss: ties, the largest value below
+            // one half, the clamp edges, signed zeros, ±Inf and NaN.
+            let edge = [
+                0.5f32,
+                -0.5,
+                1.5,
+                -2.5,
+                0.499_999_97,
+                -0.499_999_97,
+                126.5,
+                -126.5,
+                127.49,
+                -127.5,
+                1.0e9,
+                -1.0e9,
+                8_388_607.5,
+                0.0,
+                -0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                -f32::NAN,
+                f32::MIN_POSITIVE,
+                3.0,
+                -7.0,
+                63.5,
+                -64.5,
+            ];
+            for (inv, q_max) in [(1.0f32, 127.0f32), (0.5, 7.0), (f32::INFINITY, 127.0)] {
+                for chunk in edge.chunks_exact(8) {
+                    let v = s.f32x8_load(chunk);
+                    let (mut sq, mut aq) = ([3i8; 8], [4i8; 8]);
+                    s.f32x8_quantize_store(v, s.f32x8_splat(inv), s.f32x8_splat(q_max), &mut sq);
+                    a.f32x8_quantize_store(v, a.f32x8_splat(inv), a.f32x8_splat(q_max), &mut aq);
+                    assert_eq!(sq, aq, "inv={inv} q_max={q_max} {chunk:?}");
+                }
+            }
+            for new in edge.chunks_exact(8) {
+                for best in edge.chunks_exact(8).rev() {
+                    let (n, b) = (s.f32x8_load(new), s.f32x8_load(best));
+                    assert_eq!(
+                        s.f32x8_max_keep(n, b).0.map(f32::to_bits),
+                        a.f32x8_max_keep(n, b).0.map(f32::to_bits)
+                    );
+                }
+            }
 
             let bytes: Vec<i8> = (0..32).map(|i| (i * 17 % 251 - 125) as i8).collect();
             assert_eq!(s.i16x16_widen(&bytes), a.i16x16_widen(&bytes));
