@@ -31,7 +31,7 @@ use pcnn_core::pattern::PatternSet;
 use pcnn_core::project::project_onto_set;
 use pcnn_runtime::ops::Op;
 use pcnn_runtime::{
-    json, Engine, ExecutableGraph, PatternConv, QuantOptions, QuantPatternConv, QuantScratch, Walk,
+    json, ConvScratch, Engine, ExecutableGraph, PatternConv, Precision, QuantOptions, Walk,
 };
 use pcnn_tensor::conv::Conv2dShape;
 use pcnn_tensor::simd::{self, SimdLevel};
@@ -63,12 +63,11 @@ fn random_input(len: usize, seed: u64) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
 }
 
-/// One sparse layer plus its same-geometry dense (9-tap) twin.
+/// One sparse layer plus its same-geometry dense (9-tap) twin, both
+/// carrying int8 weights next to their f32 ones.
 struct Layer {
-    sparse_f32: PatternConv,
-    dense_f32: PatternConv,
-    sparse_i8: QuantPatternConv,
-    dense_i8: QuantPatternConv,
+    sparse: PatternConv,
+    dense: PatternConv,
     hw: usize,
     input: Vec<f32>,
     out_len: usize,
@@ -80,17 +79,13 @@ fn build_layer(n: usize, hw: usize) -> Layer {
     let dense_set = PatternSet::full(9, 9);
     let ws = random_pruned(CHANNELS, CHANNELS, &sparse_set, 11 + n as u64);
     let wd = random_pruned(CHANNELS, CHANNELS, &dense_set, 13);
-    let sparse_f32 = PatternConv::from_dense(&ws, shape, &sparse_set).expect("encode sparse");
-    let dense_f32 = PatternConv::from_dense(&wd, shape, &dense_set).expect("encode dense");
     let qopts = QuantOptions::default();
-    let sparse_i8 = QuantPatternConv::from_pattern_conv(&sparse_f32, &qopts);
-    let dense_i8 = QuantPatternConv::from_pattern_conv(&dense_f32, &qopts);
+    let sparse = PatternConv::from_dense(&ws, shape, &sparse_set).expect("encode sparse");
+    let dense = PatternConv::from_dense(&wd, shape, &dense_set).expect("encode dense");
     let (oh, ow) = shape.out_hw(hw, hw);
     Layer {
-        sparse_f32,
-        dense_f32,
-        sparse_i8,
-        dense_i8,
+        sparse: sparse.with_int8(&qopts),
+        dense: dense.with_int8(&qopts),
         hw,
         input: random_input(BATCH * CHANNELS * hw * hw, 17 + hw as u64),
         out_len: BATCH * CHANNELS * oh * ow,
@@ -137,22 +132,28 @@ fn time_pair(budget_ms: f64, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, 
     (best_a, best_b, ratios[2])
 }
 
-/// Runs the production path of one layer op through the
+/// Runs the production path of one layer op at `precision` through the
 /// engine's per-layer profiler and returns the **median round's**
 /// `LayerProfile` record — the same schema `ExecProfile` emits, so the
 /// microbench trajectory and live serving profiles line up key-for-key.
-fn profiled_layer_record(op: Op, input: &Tensor, iters: usize) -> String {
-    let engine = Engine::new(ExecutableGraph::new(vec![op]), 1);
+fn profiled_layer_record(op: Op, precision: Precision, input: &Tensor, iters: usize) -> String {
+    let graph = ExecutableGraph::new(vec![op]).with_int8(&QuantOptions::default());
+    let engine = Engine::new(graph, 1);
     engine.enable_profiling();
-    let _ = engine.infer(input); // warm caches and scratch
+    let _ = engine.infer_with(input, precision); // warm caches and scratch
     let mut rounds: Vec<(u64, String)> = (0..5)
         .map(|_| {
             engine.profiler().reset();
             for _ in 0..iters {
-                let _ = engine.infer(input);
+                let _ = engine.infer_with(input, precision);
             }
             let profile = engine.exec_profile();
-            let layer = &profile.precisions[0].layers[0];
+            let slice = profile
+                .precisions
+                .iter()
+                .find(|p| p.precision == precision.label())
+                .expect("the graph carries both precisions");
+            let layer = &slice.layers[0];
             (layer.total_ns, layer.to_json())
         })
         .collect();
@@ -188,34 +189,21 @@ fn tiers() -> [Tier; 3] {
     ]
 }
 
-/// A rerunnable f32 forward pass at a pinned tier.
-fn f32_run<'a>(conv: &'a PatternConv, layer: &'a Layer, tier: &Tier) -> impl FnMut() + 'a {
+/// A rerunnable forward pass at a pinned tier and precision.
+fn run<'a>(
+    conv: &'a PatternConv,
+    precision: Precision,
+    layer: &'a Layer,
+    tier: &Tier,
+) -> impl FnMut() + 'a {
     let mut out = vec![0.0f32; layer.out_len];
-    let mut scratch = Vec::new();
+    let mut scratch = ConvScratch::default();
     let (level, walk) = (tier.level, tier.walk);
     move || {
         conv.forward_batch_at(
             level,
             walk,
-            &layer.input,
-            BATCH,
-            layer.hw,
-            layer.hw,
-            &mut out,
-            &mut scratch,
-        );
-    }
-}
-
-/// A rerunnable int8 forward pass at a pinned tier.
-fn i8_run<'a>(conv: &'a QuantPatternConv, layer: &'a Layer, tier: &Tier) -> impl FnMut() + 'a {
-    let mut out = vec![0.0f32; layer.out_len];
-    let mut scratch = QuantScratch::new();
-    let (level, walk) = (tier.level, tier.walk);
-    move || {
-        conv.forward_batch_at(
-            level,
-            walk,
+            precision,
             &layer.input,
             BATCH,
             layer.hw,
@@ -241,7 +229,8 @@ fn main() {
         let ideal = 9.0 / n as f64;
         for &hw in &WIDTHS {
             let layer = build_layer(n, hw);
-            for dtype in ["f32", "int8"] {
+            for precision in Precision::ALL {
+                let dtype = precision.label();
                 let mut tier_blocks: Vec<(&str, String)> = Vec::new();
                 let mut tiled_sparse_ms = f64::INFINITY;
                 println!("== {dtype} n={n} plane {hw}x{hw} (ideal {ideal:.2}x) ==");
@@ -249,19 +238,11 @@ fn main() {
                     // Paired rounds: dense and sparse legs run
                     // back-to-back, the speedup is the best per-round
                     // ratio (interference only deflates it).
-                    let (dense_ms, sparse_ms, speedup) = if dtype == "f32" {
-                        time_pair(
-                            budget_ms,
-                            f32_run(&layer.dense_f32, &layer, &tier),
-                            f32_run(&layer.sparse_f32, &layer, &tier),
-                        )
-                    } else {
-                        time_pair(
-                            budget_ms,
-                            i8_run(&layer.dense_i8, &layer, &tier),
-                            i8_run(&layer.sparse_i8, &layer, &tier),
-                        )
-                    };
+                    let (dense_ms, sparse_ms, speedup) = time_pair(
+                        budget_ms,
+                        run(&layer.dense, precision, &layer, &tier),
+                        run(&layer.sparse, precision, &layer, &tier),
+                    );
                     let fraction = speedup / ideal;
                     println!(
                         "  {:>7}: sparse {sparse_ms:8.4} ms  dense {dense_ms:8.4} ms  \
@@ -293,24 +274,20 @@ fn main() {
                 // per-layer profiler (the production path), emitted in
                 // the ExecProfile layer-record schema.
                 let x = Tensor::from_vec(layer.input.clone(), &[BATCH, CHANNELS, hw, hw]);
-                let op = if dtype == "f32" {
-                    Op::PatternConv(layer.sparse_f32.clone())
-                } else {
-                    Op::QuantConv(layer.sparse_i8.clone())
-                };
+                let op = Op::PatternConv(layer.sparse.clone());
                 let iters =
                     ((budget_ms / tiled_sparse_ms.max(1e-4)).ceil() as usize).clamp(3, 2000);
                 layer_records.push((
                     format!("{dtype}_n{n}_w{hw}"),
-                    profiled_layer_record(op, &x, iters),
+                    profiled_layer_record(op, precision, &x, iters),
                 ));
             }
             // The deficit tracker: tiled f32 vs tiled int8, paired.
             let [_, _, tiled] = tiers();
             let (_, _, ratio) = time_pair(
                 budget_ms,
-                f32_run(&layer.sparse_f32, &layer, &tiled),
-                i8_run(&layer.sparse_i8, &layer, &tiled),
+                run(&layer.sparse, Precision::F32, &layer, &tiled),
+                run(&layer.sparse, Precision::Int8, &layer, &tiled),
             );
             println!("  int8 vs f32 (tiled): {ratio:.2}x\n");
             summary.push((format!("int8_over_f32_n{n}_w{hw}"), ratio));

@@ -31,7 +31,6 @@ use pcnn_nn::model::{Layer, Model};
 use pcnn_tensor::Tensor;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 /// Lowering failures.
 #[derive(Debug, Clone)]
@@ -199,11 +198,12 @@ pub fn prune_and_compile(
     Ok((graph, report, outcome))
 }
 
-/// [`compile`] plus the quantised lowering: the f32 graph compiles as
-/// usual, then every pattern convolution quantises per layer through
-/// `pcnn_core::quant` (reusing its SPM codes and compiled registry) into
-/// the graph's int8 op sequence. The returned graph runs at **either**
-/// [`crate::Precision`] — one compiled topology, two datapaths.
+/// [`compile`] plus the int8 weights: the f32 graph compiles as usual,
+/// then every pattern convolution gains an int8 copy of its non-zero
+/// weights, quantised per layer through `pcnn_core::quant`
+/// ([`ExecutableGraph::with_int8`]). The returned graph runs at
+/// **either** [`crate::Precision`] — one compiled op list, two weight
+/// widths.
 ///
 /// # Errors
 ///
@@ -218,8 +218,8 @@ pub fn compile_quant(
     Ok((graph.with_int8(qopts), report))
 }
 
-/// [`prune_and_compile`] with the quantised lowering enabled — the
-/// one-call path from a trainable model to a dual-precision engine.
+/// [`prune_and_compile`] with the int8 weights compiled — the one-call
+/// path from a trainable model to a dual-precision engine.
 ///
 /// # Errors
 ///
@@ -281,8 +281,8 @@ fn lower_layers(
             }
             Layer::Linear(l) => {
                 ops.push(Op::Linear {
-                    weight: Arc::new(l.weight().clone()),
-                    bias: Arc::new(l.bias().clone()),
+                    weight: l.weight().clone(),
+                    bias: l.bias().clone(),
                 });
                 i += 1;
             }
@@ -408,10 +408,10 @@ fn lower_conv(
         None => {
             report.dense_layers += 1;
             ops.push(Op::DenseConv {
-                weight: Arc::new(weight),
+                weight,
                 bias: bias.map(|b| {
                     let len = b.len();
-                    Arc::new(Tensor::from_vec(b, &[len]))
+                    Tensor::from_vec(b, &[len])
                 }),
                 shape,
                 relu: epilogue_relu,

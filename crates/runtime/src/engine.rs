@@ -186,7 +186,7 @@ impl Engine {
     }
 
     /// Whether this engine's graph can execute `precision` (f32 always;
-    /// int8 when the graph was compiled with its quantised lowering).
+    /// int8 when the graph was compiled with its int8 weights).
     pub fn supports(&self, precision: Precision) -> bool {
         self.graph.supports(precision)
     }
@@ -219,7 +219,7 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if the graph lacks the requested lowering (see
+    /// Panics if the graph cannot run the requested precision (see
     /// [`Engine::supports`]).
     pub fn infer_with(&self, x: &Tensor, precision: Precision) -> Tensor {
         run_graph(&self.graph, &self.profiler, x, precision)
@@ -274,7 +274,7 @@ impl Engine {
     /// This is the dispatch hook for dynamic micro-batchers
     /// (`pcnn-serve`): a batched graph pass amortises padded-plane
     /// construction, offset-table derivation, and per-op dispatch across
-    /// the whole batch (see [`crate::PatternConv::forward_batch`]),
+    /// the whole batch (see [`crate::PatternConv::forward_batch_at`]),
     /// which per-request [`Engine::infer_batch`] jobs cannot. `scratch`
     /// holds the stacking buffers and is reused across calls, so a
     /// steady-state batcher performs no stacking allocations.
@@ -288,13 +288,13 @@ impl Engine {
     }
 
     /// [`Engine::infer_coalesced`] at an explicit precision: the whole
-    /// coalesced batch runs through the selected lowering of the shared
+    /// coalesced batch runs at the selected precision of the shared
     /// graph.
     ///
     /// # Panics
     ///
     /// Panics on mixed/bad request shapes, or if the graph lacks the
-    /// requested lowering.
+    /// requested precision.
     pub fn infer_coalesced_at(
         &self,
         precision: Precision,
@@ -402,12 +402,12 @@ impl Engine {
     /// [`Engine::infer_coalesced_async`] at an explicit precision — the
     /// dispatch hook for precision-aware batchers: a batch coalesced
     /// from same-precision requests runs every chunk through the
-    /// selected lowering of the shared graph.
+    /// selected precision of the shared graph.
     ///
     /// # Panics
     ///
     /// Panics if any input is not `1 × C × H × W` or shapes differ
-    /// across requests. A missing int8 lowering surfaces as per-chunk
+    /// across requests. Missing int8 weights surface as per-chunk
     /// failures (`None` outputs), not a panic of the caller.
     pub fn infer_coalesced_async_at<F>(
         &self,

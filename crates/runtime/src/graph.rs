@@ -5,15 +5,16 @@
 //! single compiled network can be shared (via `Arc`) by every worker of
 //! the batched [`crate::engine::Engine`] with zero per-request setup.
 //!
-//! A graph can carry **two lowerings of the same compiled topology**:
-//! the f32 op sequence, and (after [`ExecutableGraph::with_int8`]) an
-//! int8 sequence whose pattern convolutions share the f32 lowering's SPM
-//! codes and kernel registries with the non-zero weights quantised per
-//! layer. [`ExecutableGraph::run_with`] selects the
-//! [`Precision`] per call, which is how one engine serves mixed-precision
-//! traffic without compiling the network twice.
+//! One op sequence serves **both precisions**.
+//! [`ExecutableGraph::with_int8`] gives every pattern convolution an
+//! int8 copy of its non-zero weights next to the f32 one (codes,
+//! registry, bias and ReLU are the layer's own), and
+//! [`ExecutableGraph::run_with`] selects the [`Precision`] per call —
+//! how one engine serves mixed-precision traffic without compiling the
+//! network twice. Every other op runs in f32 at either precision.
 
-use crate::ops::{quantize_ops, run_ops, run_ops_profiled, run_ops_reference, Op};
+use crate::ops::{run_ops, run_ops_profiled, run_seq, Op};
+use crate::pattern_conv::PatternConv;
 use crate::profile::ExecProfiler;
 use crate::quant_conv::{Precision, QuantOptions};
 use pcnn_tensor::Tensor;
@@ -22,55 +23,59 @@ use pcnn_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct ExecutableGraph {
     ops: Vec<Op>,
-    /// The int8 lowering of the same topology, when enabled.
-    int8_ops: Option<Vec<Op>>,
+    /// Whether [`ExecutableGraph::with_int8`] has run.
+    int8: bool,
 }
 
 impl ExecutableGraph {
     /// Wraps a lowered op sequence (f32 only).
     pub fn new(ops: Vec<Op>) -> Self {
-        ExecutableGraph {
-            ops,
-            int8_ops: None,
-        }
+        ExecutableGraph { ops, int8: false }
     }
 
-    /// Derives the int8 lowering from the compiled f32 ops: every
-    /// pattern convolution quantises per layer (reusing its SPM codes
-    /// and compiled registry), everything else stays on the f32 path.
-    /// The f32 lowering is untouched — both precisions remain runnable.
+    /// Gives every pattern convolution, inside residual blocks too, its
+    /// int8 weight copy ([`PatternConv::with_int8`]); every other op
+    /// stays on the f32 path. The f32 weights are untouched — both
+    /// precisions remain runnable.
     pub fn with_int8(mut self, opts: &QuantOptions) -> Self {
-        self.int8_ops = Some(quantize_ops(&self.ops, opts));
+        fn fill(ops: &mut [Op], opts: &QuantOptions) {
+            for op in ops {
+                match op {
+                    Op::PatternConv(pc) => pc.quantize(opts),
+                    Op::Residual { main, shortcut } => {
+                        fill(main, opts);
+                        fill(shortcut, opts);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        fill(&mut self.ops, opts);
+        self.int8 = true;
         self
-    }
-
-    /// Whether the int8 lowering is available.
-    pub fn has_int8(&self) -> bool {
-        self.int8_ops.is_some()
     }
 
     /// Whether `precision` can be executed on this graph.
     pub fn supports(&self, precision: Precision) -> bool {
-        match precision {
-            Precision::F32 => true,
-            Precision::Int8 => self.has_int8(),
-        }
+        precision == Precision::F32 || self.int8
     }
 
-    /// The f32 op sequence.
+    fn assert_supports(&self, precision: Precision) {
+        assert!(
+            self.supports(precision),
+            "int8 weights not compiled: call with_int8 first"
+        );
+    }
+
+    /// The op sequence, shared by both precisions.
     pub fn ops(&self) -> &[Op] {
         &self.ops
-    }
-
-    /// The int8 op sequence, when enabled.
-    pub fn int8_ops(&self) -> Option<&[Op]> {
-        self.int8_ops.as_deref()
     }
 
     /// Runs the graph on an NCHW input (any batch size) at f32,
     /// producing the network output.
     pub fn run(&self, x: &Tensor) -> Tensor {
-        run_ops(&self.ops, x)
+        run_ops(&self.ops, x, Precision::F32)
     }
 
     /// Runs the graph at the requested precision.
@@ -80,15 +85,8 @@ impl ExecutableGraph {
     /// Panics if `Precision::Int8` is requested on a graph compiled
     /// without [`ExecutableGraph::with_int8`].
     pub fn run_with(&self, x: &Tensor, precision: Precision) -> Tensor {
-        match precision {
-            Precision::F32 => run_ops(&self.ops, x),
-            Precision::Int8 => run_ops(
-                self.int8_ops
-                    .as_deref()
-                    .expect("int8 lowering not compiled: call with_int8 first"),
-                x,
-            ),
-        }
+        self.assert_supports(precision);
+        run_ops(&self.ops, x, precision)
     }
 
     /// [`ExecutableGraph::run_with`] with per-layer instrumentation:
@@ -107,87 +105,54 @@ impl ExecutableGraph {
         precision: Precision,
         profiler: &ExecProfiler,
     ) -> Tensor {
-        let ops = match precision {
-            Precision::F32 => &self.ops[..],
-            Precision::Int8 => self
-                .int8_ops
-                .as_deref()
-                .expect("int8 lowering not compiled: call with_int8 first"),
-        };
-        let mut idx = 0;
-        run_ops_profiled(ops, x, profiler.layers(precision), &mut idx)
+        self.assert_supports(precision);
+        run_ops_profiled(&self.ops, x, precision, profiler.layers(precision), &mut 0)
     }
 
-    /// Runs the int8 lowering on its dequantise-then-f32 **reference**
-    /// datapath: identical quantisation decisions, float arithmetic.
-    /// The integer path ([`ExecutableGraph::run_with`] at `Int8`) must
-    /// match this within 1e-5 — the parity suite's oracle.
+    /// Runs the int8 weights on their dequantise-then-f32 **reference**
+    /// datapath ([`PatternConv::forward_reference`]): identical
+    /// quantisation decisions, float arithmetic. The integer path
+    /// ([`ExecutableGraph::run_with`] at `Int8`) must match this within
+    /// 1e-5 — the parity suite's oracle.
     ///
     /// # Panics
     ///
-    /// Panics if the int8 lowering is not compiled.
+    /// Panics if the int8 weights are not compiled.
     pub fn run_int8_reference(&self, x: &Tensor) -> Tensor {
-        run_ops_reference(
-            self.int8_ops
-                .as_deref()
-                .expect("int8 lowering not compiled: call with_int8 first"),
-            x,
-        )
+        self.assert_supports(Precision::Int8);
+        run_seq(&self.ops, x, &PatternConv::forward_reference)
     }
 
-    /// One description line per op of the f32 lowering (residual blocks
-    /// annotate their sub-op counts).
+    /// One description line per op (residual blocks annotate their
+    /// sub-op counts; pattern convolutions their int8 weights).
     pub fn summary(&self) -> Vec<String> {
         self.ops.iter().map(Op::describe).collect()
     }
 
-    /// One description line per op of the requested lowering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `Precision::Int8` is requested without the lowering.
-    pub fn summary_at(&self, precision: Precision) -> Vec<String> {
-        match precision {
-            Precision::F32 => self.summary(),
-            Precision::Int8 => self
-                .int8_ops
-                .as_deref()
-                .expect("int8 lowering not compiled: call with_int8 first")
-                .iter()
-                .map(Op::describe)
-                .collect(),
-        }
-    }
-
-    /// Number of pattern-sparse convolution ops in the f32 lowering,
-    /// recursing into residual blocks.
+    /// Number of pattern-sparse convolution ops, recursing into
+    /// residual blocks.
     pub fn sparse_op_count(&self) -> usize {
-        fn count(ops: &[Op]) -> usize {
-            ops.iter()
-                .map(|op| match op {
-                    Op::PatternConv(_) => 1,
-                    Op::Residual { main, shortcut } => count(main) + count(shortcut),
-                    _ => 0,
-                })
-                .sum()
-        }
-        count(&self.ops)
+        count_pattern_convs(&self.ops, &|_| true)
     }
 
-    /// Number of quantised convolution ops in the int8 lowering (zero
-    /// when the lowering is absent), recursing into residual blocks.
+    /// Number of pattern convolutions carrying int8 weights (zero
+    /// before [`ExecutableGraph::with_int8`]), recursing into residual
+    /// blocks.
     pub fn quant_op_count(&self) -> usize {
-        fn count(ops: &[Op]) -> usize {
-            ops.iter()
-                .map(|op| match op {
-                    Op::QuantConv(_) => 1,
-                    Op::Residual { main, shortcut } => count(main) + count(shortcut),
-                    _ => 0,
-                })
-                .sum()
-        }
-        self.int8_ops.as_deref().map_or(0, count)
+        count_pattern_convs(&self.ops, &|pc| pc.weight_params().is_some())
     }
+}
+
+fn count_pattern_convs(ops: &[Op], keep: &dyn Fn(&PatternConv) -> bool) -> usize {
+    ops.iter()
+        .map(|op| match op {
+            Op::PatternConv(pc) => usize::from(keep(pc)),
+            Op::Residual { main, shortcut } => {
+                count_pattern_convs(main, keep) + count_pattern_convs(shortcut, keep)
+            }
+            _ => 0,
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -210,16 +175,18 @@ mod tests {
         assert!(g.supports(Precision::F32));
         assert!(!g.supports(Precision::Int8));
         assert_eq!(g.quant_op_count(), 0);
+        let x = Tensor::from_vec(vec![-1.0, 2.0], &[1, 1, 1, 2]);
+        let unsupported = std::panic::catch_unwind(|| g.run_with(&x, Precision::Int8));
+        assert!(unsupported.is_err(), "int8 without with_int8 must panic");
         let g = g.with_int8(&QuantOptions::default());
         assert!(g.supports(Precision::Int8));
-        let x = Tensor::from_vec(vec![-1.0, 2.0], &[1, 1, 1, 2]);
-        // No quant ops in this graph, so both precisions agree exactly.
+        // No pattern convs in this graph, so both precisions agree exactly.
         assert_eq!(
             g.run_with(&x, Precision::Int8).as_slice(),
             g.run_with(&x, Precision::F32).as_slice()
         );
         assert_eq!(g.run_int8_reference(&x).as_slice(), g.run(&x).as_slice());
-        assert_eq!(g.summary_at(Precision::Int8), g.summary());
+        assert_eq!(g.summary(), vec!["ReLU".to_string()]);
     }
 
     #[test]

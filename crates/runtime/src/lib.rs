@@ -10,7 +10,7 @@
 //!
 //! ## Architecture
 //!
-//! The engine is a three-stage pipeline, one module per stage:
+//! The engine is a four-stage pipeline, one module per stage:
 //!
 //! 1. **Kernel registry** ([`registry`]). Each 3×3 sparsity pattern is
 //!    compiled once into tap coordinates, and execution dispatches onto
@@ -68,21 +68,22 @@
 //!    [`engine::Engine::infer_coalesced_async`]): same-shape
 //!    single-image requests stack into one batched graph pass, which
 //!    amortises per-op dispatch, offset tables and scratch across the
-//!    whole batch ([`PatternConv::forward_batch`]).
+//!    whole batch ([`PatternConv::forward_batch_at`]).
 //!
-//! 4. **Quantised backend** ([`quant_conv`], [`quant_kernels`]). The
-//!    same compiled topology carries an optional **int8** lowering
-//!    ([`graph::ExecutableGraph::with_int8`], or [`compile::compile_quant`]
-//!    in one step): SPM non-zero sequences quantise per layer through
-//!    `pcnn_core::quant` while the pattern codes, registries, and offset
-//!    tables are shared verbatim — the economy the paper's SPM format
-//!    exists for. Execution quantises activations per image (fused into
-//!    the walk's band padding), accumulates `i8 × i8` MACs in an `i32`
-//!    register tile of the same walk, and requantises it in registers with the
-//!    folded BN shift and fused ReLU
-//!    ([`quant_conv::QuantPatternConv`]). [`quant_conv::Precision`]
-//!    selects the datapath per call ([`engine::Engine::infer_with`],
-//!    [`engine::Engine::infer_coalesced_async_at`]).
+//! 4. **Quantised backend** ([`quant_conv`], [`quant_kernels`]). Each
+//!    compiled [`PatternConv`] can carry a second, **int8** copy of its
+//!    weights ([`graph::ExecutableGraph::with_int8`], or
+//!    [`compile::compile_quant`] in one step): SPM non-zero sequences
+//!    quantise per layer through `pcnn_core::quant` while the pattern
+//!    codes, registry, offset tables, bias and ReLU stay the layer's
+//!    own — the economy the paper's SPM format exists for. One op list
+//!    serves both precisions; [`quant_conv::Precision`] selects the
+//!    weight copy per call ([`engine::Engine::infer_with`],
+//!    [`engine::Engine::infer_coalesced_async_at`]). At int8 the same
+//!    walk quantises activations per image (fused into its band
+//!    padding), accumulates `i8 × i8` MACs in an `i32` register tile,
+//!    and requantises it in registers with the folded BN shift and
+//!    fused ReLU.
 //!
 //! The online serving layer on top of this crate — bounded request
 //! queue, micro-batching, tickets, latency percentiles — is
@@ -145,7 +146,7 @@ pub use compile::{
 };
 pub use engine::{Engine, ServeStats};
 pub use graph::ExecutableGraph;
-pub use pattern_conv::{PatternConv, Walk};
+pub use pattern_conv::{ConvScratch, PatternConv, Walk};
 pub use profile::{ExecProfile, ExecProfiler, LayerProfile, PhaseSplit, PrecisionProfile};
-pub use quant_conv::{Precision, QuantOptions, QuantPatternConv, QuantScratch};
+pub use quant_conv::{Precision, QuantOptions};
 pub use registry::KernelRegistry;

@@ -4,14 +4,15 @@
 //! blocks nest two sub-sequences). Every op is immutable and `Sync`, so
 //! one compiled graph serves arbitrarily many concurrent inference
 //! requests — unlike the trainable `pcnn_nn::Model`, whose forward pass
-//! requires `&mut self` for gradient caches.
+//! requires `&mut self` for gradient caches. The one sequence serves
+//! both precisions: a pattern convolution runs the weight copy the
+//! call's [`Precision`] names, every other op runs in f32.
 
 use crate::pattern_conv::PatternConv;
 use crate::profile::LayerStats;
-use crate::quant_conv::QuantPatternConv;
+use crate::quant_conv::Precision;
 use pcnn_tensor::conv::{conv2d_forward, Conv2dShape};
 use pcnn_tensor::{ops as tops, pool, Tensor};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One executable operator.
@@ -20,23 +21,18 @@ pub enum Op {
     /// Dense im2col convolution (optionally with folded BN bias and
     /// fused ReLU).
     DenseConv {
-        /// OIHW weights (already BN-scaled when folded). Behind an
-        /// `Arc`: dense fallback layers carry over unchanged into the
-        /// int8 lowering, so both op sequences of a dual-precision
-        /// graph share one copy of these tensors.
-        weight: Arc<Tensor>,
-        /// Per-output-channel bias (shared like the weights).
-        bias: Option<Arc<Tensor>>,
+        /// OIHW weights (already BN-scaled when folded).
+        weight: Tensor,
+        /// Per-output-channel bias.
+        bias: Option<Tensor>,
         /// Convolution geometry.
         shape: Conv2dShape,
         /// Fused ReLU epilogue.
         relu: bool,
     },
-    /// Pattern-sparse convolution through the compiled kernel registry.
+    /// Pattern-sparse convolution through the compiled kernel registry,
+    /// at either precision.
     PatternConv(PatternConv),
-    /// Quantised pattern-sparse convolution: i8 weights × i8
-    /// activations, i32 accumulation, requantised in the epilogue.
-    QuantConv(QuantPatternConv),
     /// Per-channel affine `y = scale·x + shift` (unfused eval-mode BN).
     Affine {
         /// Per-channel scale.
@@ -57,11 +53,10 @@ pub enum Op {
     Flatten,
     /// Fully-connected layer.
     Linear {
-        /// `out × in` weights (shared across lowerings like
-        /// `DenseConv`'s).
-        weight: Arc<Tensor>,
+        /// `out × in` weights.
+        weight: Tensor,
         /// `out` bias.
-        bias: Arc<Tensor>,
+        bias: Tensor,
     },
     /// Residual block: `relu(main(x) + shortcut(x))`; an empty shortcut
     /// is the identity.
@@ -73,9 +68,28 @@ pub enum Op {
     },
 }
 
+/// How an op walk executes its pattern convolutions: at a precision
+/// ([`run_ops`]) or on the int8 oracle
+/// ([`crate::ExecutableGraph::run_int8_reference`]).
+type ConvFn<'a> = &'a dyn Fn(&PatternConv, &Tensor) -> Tensor;
+
 impl Op {
-    /// Executes the op on an input activation.
+    /// Executes the op on an input activation at f32.
     pub fn run(&self, x: &Tensor) -> Tensor {
+        self.run_at(x, Precision::F32)
+    }
+
+    /// Executes the op at `precision`: pattern convolutions run that
+    /// weight copy, every other op runs in f32.
+    ///
+    /// # Panics
+    ///
+    /// Panics for `Int8` on a pattern convolution without int8 weights.
+    pub fn run_at(&self, x: &Tensor, precision: Precision) -> Tensor {
+        self.run_by(x, &|conv, x| conv.forward_with(x, precision))
+    }
+
+    fn run_by(&self, x: &Tensor, conv: ConvFn<'_>) -> Tensor {
         match self {
             Op::DenseConv {
                 weight,
@@ -83,7 +97,7 @@ impl Op {
                 shape,
                 relu,
             } => {
-                let mut y = conv2d_forward(x, weight, bias.as_deref(), shape);
+                let mut y = conv2d_forward(x, weight, bias.as_ref(), shape);
                 if *relu {
                     for v in y.as_mut_slice() {
                         if *v < 0.0 {
@@ -93,8 +107,7 @@ impl Op {
                 }
                 y
             }
-            Op::PatternConv(conv) => conv.forward(x),
-            Op::QuantConv(conv) => conv.forward(x),
+            Op::PatternConv(c) => conv(c, x),
             Op::Affine { scale, shift } => {
                 let dims = x.shape();
                 assert_eq!(dims.len(), 4, "affine expects NCHW");
@@ -122,24 +135,23 @@ impl Op {
                 x.reshaped(&[n, rest])
             }
             Op::Linear { weight, bias } => tops::linear_forward(x, weight, Some(bias)),
-            Op::Residual { main, shortcut } => run_residual(main, shortcut, x, run_ops),
+            Op::Residual { main, shortcut } => {
+                let mut m = run_seq(main, x, conv);
+                let s = if shortcut.is_empty() {
+                    x.clone()
+                } else {
+                    run_seq(shortcut, x, conv)
+                };
+                m.axpy(1.0, &s);
+                m.map_inplace(|v| v.max(0.0));
+                m
+            }
         }
     }
 
-    /// Executes the op on the *reference* datapath: quantised
-    /// convolutions run their dequantise-then-f32 reference
-    /// ([`QuantPatternConv::forward_reference`]) instead of the integer
-    /// kernels; every other op runs normally. The integer path must
-    /// match this within float rounding — the parity suite's oracle.
-    pub fn run_reference(&self, x: &Tensor) -> Tensor {
-        match self {
-            Op::QuantConv(conv) => conv.forward_reference(x),
-            Op::Residual { main, shortcut } => run_residual(main, shortcut, x, run_ops_reference),
-            other => other.run(x),
-        }
-    }
-
-    /// A one-line description for graph summaries.
+    /// A one-line description for graph summaries: pattern convolutions
+    /// report their int8 weight scale and skip count when they carry
+    /// int8 weights.
     pub fn describe(&self) -> String {
         match self {
             Op::DenseConv { shape, relu, .. } => format!(
@@ -154,8 +166,15 @@ impl Op {
             ),
             Op::PatternConv(c) => {
                 let s = c.shape();
+                let skip = |p| match c.skipped_kernels_at(p) {
+                    0 => String::new(),
+                    k => format!(" (skip {k})"),
+                };
+                let int8 = c.weight_params().map_or(String::new(), |wp| {
+                    format!(" | int8 s_w={:.2e}{}", wp.scale, skip(Precision::Int8))
+                });
                 format!(
-                    "PatternConv {}x{}x{}x{} n={} |P|={}{}{}",
+                    "PatternConv {}x{}x{}x{} n={} |P|={}{}{}{int8}",
                     s.out_c,
                     s.in_c,
                     s.kernel,
@@ -163,30 +182,7 @@ impl Op {
                     c.spm().nonzeros_per_kernel(),
                     c.spm().pattern_set().len(),
                     if c.has_relu() { " +relu" } else { "" },
-                    if c.skipped_kernels() > 0 {
-                        format!(" (skip {})", c.skipped_kernels())
-                    } else {
-                        String::new()
-                    }
-                )
-            }
-            Op::QuantConv(c) => {
-                let s = c.shape();
-                format!(
-                    "QuantConv int8 {}x{}x{}x{} n={} |P|={} s_w={:.2e}{}{}",
-                    s.out_c,
-                    s.in_c,
-                    s.kernel,
-                    s.kernel,
-                    c.nonzeros_per_kernel(),
-                    c.pattern_count(),
-                    c.weight_params().scale,
-                    if c.has_relu() { " +relu" } else { "" },
-                    if c.skipped_kernels() > 0 {
-                        format!(" (skip {})", c.skipped_kernels())
-                    } else {
-                        String::new()
-                    }
+                    skip(Precision::F32),
                 )
             }
             Op::Affine { scale, .. } => format!("Affine c={}", scale.len()),
@@ -206,136 +202,76 @@ impl Op {
     }
 }
 
-/// The residual combinator shared by both datapaths:
-/// `relu(main(x) + shortcut(x))`, with an empty shortcut meaning
-/// identity. `run_seq` is [`run_ops`] on the executing path and
-/// [`run_ops_reference`] on the parity oracle — one implementation, so
-/// the two can never drift.
-fn run_residual(
-    main: &[Op],
-    shortcut: &[Op],
-    x: &Tensor,
-    run_seq: impl Fn(&[Op], &Tensor) -> Tensor,
-) -> Tensor {
-    let mut m = run_seq(main, x);
-    let s = if shortcut.is_empty() {
-        x.clone()
-    } else {
-        run_seq(shortcut, x)
-    };
-    m.axpy(1.0, &s);
-    m.map_inplace(|v| v.max(0.0));
-    m
+/// Runs a sequence of ops at `precision`. The input is only cloned when
+/// `ops` is empty; otherwise the first op reads `x` directly (keeps a
+/// per-request full-tensor copy off the serving hot path).
+///
+/// # Panics
+///
+/// As [`Op::run_at`].
+pub fn run_ops(ops: &[Op], x: &Tensor, precision: Precision) -> Tensor {
+    run_seq(ops, x, &|conv, x| conv.forward_with(x, precision))
 }
 
-/// Runs a sequence of ops. The input is only cloned when `ops` is
-/// empty; otherwise the first op reads `x` directly (keeps a
-/// per-request full-tensor copy off the serving hot path).
-pub fn run_ops(ops: &[Op], x: &Tensor) -> Tensor {
+/// The one op walk under [`run_ops`] and the int8 oracle, so the two
+/// can never drift.
+pub(crate) fn run_seq(ops: &[Op], x: &Tensor, conv: ConvFn<'_>) -> Tensor {
     match ops.split_first() {
         None => x.clone(),
-        Some((first, rest)) => {
-            let mut cur = first.run(x);
-            for op in rest {
-                cur = op.run(&cur);
-            }
-            cur
-        }
+        Some((first, rest)) => rest
+            .iter()
+            .fold(first.run_by(x, conv), |cur, op| op.run_by(&cur, conv)),
     }
 }
 
 /// [`run_ops`] with per-layer instrumentation: each op's wall time is
-/// recorded into its [`LayerStats`] slot, with pattern/quant
-/// convolutions additionally splitting pad/kernel/epilogue phases.
+/// recorded into its [`LayerStats`] slot, with pattern convolutions
+/// additionally splitting pad/kernel phases.
 ///
 /// `idx` threads the flat slot cursor through residual recursion; the
 /// slot order is `crate::profile::ExecProfiler::for_graph`'s flatten
 /// order (main ops, shortcut ops, then one combine slot per residual
 /// block) and the two must never drift.
-pub fn run_ops_profiled(ops: &[Op], x: &Tensor, stats: &[LayerStats], idx: &mut usize) -> Tensor {
-    match ops.split_first() {
-        None => x.clone(),
-        Some((first, rest)) => {
-            let mut cur = run_op_profiled(first, x, stats, idx);
-            for op in rest {
-                cur = run_op_profiled(op, &cur, stats, idx);
+pub fn run_ops_profiled(
+    ops: &[Op],
+    x: &Tensor,
+    precision: Precision,
+    stats: &[LayerStats],
+    idx: &mut usize,
+) -> Tensor {
+    let mut cur: Option<Tensor> = None;
+    for op in ops {
+        let x = cur.as_ref().unwrap_or(x);
+        let images = x.shape().first().copied().unwrap_or(1) as u64;
+        let y = match op {
+            Op::Residual { main, shortcut } => {
+                let mut m = run_ops_profiled(main, x, precision, stats, idx);
+                let s = if shortcut.is_empty() {
+                    x.clone()
+                } else {
+                    run_ops_profiled(shortcut, x, precision, stats, idx)
+                };
+                // The combine's slot follows the block's inner ones.
+                let t0 = Instant::now();
+                m.axpy(1.0, &s);
+                m.map_inplace(|v| v.max(0.0));
+                stats[*idx].record_pass(images, t0.elapsed().as_nanos() as u64);
+                m
             }
-            cur
-        }
-    }
-}
-
-fn run_op_profiled(op: &Op, x: &Tensor, stats: &[LayerStats], idx: &mut usize) -> Tensor {
-    let images = x.shape().first().copied().unwrap_or(1) as u64;
-    match op {
-        Op::Residual { main, shortcut } => {
-            let mut m = run_ops_profiled(main, x, stats, idx);
-            let s = if shortcut.is_empty() {
-                x.clone()
-            } else {
-                run_ops_profiled(shortcut, x, stats, idx)
-            };
-            let slot = &stats[*idx];
-            *idx += 1;
-            let t0 = Instant::now();
-            m.axpy(1.0, &s);
-            m.map_inplace(|v| v.max(0.0));
-            slot.record_pass(images, t0.elapsed().as_nanos() as u64);
-            m
-        }
-        Op::PatternConv(conv) => {
-            let slot = &stats[*idx];
-            *idx += 1;
-            conv.forward_profiled(x, slot)
-        }
-        Op::QuantConv(conv) => {
-            let slot = &stats[*idx];
-            *idx += 1;
-            conv.forward_profiled(x, slot)
-        }
-        other => {
-            let slot = &stats[*idx];
-            *idx += 1;
-            let t0 = Instant::now();
-            let y = other.run(x);
-            slot.record_pass(images, t0.elapsed().as_nanos() as u64);
-            y
-        }
-    }
-}
-
-/// [`run_ops`] on the reference datapath (see [`Op::run_reference`]).
-pub fn run_ops_reference(ops: &[Op], x: &Tensor) -> Tensor {
-    match ops.split_first() {
-        None => x.clone(),
-        Some((first, rest)) => {
-            let mut cur = first.run_reference(x);
-            for op in rest {
-                cur = op.run_reference(&cur);
+            Op::PatternConv(conv) => {
+                conv.forward_tensor(x, precision, Some((&stats[*idx], Instant::now())))
             }
-            cur
-        }
+            other => {
+                let t0 = Instant::now();
+                let y = other.run(x);
+                stats[*idx].record_pass(images, t0.elapsed().as_nanos() as u64);
+                y
+            }
+        };
+        *idx += 1;
+        cur = Some(y);
     }
-}
-
-/// Maps an f32 op sequence to its int8 lowering: pattern-sparse
-/// convolutions quantise ([`QuantPatternConv::from_pattern_conv`],
-/// reusing their compiled codes and registries), residual blocks map
-/// recursively, and every other op — dense 1×1 convolutions, pooling,
-/// linear heads — carries over on the f32 path (their weights are a
-/// sliver of the network next to the SPM layers, which is exactly why
-/// the paper quantises the SPM sequences).
-pub fn quantize_ops(ops: &[Op], opts: &crate::quant_conv::QuantOptions) -> Vec<Op> {
-    ops.iter()
-        .map(|op| match op {
-            Op::PatternConv(pc) => Op::QuantConv(QuantPatternConv::from_pattern_conv(pc, opts)),
-            Op::Residual { main, shortcut } => Op::Residual {
-                main: quantize_ops(main, opts),
-                shortcut: quantize_ops(shortcut, opts),
-            },
-            other => other.clone(),
-        })
-        .collect()
+    cur.unwrap_or_else(|| x.clone())
 }
 
 #[cfg(test)]
@@ -380,7 +316,7 @@ mod tests {
         let shape = Conv2dShape::new(1, 1, 1, 1, 0);
         let w = Tensor::from_vec(vec![-1.0], &[1, 1, 1, 1]);
         let op = Op::DenseConv {
-            weight: Arc::new(w),
+            weight: w,
             bias: None,
             shape,
             relu: true,

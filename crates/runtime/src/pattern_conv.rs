@@ -1,37 +1,49 @@
-//! The executable pattern-sparse convolution layer.
+//! The executable pattern-sparse convolution layer, at either precision.
 //!
 //! [`PatternConv`] owns an SPM-encoded weight layer plus its compiled
-//! [`KernelRegistry`] and executes the convolution directly with one
-//! **band-resident, output-stationary walk**
-//! ([`pcnn_tensor::direct::band_walk_at`]): image by image, one row
-//! band of all `in_c` input planes — sized to stay in L1 — is
-//! zero-padded into a band-sized scratch, and every output channel
-//! then runs over it: a register tile of the output plane is seeded
-//! with the bias, every live input-channel kernel of that channel
-//! streams its `n` taps through it in ascending `ic`, and the fused
-//! ReLU runs on the registers on the way to a single store. The band
-//! is the operand read `out_c` times, so it is the one kept close; the
-//! weights stream past once per band. Geometries without a tile
-//! (stride ≠ 1, kernels other than 3×3 pad 1, untiled widths, more
-//! than 9 taps) pad the whole batch once and run a channel loop one
-//! kernel at a time through
-//! [`pcnn_tensor::direct::accumulate_plane_batch_dyn`]; both produce
-//! bit-identical results. Compared with dense im2col this touches
-//! `n/k²` of the weights and never materialises the column matrix.
+//! [`KernelRegistry`] and, once [`PatternConv::with_int8`] has run, an
+//! int8 copy of its non-zero weights ([`crate::quant_conv`]). Every
+//! call names its [`Precision`], and both run one **band-resident,
+//! output-stationary walk** ([`pcnn_tensor::direct::band_walk_at`]),
+//! differing only in the epilogue handed to it ([`BiasRelu`] or
+//! [`Requant`]): image by image, one row band of all `in_c` input
+//! planes — sized to stay in L1 — is zero-padded (int8: quantised at
+//! that image's scale) into a band-sized scratch, and every output
+//! channel then runs over it: a register tile of the output plane is
+//! seeded with the bias, every live input-channel kernel of that
+//! channel streams its `n` taps through it in ascending `ic`, and the
+//! fused ReLU (int8: requantisation) runs on the registers on the way
+//! to a single store. The band is the operand read `out_c` times, so it
+//! is the one kept close; the weights stream past once per band.
+//! Geometries without a tile (stride ≠ 1, kernels other than 3×3 pad 1,
+//! untiled widths, more than 9 taps) pad the whole batch once and run a
+//! channel loop one kernel at a time through
+//! [`pcnn_tensor::direct::accumulate_plane_batch_dyn_at`] (int8: into
+//! `i32` planes through `accumulate_plane_batch_dyn_i8_at`, requantised
+//! afterwards); both produce bit-identical results. Compared with dense
+//! im2col this touches `n/k²` of the weights and never materialises the
+//! column matrix.
 //!
 //! Kernels whose non-zero sequence is entirely zero — the signature of
 //! an *orthogonal* coarse-grained pruning pass (kernel/channel pruning
 //! on top of PCNN, `pcnn_core::fuse`) — are skipped outright, so fused
-//! coarse+pattern sparsity shows up as real runtime savings.
+//! coarse+pattern sparsity shows up as real runtime savings. Each
+//! precision keeps its own skip flags: quantisation can zero more
+//! kernels than f32 has.
 
 use crate::profile::{ConvPass, LayerStats};
+use crate::quant_conv::{Int8Weights, Precision, QuantOptions};
+use crate::quant_kernels::{
+    per_image_activation_params_at, quantize_batch_planes_at, requantize_plane_at,
+};
 use crate::registry::{KernelRegistry, PatternSchedule};
 use pcnn_core::pattern::PatternSet;
+use pcnn_core::quant::QuantParams;
 use pcnn_core::spm::{EncodeSpmError, SpmLayer};
 use pcnn_tensor::conv::Conv2dShape;
 use pcnn_tensor::direct::{
-    accumulate_plane_batch_dyn_at, band_walk_at, has_tile, pad_plane_overwrite, padded_dims,
-    relu_in_place_at, BatchPlanes, BiasRelu, SpmKernels,
+    accumulate_plane_batch_dyn_at, accumulate_plane_batch_dyn_i8_at, band_walk_at, has_tile,
+    pad_plane_overwrite, padded_dims, relu_in_place_at, BatchPlanes, BiasRelu, Requant, SpmKernels,
 };
 use pcnn_tensor::simd::{self, SimdLevel};
 use pcnn_tensor::Tensor;
@@ -49,6 +61,19 @@ pub enum Walk {
     PerKernel,
 }
 
+/// Reusable scratch of the batched entry points, for either precision:
+/// padded planes (one band of them where the geometry has a tile, the
+/// whole batch's where it has none), the int8 path's per-image scales
+/// and, only for int8 geometries without a tile, one output channel's
+/// `i32` sums. Grown on first use and recycled across calls.
+#[derive(Debug, Default)]
+pub struct ConvScratch {
+    pub(crate) padded: Vec<f32>,
+    pub(crate) qpadded: Vec<i8>,
+    pub(crate) scales: Vec<f32>,
+    pub(crate) acc: Vec<i32>,
+}
+
 /// A compiled, immutable, thread-safe sparse convolution.
 #[derive(Debug, Clone)]
 pub struct PatternConv {
@@ -64,6 +89,9 @@ pub struct PatternConv {
     skip: Vec<bool>,
     /// Live kernels counted by `(ic, pattern)` group (a statistic).
     schedule: PatternSchedule,
+    /// The int8 weight copy, once [`PatternConv::with_int8`] has run
+    /// (boxed: an `Op` holds the layer inline).
+    int8: Option<Box<Int8Weights>>,
 }
 
 impl PatternConv {
@@ -93,6 +121,7 @@ impl PatternConv {
             relu: false,
             skip,
             schedule,
+            int8: None,
         }
     }
 
@@ -127,6 +156,41 @@ impl PatternConv {
         self
     }
 
+    /// Adds the int8 weight copy: the non-zero sequences quantise per
+    /// layer to `opts.weight_bits`, everything else is shared and the
+    /// f32 weights stay. Call it after [`PatternConv::with_bias`] /
+    /// [`PatternConv::with_relu`] or before — the epilogue is shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either bit width is outside `2..=8`.
+    pub fn with_int8(mut self, opts: &QuantOptions) -> Self {
+        self.quantize(opts);
+        self
+    }
+
+    /// [`PatternConv::with_int8`] in place, for a compiled graph.
+    pub(crate) fn quantize(&mut self, opts: &QuantOptions) {
+        self.int8 = Some(Box::new(Int8Weights::new(&self.spm, opts)));
+    }
+
+    /// The int8 weight copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`PatternConv::with_int8`] has not run.
+    pub(crate) fn int8(&self) -> &Int8Weights {
+        self.int8
+            .as_ref()
+            .expect("int8 weights not compiled: call with_int8 first")
+    }
+
+    /// The per-layer weight quantisation parameters, when the layer
+    /// carries int8 weights.
+    pub fn weight_params(&self) -> Option<QuantParams> {
+        self.int8.as_ref().map(|q| q.wparams)
+    }
+
     /// The layer's live kernels counted by `(ic, pattern)` group.
     pub fn schedule(&self) -> &PatternSchedule {
         &self.schedule
@@ -157,25 +221,57 @@ impl PatternConv {
         self.bias.as_deref()
     }
 
-    /// Number of kernels skipped as all-zero (orthogonal coarse pruning).
+    /// Number of kernels skipped as all-zero at f32 (orthogonal coarse
+    /// pruning).
     pub fn skipped_kernels(&self) -> usize {
-        self.skip.iter().filter(|&&s| s).count()
+        self.skipped_kernels_at(Precision::F32)
     }
 
-    /// Executes on an NCHW input with batch-level amortisation.
+    /// Number of kernels `precision` skips as all-zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics for `Int8` when the layer carries no int8 weights.
+    pub fn skipped_kernels_at(&self, precision: Precision) -> usize {
+        self.skip_flags(precision).iter().filter(|&&s| s).count()
+    }
+
+    fn skip_flags(&self, precision: Precision) -> &[bool] {
+        match precision {
+            Precision::F32 => &self.skip,
+            Precision::Int8 => &self.int8().skip,
+        }
+    }
+
+    /// Executes on an NCHW input at f32 with batch-level amortisation.
     ///
     /// # Panics
     ///
     /// Panics on input shape mismatch.
     pub fn forward(&self, input: &Tensor) -> Tensor {
-        self.forward_tensor(input, None)
+        self.forward_with(input, Precision::F32)
+    }
+
+    /// [`PatternConv::forward`] at the requested precision.
+    ///
+    /// # Panics
+    ///
+    /// Panics on input shape mismatch, and for `Int8` when the layer
+    /// carries no int8 weights.
+    pub fn forward_with(&self, input: &Tensor, precision: Precision) -> Tensor {
+        self.forward_tensor(input, precision, None)
     }
 
     /// The batched execution path: one walk over the whole batch (see
     /// the module docs), so the offset table, the dispatch and the
     /// scratch are paid once per layer rather than once per image —
     /// what makes dynamic batching in `pcnn-serve` cheaper than
-    /// per-image dispatch even on a single core.
+    /// per-image dispatch even on a single core. At int8 each image's
+    /// bands quantise at its own scale on the way in and each tile
+    /// requantises in registers at that scale on the way out. The SIMD
+    /// tier and kernel walk are the caller's (production passes
+    /// `simd::active()` and [`Walk::Tiled`]; benches and property suites
+    /// diff the four combinations against each other).
     ///
     /// `input` is `n` contiguous `in_c × h × w` images; `out` is `n`
     /// contiguous `out_c × oh × ow` outputs, fully overwritten.
@@ -186,70 +282,71 @@ impl PatternConv {
     ///
     /// # Panics
     ///
-    /// Panics if `input` or `out` have the wrong length.
-    pub fn forward_batch(
-        &self,
-        input: &[f32],
-        n: usize,
-        h: usize,
-        w: usize,
-        out: &mut [f32],
-        scratch: &mut Vec<f32>,
-    ) {
-        self.forward_batch_at(simd::active(), Walk::Tiled, input, n, h, w, out, scratch);
-    }
-
-    /// The fully pinned batched entry point: the SIMD tier and kernel
-    /// walk chosen by the caller (benches and property suites diff the
-    /// four combinations against each other).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` or `out` have the wrong length.
+    /// Panics if `input` or `out` have the wrong length, and for `Int8`
+    /// when the layer carries no int8 weights.
     #[allow(clippy::too_many_arguments)] // bench/test entry point: every axis is load-bearing
     pub fn forward_batch_at(
         &self,
         level: SimdLevel,
         walk: Walk,
+        precision: Precision,
         input: &[f32],
         n: usize,
         h: usize,
         w: usize,
         out: &mut [f32],
-        scratch: &mut Vec<f32>,
+        scratch: &mut ConvScratch,
     ) {
-        self.forward_batch_impl(level, walk, input, n, h, w, out, scratch, None);
+        self.forward_batch_impl(level, walk, precision, input, n, h, w, out, scratch, None);
     }
 
-    /// [`PatternConv::forward`] with per-phase instrumentation into a
-    /// profiler slot — the profiled graph walk's entry point. The
-    /// caller's entry time anchors the pass: the pad phase is
-    /// everything before the first kernel (output allocation included)
-    /// plus every band's padding.
-    pub(crate) fn forward_profiled(&self, input: &Tensor, stats: &LayerStats) -> Tensor {
-        self.forward_tensor(input, Some((stats, Instant::now())))
-    }
-
-    fn forward_tensor(&self, input: &Tensor, profile: Option<(&LayerStats, Instant)>) -> Tensor {
+    /// [`PatternConv::forward_with`], instrumented into a profiler slot
+    /// when `profile` is given — the profiled graph walk's entry point.
+    /// The caller's entry time anchors the pass: the pad phase is
+    /// everything before the first kernel (output allocation and the
+    /// int8 scale derivation included) plus every band's padding.
+    pub(crate) fn forward_tensor(
+        &self,
+        input: &Tensor,
+        precision: Precision,
+        profile: Option<(&LayerStats, Instant)>,
+    ) -> Tensor {
         let dims = input.shape();
         assert_eq!(dims.len(), 4, "input must be NCHW");
         let (n, in_c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         assert_eq!(in_c, self.shape.in_c, "input channel mismatch");
         let (oh, ow) = self.shape.out_hw(h, w);
         let mut out = Tensor::zeros(&[n, self.shape.out_c, oh, ow]);
-        let mut scratch = Vec::new();
         self.forward_batch_impl(
             simd::active(),
             Walk::Tiled,
+            precision,
             input.as_slice(),
             n,
             h,
             w,
             out.as_mut_slice(),
-            &mut scratch,
+            &mut ConvScratch::default(),
             profile,
         );
         out
+    }
+
+    /// The walk's view of one precision's weights.
+    fn kernels<'a, W>(
+        &'a self,
+        weights: &'a [W],
+        skip: &'a [bool],
+        offsets: &'a [usize],
+    ) -> SpmKernels<'a, W> {
+        SpmKernels {
+            codes: self.spm.codes(),
+            weights,
+            skip,
+            offsets,
+            taps: self.spm.nonzeros_per_kernel(),
+            in_c: self.shape.in_c,
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -257,27 +354,35 @@ impl PatternConv {
         &self,
         level: SimdLevel,
         walk: Walk,
+        precision: Precision,
         input: &[f32],
         n: usize,
         h: usize,
         w: usize,
         out: &mut [f32],
-        scratch: &mut Vec<f32>,
+        scratch: &mut ConvScratch,
         profile: Option<(&LayerStats, Instant)>,
     ) {
         let shape = &self.shape;
         let (oh, ow) = shape.out_hw(h, w);
-        let in_img = shape.in_c * h * w;
-        let out_img = shape.out_c * oh * ow;
+        let in_c = shape.in_c;
         let out_plane_len = oh * ow;
-        assert_eq!(input.len(), n * in_img, "input length mismatch");
+        let out_img = shape.out_c * out_plane_len;
+        assert_eq!(input.len(), n * in_c * h * w, "input length mismatch");
         assert_eq!(out.len(), n * out_img, "output length mismatch");
 
+        let int8 = (precision == Precision::Int8).then(|| self.int8());
+        let skip = self.skip_flags(precision);
+        // Per-image activation scales: each request keeps its own, so
+        // batching never changes its result.
+        let aparams = int8.map_or_else(Vec::new, |q| {
+            per_image_activation_params_at(level, input, n, q.act_bits)
+        });
         let (ph, pw) = padded_dims(h, w, shape.pad);
         let plane_len = ph * pw;
-        let in_c = shape.in_c;
         let nz = self.spm.nonzeros_per_kernel();
         let offsets = self.registry.offset_table(pw);
+        let elem_bytes = int8.map_or(size_of::<f32>(), |_| size_of::<i8>());
         let record = |pad_ns: u64, dispatches: u64, padded: usize| {
             if let Some((stats, start)) = profile {
                 let total = start.elapsed().as_nanos() as u64;
@@ -286,8 +391,8 @@ impl PatternConv {
                     pad_ns,
                     kernel_ns: total.saturating_sub(pad_ns),
                     kernel_dispatches: dispatches,
-                    zero_kernels_skipped: self.skipped_kernels() as u64,
-                    padded_bytes: (padded * std::mem::size_of::<f32>()) as u64,
+                    zero_kernels_skipped: skip.iter().filter(|&&s| s).count() as u64,
+                    padded_bytes: (padded * elem_bytes) as u64,
                     level,
                 });
             }
@@ -296,118 +401,159 @@ impl PatternConv {
         let since_entry = || profile.map_or(0, |(_, start)| start.elapsed().as_nanos() as u64);
 
         if walk == Walk::Tiled && has_tile(shape, nz, oh, ow) {
-            let kernels = SpmKernels {
-                codes: self.spm.codes(),
-                weights: self.spm.nonzeros(),
-                skip: &self.skip,
-                offsets: &offsets,
-                taps: nz,
-                in_c,
+            let (bias, relu, timed) = (self.bias.as_deref(), self.relu, profile.is_some());
+            let prologue_ns;
+            let pass = match int8 {
+                None => {
+                    let kernels = self.kernels(self.spm.nonzeros(), skip, &offsets);
+                    prologue_ns = since_entry();
+                    let epilogue = BiasRelu { bias, relu };
+                    let scratch = &mut scratch.padded;
+                    band_walk_at(
+                        level, &kernels, epilogue, input, out, oh, ow, scratch, timed,
+                    )
+                }
+                Some(q) => {
+                    scratch.scales.clear();
+                    scratch.scales.extend(aparams.iter().map(|ap| ap.scale));
+                    let kernels = self.kernels(&q.qweights, skip, &offsets);
+                    let epilogue = Requant {
+                        act_scales: &scratch.scales,
+                        // Every image quantises at `act_bits`: one top code.
+                        q_max: aparams.first().map_or(0, QuantParams::q_max),
+                        weight_scale: q.wparams.scale,
+                        bias,
+                        relu,
+                    };
+                    prologue_ns = since_entry();
+                    let scratch = &mut scratch.qpadded;
+                    band_walk_at(
+                        level, &kernels, epilogue, input, out, oh, ow, scratch, timed,
+                    )
+                }
             };
-            let epilogue = BiasRelu {
-                bias: self.bias.as_deref(),
-                relu: self.relu,
-            };
-            let prologue_ns = since_entry();
-            let pass = band_walk_at(
-                level,
-                &kernels,
-                epilogue,
-                input,
-                out,
-                oh,
-                ow,
-                scratch,
-                profile.is_some(),
-            );
             record(prologue_ns + pass.pad_ns, 1, pass.padded);
             return;
         }
 
-        // No tile for this geometry: pad each input plane once per
-        // batch, all images up front. The overwrite variant tolerates
-        // stale scratch contents, so a reused buffer costs one write
-        // per element, not two.
-        let scratch_len = n * in_c * plane_len;
-        if scratch.len() < scratch_len {
-            scratch.resize(scratch_len, 0.0);
-        }
-        let scratch = &mut scratch[..scratch_len];
-        for pi in 0..n * in_c {
-            pad_plane_overwrite(
-                &input[pi * h * w..(pi + 1) * h * w],
-                h,
-                w,
-                shape.pad,
-                &mut scratch[pi * plane_len..(pi + 1) * plane_len],
-            );
+        // No tile for this geometry: pad (int8: quantise and pad) each
+        // input plane once per batch, all images up front. The overwrite
+        // variants tolerate stale scratch contents, so a reused buffer
+        // costs one write per element, not two.
+        let padded_len = n * in_c * plane_len;
+        match int8 {
+            None => {
+                if scratch.padded.len() < padded_len {
+                    scratch.padded.resize(padded_len, 0.0);
+                }
+                for pi in 0..n * in_c {
+                    pad_plane_overwrite(
+                        &input[pi * h * w..(pi + 1) * h * w],
+                        h,
+                        w,
+                        shape.pad,
+                        &mut scratch.padded[pi * plane_len..(pi + 1) * plane_len],
+                    );
+                }
+            }
+            Some(q) => {
+                let qpadded = &mut scratch.qpadded;
+                quantize_batch_planes_at(level, input, n, in_c, h, w, shape.pad, &aparams, qpadded);
+                scratch.scales.clear();
+                scratch
+                    .scales
+                    .extend(aparams.iter().map(|ap| q.wparams.scale * ap.scale));
+            }
         }
         let pad_ns = since_entry();
 
+        // Input channel `ic` of every image's padded planes, into output
+        // planes `out_stride` apart from `out_base`.
+        let geo = |ic: usize, out_base: usize, out_stride: usize| BatchPlanes {
+            out_base,
+            out_stride,
+            in_base: ic * plane_len,
+            in_stride: in_c * plane_len,
+            plane_len,
+            n,
+        };
+        let taps = |ki: usize| {
+            let code = self.spm.code(ki) as usize;
+            &offsets[code * nz..(code + 1) * nz]
+        };
+        let row_stride = shape.stride * pw;
         let mut dispatches = 0u64;
         for oc in 0..shape.out_c {
             let bias = self.bias.as_ref().map_or(0.0, |b| b[oc]);
-            // Output channel `oc` of every image, read from the images'
-            // padded planes.
-            let geo = BatchPlanes {
-                out_base: oc * out_plane_len,
-                out_stride: out_img,
-                in_base: 0,
-                in_stride: in_c * plane_len,
-                plane_len,
-                n,
-            };
-            // Seed the channel's planes with the bias, add one kernel
-            // at a time, then the ReLU.
-            for ni in 0..n {
-                let base = ni * out_img + oc * out_plane_len;
-                out[base..base + out_plane_len].fill(bias);
-            }
-            for ic in 0..in_c {
-                let ki = oc * in_c + ic;
-                if self.skip[ki] {
-                    continue;
+            let live = (0..in_c).filter(|&ic| !skip[oc * in_c + ic]);
+            match int8 {
+                None => {
+                    // Seed the channel's planes with the bias, add one
+                    // kernel at a time, then the ReLU.
+                    for ni in 0..n {
+                        let base = ni * out_img + oc * out_plane_len;
+                        out[base..base + out_plane_len].fill(bias);
+                    }
+                    for ic in live {
+                        let ki = oc * in_c + ic;
+                        dispatches += 1;
+                        accumulate_plane_batch_dyn_at(
+                            level,
+                            out,
+                            &scratch.padded[..padded_len],
+                            geo(ic, oc * out_plane_len, out_img),
+                            oh,
+                            ow,
+                            row_stride,
+                            taps(ki),
+                            self.spm.kernel_nonzeros(ki),
+                            shape.stride,
+                        );
+                    }
+                    if self.relu {
+                        for ni in 0..n {
+                            let base = ni * out_img + oc * out_plane_len;
+                            relu_in_place_at(level, &mut out[base..base + out_plane_len]);
+                        }
+                    }
                 }
-                let code = self.spm.code(ki) as usize;
-                dispatches += 1;
-                accumulate_plane_batch_dyn_at(
-                    level,
-                    out,
-                    scratch,
-                    BatchPlanes {
-                        in_base: ic * plane_len,
-                        ..geo
-                    },
-                    oh,
-                    ow,
-                    shape.stride * pw,
-                    &offsets[code * nz..(code + 1) * nz],
-                    self.spm.kernel_nonzeros(ki),
-                    shape.stride,
-                );
-            }
-            if self.relu {
-                for ni in 0..n {
-                    let base = ni * out_img + oc * out_plane_len;
-                    relu_in_place_at(level, &mut out[base..base + out_plane_len]);
+                Some(q) => {
+                    // Sum the channel's kernels one at a time into i32
+                    // planes, then requantise those.
+                    let acc = &mut scratch.acc;
+                    acc.clear();
+                    acc.resize(n * out_plane_len, 0);
+                    for ic in live {
+                        let ki = oc * in_c + ic;
+                        dispatches += 1;
+                        accumulate_plane_batch_dyn_i8_at(
+                            level,
+                            acc,
+                            &scratch.qpadded[..padded_len],
+                            geo(ic, 0, out_plane_len),
+                            oh,
+                            ow,
+                            row_stride,
+                            taps(ki),
+                            &q.qweights[ki * nz..(ki + 1) * nz],
+                            shape.stride,
+                        );
+                    }
+                    for (ni, &scale) in scratch.scales.iter().enumerate() {
+                        let base = ni * out_img + oc * out_plane_len;
+                        requantize_plane_at(
+                            level,
+                            &acc[ni * out_plane_len..(ni + 1) * out_plane_len],
+                            scale,
+                            bias,
+                            self.relu,
+                            &mut out[base..base + out_plane_len],
+                        );
+                    }
                 }
             }
         }
-        record(pad_ns, dispatches, scratch_len);
-    }
-
-    /// Executes one `in_c × h × w` image into a preallocated
-    /// `out_c × oh × ow` buffer: [`PatternConv::forward_batch`] at
-    /// `n = 1`.
-    pub fn forward_image(
-        &self,
-        image: &[f32],
-        h: usize,
-        w: usize,
-        out_image: &mut [f32],
-        scratch: &mut Vec<f32>,
-    ) {
-        self.forward_batch(image, 1, h, w, out_image, scratch);
+        record(pad_ns, dispatches, padded_len);
     }
 }
 
@@ -440,6 +586,34 @@ mod tests {
             (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
             shape,
         )
+    }
+
+    /// Runs each image of `batch` alone through
+    /// [`PatternConv::forward_batch_at`] (one scratch for all) and holds
+    /// it bit for bit to its slice of the whole-batch output.
+    fn assert_images_match_batch(conv: &PatternConv, batch: &Tensor) {
+        let dims = batch.shape();
+        let (h, w) = (dims[2], dims[3]);
+        let whole = conv.forward(batch);
+        let (oh, ow) = conv.shape().out_hw(h, w);
+        let out_len = conv.shape().out_c * oh * ow;
+        let img_len = dims[1] * h * w;
+        let mut scratch = ConvScratch::default();
+        for ni in 0..dims[0] {
+            let mut single = vec![0.0f32; out_len];
+            conv.forward_batch_at(
+                simd::active(),
+                Walk::Tiled,
+                Precision::F32,
+                &batch.as_slice()[ni * img_len..(ni + 1) * img_len],
+                1,
+                h,
+                w,
+                &mut single,
+                &mut scratch,
+            );
+            assert_eq!(single, &whole.as_slice()[ni * out_len..(ni + 1) * out_len]);
+        }
     }
 
     #[test]
@@ -508,8 +682,7 @@ mod tests {
     #[test]
     fn batched_padding_matches_per_image_path_with_epilogue() {
         // A batch must agree bit for bit with its images run one at a
-        // time (forward_image is the same walk at n = 1), including
-        // strided geometry and the bias+ReLU epilogue.
+        // time, including strided geometry and the bias+ReLU epilogue.
         for (stride, relu) in [(1usize, false), (1, true), (2, true)] {
             let set = PatternSet::full(9, 2);
             let shape = Conv2dShape::new(3, 4, 3, stride, 1);
@@ -519,24 +692,7 @@ mod tests {
                 .expect("encode")
                 .with_bias(bias)
                 .with_relu(relu);
-            let (h, w_in) = (7usize, 9usize);
-            let batch = random_input(&[5, 3, h, w_in], 43);
-            let whole = conv.forward(&batch);
-            let (oh, ow) = shape.out_hw(h, w_in);
-            let out_len = shape.out_c * oh * ow;
-            let img_len = 3 * h * w_in;
-            let mut scratch = Vec::new();
-            for ni in 0..5 {
-                let mut single = vec![0.0f32; out_len];
-                conv.forward_image(
-                    &batch.as_slice()[ni * img_len..(ni + 1) * img_len],
-                    h,
-                    w_in,
-                    &mut single,
-                    &mut scratch,
-                );
-                assert_eq!(single, &whole.as_slice()[ni * out_len..(ni + 1) * out_len]);
-            }
+            assert_images_match_batch(&conv, &random_input(&[5, 3, 7, 9], 43));
         }
     }
 
@@ -550,10 +706,21 @@ mod tests {
         let conv = PatternConv::from_dense(&w, shape, &set).expect("encode");
         let batch = random_input(&[8, 64, 16, 16], 53);
         let mut out = vec![0.0f32; 8 * 2 * 16 * 16];
-        let mut scratch = Vec::new();
-        conv.forward_batch(batch.as_slice(), 8, 16, 16, &mut out, &mut scratch);
-        assert_eq!(scratch.len(), 64 * 6 * 18);
-        assert!(scratch.len() <= BAND_BYTES / std::mem::size_of::<f32>());
+        let mut scratch = ConvScratch::default();
+        conv.forward_batch_at(
+            simd::active(),
+            Walk::Tiled,
+            Precision::F32,
+            batch.as_slice(),
+            8,
+            16,
+            16,
+            &mut out,
+            &mut scratch,
+        );
+        assert_eq!(scratch.padded.len(), 64 * 6 * 18);
+        assert!(scratch.padded.len() <= BAND_BYTES / std::mem::size_of::<f32>());
+        assert!(scratch.qpadded.is_empty(), "no i8 band at f32");
         let want = conv2d_direct(&batch, &w, None, &shape);
         pcnn_tensor::assert_slices_close(&out, want.as_slice(), 1e-4);
     }
@@ -564,22 +731,6 @@ mod tests {
         let shape = Conv2dShape::new(2, 3, 3, 1, 1);
         let w = random_pruned(3, 2, &set, 31);
         let conv = PatternConv::from_dense(&w, shape, &set).expect("encode");
-        let batch = random_input(&[3, 2, 5, 5], 37);
-        let whole = conv.forward(&batch);
-        let (oh, ow) = shape.out_hw(5, 5);
-        let out_len = shape.out_c * oh * ow;
-        let mut scratch = Vec::new();
-        for ni in 0..3 {
-            // Drive the single-image entry point directly.
-            let mut single = vec![0.0f32; out_len];
-            conv.forward_image(
-                &batch.as_slice()[ni * 2 * 25..(ni + 1) * 2 * 25],
-                5,
-                5,
-                &mut single,
-                &mut scratch,
-            );
-            assert_eq!(single, &whole.as_slice()[ni * out_len..(ni + 1) * out_len]);
-        }
+        assert_images_match_batch(&conv, &random_input(&[3, 2, 5, 5], 37));
     }
 }

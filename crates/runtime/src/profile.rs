@@ -1,8 +1,8 @@
 //! Opt-in per-layer execution profiling.
 //!
 //! An [`ExecProfiler`] is built alongside every [`crate::Engine`] from
-//! its compiled graph: one [`LayerStats`] slot per executable op (and
-//! per lowering, so f32 and int8 aggregate separately). Profiling is
+//! its compiled graph: one [`LayerStats`] slot per executable op and
+//! per precision, so f32 and int8 aggregate separately. Profiling is
 //! **off by default** — the slots exist but no timestamps are taken —
 //! and flips on with [`ExecProfiler::set_enabled`] (or
 //! `Engine::enable_profiling`), at which point every graph pass records
@@ -20,7 +20,8 @@
 //!
 //! Convolution layers additionally count kernel dispatches (one per
 //! band-walk call, i.e. per layer pass; live kernels on geometries
-//! without a tile), zero kernels skipped, bytes written by padding, and
+//! without a tile), zero kernels skipped at the pass's precision (int8
+//! can skip more than f32), bytes written by padding, and
 //! the SIMD tier actually dispatched. The aggregate snapshot
 //! ([`ExecProfile`]) is the measured per-layer cost model the
 //! bench-driven kernel-plan work consumes — the same role profiled
@@ -37,7 +38,7 @@ use crate::quant_conv::Precision;
 use pcnn_sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use pcnn_tensor::simd::{self, SimdLevel};
 
-/// Lock-free accumulation cell for one executable layer of one lowering.
+/// Lock-free accumulation cell for one executable layer at one precision.
 #[derive(Debug, Default)]
 pub struct LayerStats {
     calls: AtomicU64,
@@ -53,7 +54,7 @@ pub struct LayerStats {
 }
 
 /// One instrumented convolution pass, handed to
-/// [`LayerStats::record_conv`] by the pattern/quant conv layers.
+/// [`LayerStats::record_conv`] by the pattern conv layer.
 pub(crate) struct ConvPass {
     pub images: u64,
     pub pad_ns: u64,
@@ -148,7 +149,7 @@ impl LayerStats {
     }
 }
 
-/// One lowering's profiling slots, in execution order.
+/// One precision's profiling slots, in execution order.
 #[derive(Debug, Default)]
 struct PrecisionSlice {
     labels: Vec<String>,
@@ -176,7 +177,7 @@ fn flatten_labels(ops: &[Op], out: &mut Vec<String>) {
 }
 
 /// The per-engine execution profiler: one [`LayerStats`] per op per
-/// lowering, plus the master enable switch.
+/// precision, plus the master enable switch.
 ///
 /// Engine shards created by `Engine::into_shards` share one profiler,
 /// so a sharded server still aggregates into a single profile.
@@ -188,20 +189,24 @@ pub struct ExecProfiler {
 
 impl ExecProfiler {
     /// Builds the (disabled) profiler for a compiled graph, with one
-    /// slot per op of each lowering the graph carries.
+    /// slot per op for each precision the graph supports. Both
+    /// precisions walk the graph's one op list, so their slot layouts
+    /// agree by construction.
     pub fn for_graph(graph: &ExecutableGraph) -> Self {
-        let slice_for = |ops: &[Op]| {
-            let mut labels = Vec::new();
-            flatten_labels(ops, &mut labels);
-            let stats = (0..labels.len()).map(|_| LayerStats::default()).collect();
-            PrecisionSlice { labels, stats }
+        let mut labels = Vec::new();
+        flatten_labels(graph.ops(), &mut labels);
+        let slice_for = |precision| {
+            if !graph.supports(precision) {
+                return PrecisionSlice::default();
+            }
+            PrecisionSlice {
+                labels: labels.clone(),
+                stats: (0..labels.len()).map(|_| LayerStats::default()).collect(),
+            }
         };
         ExecProfiler {
             enabled: AtomicBool::new(false),
-            slices: [
-                slice_for(graph.ops()),
-                graph.int8_ops().map(slice_for).unwrap_or_default(),
-            ],
+            slices: Precision::ALL.map(slice_for),
         }
     }
 
@@ -230,7 +235,7 @@ impl ExecProfiler {
         }
     }
 
-    /// The profiling slots of one lowering, in execution order.
+    /// The profiling slots of one precision, in execution order.
     pub(crate) fn layers(&self, precision: Precision) -> &[LayerStats] {
         &self.slices[precision.index()].stats
     }
@@ -270,10 +275,10 @@ impl ExecProfiler {
     }
 }
 
-/// Aggregated per-layer timings of one lowering.
+/// Aggregated per-layer timings of one precision.
 #[derive(Debug, Clone)]
 pub struct PrecisionProfile {
-    /// Lowering label (`"f32"` / `"int8"`).
+    /// Precision label (`"f32"` / `"int8"`).
     pub precision: &'static str,
     /// Per-layer records in execution order.
     pub layers: Vec<LayerProfile>,
@@ -282,7 +287,7 @@ pub struct PrecisionProfile {
 /// Aggregated profile of one executable layer.
 #[derive(Debug, Clone)]
 pub struct LayerProfile {
-    /// Execution-order index within the lowering.
+    /// Execution-order index within the precision's slots.
     pub layer: usize,
     /// The op's summary line (`Op::describe`).
     pub label: String,
@@ -332,7 +337,7 @@ impl LayerProfile {
     }
 }
 
-/// One lowering's wall time pooled across layers, split by phase —
+/// One precision's wall time pooled across layers, split by phase —
 /// the engine-side counterpart of a serving span's execute segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSplit {
@@ -365,12 +370,12 @@ impl PhaseSplit {
 pub struct ExecProfile {
     /// The process-wide SIMD tier (`pcnn_tensor::simd::active`).
     pub simd_level: &'static str,
-    /// Per-lowering layer records (lowerings the graph carries).
+    /// Per-precision layer records (precisions the graph supports).
     pub precisions: Vec<PrecisionProfile>,
 }
 
 impl ExecProfile {
-    /// Sum of per-layer `total_ns` for one lowering (0 when absent).
+    /// Sum of per-layer `total_ns` for one precision (0 when absent).
     pub fn total_ns(&self, precision: Precision) -> u64 {
         self.precisions
             .iter()
@@ -378,8 +383,8 @@ impl ExecProfile {
             .map_or(0, |p| p.layers.iter().map(|l| l.total_ns).sum())
     }
 
-    /// The lowering's phase totals pooled across layers, or `None` when
-    /// the lowering recorded nothing. This is the read-side summary the
+    /// The precision's phase totals pooled across layers, or `None` when
+    /// it recorded nothing. This is the read-side summary the
     /// serving-side latency attribution cross-references: it splits a
     /// span's opaque execute segment into pad/kernel shares.
     pub fn phase_split(&self, precision: Precision) -> Option<PhaseSplit> {
@@ -422,7 +427,7 @@ impl ExecProfile {
         let mut o = String::new();
         o.push_str(
             "# HELP pcnn_profile_layer_seconds_total Per-layer wall time by phase \
-             (pad/quantise, kernel dispatch, epilogue).\n",
+             (pad/quantise, kernel).\n",
         );
         o.push_str("# TYPE pcnn_profile_layer_seconds_total counter\n");
         for p in &self.precisions {
@@ -503,8 +508,7 @@ mod tests {
         let profile = profiler.snapshot();
         assert_eq!(profile.precisions.len(), 2);
         assert!(profile.total_ns(Precision::Int8) > 0);
-        // Both lowerings share the compiled topology, so the slot
-        // counts agree.
+        // Both precisions walk one op list, so the slot counts agree.
         assert_eq!(
             profile.precisions[0].layers.len(),
             profile.precisions[1].layers.len()
@@ -550,7 +554,7 @@ mod tests {
         let (pad, kernel) = split.fractions();
         assert!((pad + kernel - 1.0).abs() < 1e-9);
         assert!(kernel > 0.0, "conv kernels always record kernel time");
-        // The int8 lowering was never compiled, let alone run.
+        // The int8 weights were never compiled, let alone run.
         assert!(profile.phase_split(Precision::Int8).is_none());
     }
 

@@ -16,7 +16,7 @@
 //! quantises each row band as it pads it
 //! ([`pcnn_tensor::direct::band_walk_at`]), and geometries without a
 //! tile quantise-and-pad the whole batch up front
-//! ([`quantize_batch_planes`] over
+//! ([`quantize_batch_planes_at`] over
 //! [`pcnn_tensor::direct::pad_quant_plane_overwrite`]) — either way the
 //! i8 activations exist only in padded form and cost no extra pass.
 //! Both go through one row quantiser. The scale derivation goes through
@@ -27,23 +27,18 @@
 
 use pcnn_core::quant::QuantParams;
 use pcnn_tensor::direct::{max_abs_at, pad_quant_plane_overwrite_at, padded_dims, requantize};
-use pcnn_tensor::simd::{self, SimdLevel};
+use pcnn_tensor::simd::SimdLevel;
 
 /// Symmetric activation parameters for one image: the scale maps the
 /// image's maximum absolute activation to the top code of `bits` bits
 /// (all-zero inputs get scale 1.0, same as `quantize_symmetric`). The
-/// max-abs reduction runs on the active SIMD tier
-/// ([`pcnn_tensor::direct::max_abs`]) — exact on every tier, since
+/// max-abs reduction runs on the SIMD tier `level`
+/// ([`pcnn_tensor::direct::max_abs_at`]) — exact on every tier, since
 /// `max`/`abs` have no rounding.
 ///
 /// # Panics
 ///
 /// Panics if `bits` is outside `2..=8`.
-pub fn activation_params(data: &[f32], bits: u32) -> QuantParams {
-    activation_params_at(simd::active(), data, bits)
-}
-
-/// [`activation_params`] with the SIMD tier pinned by the caller.
 pub fn activation_params_at(level: SimdLevel, data: &[f32], bits: u32) -> QuantParams {
     QuantParams::for_max_abs(max_abs_at(level, data), bits)
 }
@@ -57,12 +52,6 @@ pub fn activation_params_at(level: SimdLevel, data: &[f32], bits: u32) -> QuantP
 ///
 /// Panics if `input.len()` is not a multiple of `n` or `bits` is
 /// outside `2..=8`.
-pub fn per_image_activation_params(input: &[f32], n: usize, bits: u32) -> Vec<QuantParams> {
-    per_image_activation_params_at(simd::active(), input, n, bits)
-}
-
-/// [`per_image_activation_params`] with the SIMD tier pinned by the
-/// caller.
 pub fn per_image_activation_params_at(
     level: SimdLevel,
     input: &[f32],
@@ -84,21 +73,6 @@ pub fn per_image_activation_params_at(
 /// # Panics
 ///
 /// Panics if `input.len() != n · in_c · h · w` or `params.len() != n`.
-#[allow(clippy::too_many_arguments)] // batch-plane geometry is irreducible
-pub fn quantize_batch_planes(
-    input: &[f32],
-    n: usize,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    pad: usize,
-    params: &[QuantParams],
-    buf: &mut Vec<i8>,
-) {
-    quantize_batch_planes_at(simd::active(), input, n, in_c, h, w, pad, params, buf);
-}
-
-/// [`quantize_batch_planes`] with the SIMD tier pinned by the caller.
 #[allow(clippy::too_many_arguments)] // batch-plane geometry is irreducible
 pub fn quantize_batch_planes_at(
     level: SimdLevel,
@@ -141,19 +115,13 @@ pub fn quantize_batch_planes_at(
 /// plane back to real values in a single pass —
 /// `out[i] = acc[i] · scale + bias`, optionally clamped at zero (the
 /// fused ReLU). `scale` is the product of the weight and activation
-/// scales.
+/// scales. The arithmetic is identical on both tiers (convert,
+/// multiply, add, max — one rounding each, no FMA); the AVX2
+/// instantiation just runs it 8-wide.
 ///
 /// # Panics
 ///
 /// Panics if `acc.len() != out.len()`.
-pub fn requantize_plane(acc: &[i32], scale: f32, bias: f32, relu: bool, out: &mut [f32]) {
-    requantize_plane_at(simd::active(), acc, scale, bias, relu, out);
-}
-
-/// [`requantize_plane`] with the SIMD tier pinned by the caller. The
-/// arithmetic is identical on both tiers (convert, multiply, add, max —
-/// one rounding each, no FMA); the AVX2 instantiation just runs it
-/// 8-wide.
 pub fn requantize_plane_at(
     level: SimdLevel,
     acc: &[i32],
@@ -194,14 +162,16 @@ fn requantize_plane_impl(acc: &[i32], scale: f32, bias: f32, relu: bool, out: &m
 mod tests {
     use super::*;
     use pcnn_core::quant::{dequantize, quantize_symmetric};
+    use pcnn_tensor::simd;
 
     #[test]
     fn activation_params_match_quantize_symmetric() {
         let data: Vec<f32> = (0..100).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
         let (_, want) = quantize_symmetric(&data, 8);
-        let got = activation_params(&data, 8);
-        assert_eq!(got, want);
-        assert_eq!(activation_params(&[0.0; 4], 8).scale, 1.0);
+        for level in [SimdLevel::Scalar, simd::active()] {
+            assert_eq!(activation_params_at(level, &data, 8), want);
+            assert_eq!(activation_params_at(level, &[0.0; 4], 8).scale, 1.0);
+        }
     }
 
     #[test]
@@ -213,12 +183,12 @@ mod tests {
             .map(|i| (i as f32 * 0.11).cos() * (1.0 + i as f32 * 0.05))
             .collect();
         let img = 2 * 9;
-        let params = per_image_activation_params(&input, 2, 8);
+        let params = per_image_activation_params_at(simd::active(), &input, 2, 8);
         // Distinct max-abs per image → distinct scales, proving the
         // independence property.
         assert_ne!(params[0].scale, params[1].scale);
         let mut buf = Vec::new();
-        quantize_batch_planes(&input, 2, 2, 3, 3, 1, &params, &mut buf);
+        quantize_batch_planes_at(simd::active(), &input, 2, 2, 3, 3, 1, &params, &mut buf);
         let (ph, pw) = padded_dims(3, 3, 1);
         assert_eq!(buf.len(), 4 * ph * pw);
         for ni in 0..2 {
@@ -316,15 +286,16 @@ mod tests {
             .zip(&qa)
             .map(|(&w, &a)| w as i32 * a as i32)
             .collect();
+        let level = simd::active();
         let mut out = vec![0.0f32; 3];
-        requantize_plane(&acc, wp.scale * ap.scale, 0.05, false, &mut out);
+        requantize_plane_at(level, &acc, wp.scale * ap.scale, 0.05, false, &mut out);
         let wd = dequantize(&qw, wp);
         let ad = dequantize(&qa, ap);
         for i in 0..3 {
             assert!((out[i] - (wd[i] * ad[i] + 0.05)).abs() < 1e-6);
         }
         // ReLU clamps the negative product.
-        requantize_plane(&acc, wp.scale * ap.scale, 0.0, true, &mut out);
+        requantize_plane_at(level, &acc, wp.scale * ap.scale, 0.0, true, &mut out);
         assert_eq!(out[2], 0.0);
         assert!(out[0] > 0.0);
     }

@@ -96,12 +96,8 @@ fn checksum(graph: &ExecutableGraph, batch: usize, precision: Precision) -> u64 
         .flat_map(|x| x.as_slice().iter().copied())
         .collect();
     let mut cur = Tensor::from_vec(stacked, &[batch, 3, 16, 16]);
-    let ops = match precision {
-        Precision::F32 => graph.ops(),
-        Precision::Int8 => graph.int8_ops().expect("compiled with int8"),
-    };
-    for op in ops {
-        cur = op.run(&cur);
+    for op in graph.ops() {
+        cur = op.run_at(&cur, precision);
         fnv1a(&mut hash, cur.as_slice());
     }
     hash

@@ -8,7 +8,7 @@ use pcnn_nn::models::{resnet18_proxy, tiny_cnn, vgg16_proxy, ResNetProxyConfig, 
 use pcnn_nn::Model;
 use pcnn_runtime::compile::{prune_and_compile, prune_and_compile_quant, CompileOptions};
 use pcnn_runtime::ops::Op;
-use pcnn_runtime::{QuantOptions, QuantScratch, Walk};
+use pcnn_runtime::{ConvScratch, Precision, QuantOptions, Walk};
 use pcnn_tensor::simd::SimdLevel;
 use pcnn_tensor::Tensor;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -133,60 +133,59 @@ fn batched_engine_matches_sequential_graph() {
     }
 }
 
-/// One pattern layer at a pinned SIMD tier and kernel walk (`None` for
-/// every other op).
-fn run_pinned(op: &Op, x: &Tensor, level: SimdLevel, walk: Walk) -> Option<Vec<f32>> {
-    let shape = match op {
-        Op::PatternConv(c) => *c.shape(),
-        Op::QuantConv(c) => *c.shape(),
-        _ => return None,
+/// One pattern layer at a pinned SIMD tier, kernel walk and precision
+/// (`None` for every other op).
+fn run_pinned(
+    op: &Op,
+    x: &Tensor,
+    level: SimdLevel,
+    walk: Walk,
+    precision: Precision,
+) -> Option<Vec<f32>> {
+    let Op::PatternConv(c) = op else {
+        return None;
     };
     let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-    let (oh, ow) = shape.out_hw(h, w);
-    let mut out = vec![f32::NAN; n * shape.out_c * oh * ow];
-    match op {
-        Op::PatternConv(c) => {
-            c.forward_batch_at(
-                level,
-                walk,
-                x.as_slice(),
-                n,
-                h,
-                w,
-                &mut out,
-                &mut Vec::new(),
-            );
-        }
-        Op::QuantConv(c) => {
-            let mut scratch = QuantScratch::new();
-            c.forward_batch_at(level, walk, x.as_slice(), n, h, w, &mut out, &mut scratch);
-        }
-        _ => unreachable!("filtered above"),
-    }
+    let (oh, ow) = c.shape().out_hw(h, w);
+    let mut out = vec![f32::NAN; n * c.shape().out_c * oh * ow];
+    let scratch = &mut ConvScratch::default();
+    c.forward_batch_at(
+        level,
+        walk,
+        precision,
+        x.as_slice(),
+        n,
+        h,
+        w,
+        &mut out,
+        scratch,
+    );
     Some(out)
 }
 
 /// Holds every pattern layer of `ops` against itself at the activation
-/// it really sees: the band-resident tile walk and the per-kernel
-/// walk, on both SIMD tiers and through the production entry point,
-/// must agree **bit for bit** (f32 — the same rounding sequence per
-/// output element) and exactly (int8). Returns the sequence's output.
-fn assert_walks_agree(ops: &[Op], x: &Tensor) -> Tensor {
+/// it really sees at `precision`: the band-resident tile walk and the
+/// per-kernel walk, on both SIMD tiers and through the production entry
+/// point, must agree **bit for bit** (f32 — the same rounding sequence
+/// per output element) and exactly (int8). Returns the sequence's
+/// output.
+fn assert_walks_agree(ops: &[Op], x: &Tensor, precision: Precision) -> Tensor {
     let mut cur = x.clone();
     for op in ops {
         if let Op::Residual { main, shortcut } = op {
-            assert_walks_agree(main, &cur);
-            assert_walks_agree(shortcut, &cur);
+            assert_walks_agree(main, &cur, precision);
+            assert_walks_agree(shortcut, &cur, precision);
         }
-        let next = op.run(&cur);
-        if let Some(want) = run_pinned(op, &cur, SimdLevel::Scalar, Walk::PerKernel) {
+        let next = op.run_at(&cur, precision);
+        let pinned = |level, walk| run_pinned(op, &cur, level, walk, precision);
+        if let Some(want) = pinned(SimdLevel::Scalar, Walk::PerKernel) {
             let mut runs = vec![("production".to_string(), next.as_slice().to_vec())];
             for (level, walk) in [
                 (SimdLevel::Scalar, Walk::Tiled),
                 (SimdLevel::Avx2.effective(), Walk::PerKernel),
                 (SimdLevel::Avx2.effective(), Walk::Tiled),
             ] {
-                let got = run_pinned(op, &cur, level, walk).expect("a pattern layer");
+                let got = pinned(level, walk).expect("a pattern layer");
                 runs.push((format!("{walk:?} on {level}"), got));
             }
             for (what, got) in &runs {
@@ -195,7 +194,7 @@ fn assert_walks_agree(ops: &[Op], x: &Tensor) -> Tensor {
                         a.to_bits(),
                         b.to_bits(),
                         "{what} diverges from the scalar per-kernel walk at {i} \
-                         ({a} vs {b}) in {}",
+                         ({a} vs {b}) at {precision} in {}",
                         op.describe()
                     );
                 }
@@ -207,7 +206,7 @@ fn assert_walks_agree(ops: &[Op], x: &Tensor) -> Tensor {
 }
 
 /// Tile-walk versus per-kernel-walk parity over a zoo proxy, both
-/// precisions, at the layers' real activations.
+/// precisions of the same ops, at the layers' real activations.
 fn assert_grouping_parity(mut model: Model, prunable: usize, n: usize, input_hw: usize, seed: u64) {
     warm_batchnorm(&mut model, input_hw, seed);
     let plan = PrunePlan::uniform(prunable, n, 32);
@@ -220,8 +219,9 @@ fn assert_grouping_parity(mut model: Model, prunable: usize, n: usize, input_hw:
     .expect("compile");
     for batch in [1usize, 3] {
         let x = random_input(&[batch, 3, input_hw, input_hw], seed + 77 + batch as u64);
-        assert_walks_agree(graph.ops(), &x);
-        assert_walks_agree(graph.int8_ops().expect("int8 lowering"), &x);
+        for precision in Precision::ALL {
+            assert_walks_agree(graph.ops(), &x, precision);
+        }
     }
 }
 

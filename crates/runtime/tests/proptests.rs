@@ -6,7 +6,7 @@ use pcnn_core::pattern::{Pattern, PatternSet};
 use pcnn_core::project::project_onto_set;
 use pcnn_runtime::pattern_conv::{PatternConv, Walk};
 use pcnn_runtime::registry::{CompiledPattern, KernelRegistry};
-use pcnn_runtime::{QuantOptions, QuantPatternConv, QuantScratch};
+use pcnn_runtime::{ConvScratch, Precision, QuantOptions};
 use pcnn_tensor::conv::{conv2d_direct, Conv2dShape};
 use pcnn_tensor::simd::SimdLevel;
 use pcnn_tensor::Tensor;
@@ -103,8 +103,9 @@ proptest! {
 /// for bit in f32 (the same rounding sequence per output element),
 /// exactly in int8. The layer carries an all-zero kernel and a fully
 /// pruned output channel with a negative bias, which only the epilogue
-/// ever touches. Both scratches are reused across the runs, so a band
-/// walk also has to cope with whatever the previous walk left behind.
+/// ever touches. One scratch is reused across every run of both
+/// precisions, so a band walk also has to cope with whatever the
+/// previous walk left behind.
 #[allow(clippy::too_many_arguments)] // one axis of the property each
 fn assert_walks_agree(
     in_c: usize,
@@ -135,9 +136,9 @@ fn assert_walks_agree(
     let conv = PatternConv::from_dense(&w, shape, &set)
         .expect("projected weights conform")
         .with_bias(vec![0.3, -0.2, -0.75, 0.1])
-        .with_relu(relu);
+        .with_relu(relu)
+        .with_int8(&QuantOptions::default());
     assert!(conv.skipped_kernels() > in_c);
-    let quant = QuantPatternConv::from_pattern_conv(&conv, &QuantOptions::default());
 
     // The input size that yields an `oh × ow` output.
     let (h, wd) = ((oh - 1) * stride + 1, (ow - 1) * stride + 1);
@@ -146,15 +147,25 @@ fn assert_walks_agree(
         .map(|_| rng.gen_range(-1.0f32..1.0))
         .collect();
     let out_len = batch * out_c * oh * ow;
-    let (mut scratch, mut qscratch) = (Vec::new(), QuantScratch::new());
+    let mut scratch = ConvScratch::default();
     let mut run = |level: SimdLevel, walk: Walk| {
-        let mut f = vec![f32::NAN; out_len];
-        conv.forward_batch_at(level, walk, &x, batch, h, wd, &mut f, &mut scratch);
-        let mut q = vec![f32::NAN; out_len];
-        quant.forward_batch_at(level, walk, &x, batch, h, wd, &mut q, &mut qscratch);
-        (f, q)
+        Precision::ALL.map(|precision| {
+            let mut y = vec![f32::NAN; out_len];
+            conv.forward_batch_at(
+                level,
+                walk,
+                precision,
+                &x,
+                batch,
+                h,
+                wd,
+                &mut y,
+                &mut scratch,
+            );
+            y
+        })
     };
-    let (want_f, want_q) = run(SimdLevel::Scalar, Walk::PerKernel);
+    let [want_f, want_q] = run(SimdLevel::Scalar, Walk::PerKernel);
     if relu {
         // The pruned channel is its negative bias, clamped.
         let plane = oh * ow;
@@ -165,7 +176,7 @@ fn assert_walks_agree(
         (SimdLevel::Avx2.effective(), Walk::PerKernel),
         (SimdLevel::Avx2.effective(), Walk::Tiled),
     ] {
-        let (got_f, got_q) = run(level, walk);
+        let [got_f, got_q] = run(level, walk);
         for (what, got, want) in [("f32", &got_f, &want_f), ("int8", &got_q, &want_q)] {
             for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
                 assert_eq!(

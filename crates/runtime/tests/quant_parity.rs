@@ -50,7 +50,7 @@ fn assert_int8_parity(mut model: Model, prunable: usize, n: usize, input_hw: usi
     assert_eq!(
         graph.quant_op_count(),
         prunable,
-        "every pattern conv gained an int8 twin"
+        "every pattern conv carries int8 weights"
     );
 
     // Batched (n=2) input: per-image activation scales must hold inside
@@ -61,7 +61,7 @@ fn assert_int8_parity(mut model: Model, prunable: usize, n: usize, input_hw: usi
     assert_eq!(got.shape(), want.shape());
     pcnn_tensor::assert_slices_close(got.as_slice(), want.as_slice(), 1e-5);
 
-    // The f32 lowering is untouched by enabling int8.
+    // The f32 weights are untouched by enabling int8.
     let f32_out = graph.run_with(&x, Precision::F32);
     let f32_want = graph.run(&x);
     pcnn_tensor::assert_slices_close(f32_out.as_slice(), f32_want.as_slice(), 0.0);
@@ -102,7 +102,7 @@ fn tiny_cnn_int8_parity_n4() {
 }
 
 /// Coarse-pruned (all-zero) kernels: zero out two output channels of
-/// the first prunable conv *before* compiling, so both lowerings carry
+/// the first prunable conv *before* compiling, so both precisions carry
 /// skip flags, and check int8 still matches the reference — and that
 /// the skips really registered.
 #[test]
@@ -130,10 +130,12 @@ fn int8_parity_with_zero_kernel_layers() {
         &QuantOptions::default(),
     )
     .expect("compile");
-    let summaries = graph.summary_at(Precision::Int8);
+    let summaries = graph.summary();
     assert!(
-        summaries.iter().any(|s| s.contains("skip")),
-        "int8 lowering records skipped kernels: {summaries:?}"
+        summaries.iter().any(|s| s
+            .split_once("int8")
+            .is_some_and(|(_, q)| q.contains("skip"))),
+        "the int8 weights record skipped kernels: {summaries:?}"
     );
     let x = random_input(&[2, 3, 8, 8], 171);
     let got = graph.run_with(&x, Precision::Int8);

@@ -28,7 +28,7 @@
 //!   `max_wait` window of the batch's first admission coalesce, up to
 //!   `max_batch`, into one stacked engine pass, which amortises
 //!   padded-plane construction, offset tables, and per-op dispatch
-//!   across the batch ([`pcnn_runtime::PatternConv::forward_batch`]).
+//!   across the batch ([`pcnn_runtime::PatternConv::forward_batch_at`]).
 //! * **Handle-based async API** ([`ticket`]): [`Server::submit`] returns
 //!   a [`Ticket`] immediately; redeem with [`Ticket::wait`],
 //!   [`Ticket::try_wait`], or [`Ticket::wait_timeout`]. Threads and

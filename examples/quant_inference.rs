@@ -21,7 +21,7 @@ use pcnn::core::{PatternSet, PrunePlan};
 use pcnn::nn::models::{vgg16_proxy, VggProxyConfig};
 use pcnn::nn::zoo::vgg16_cifar;
 use pcnn::runtime::compile::{prune_and_compile_quant, CompileOptions};
-use pcnn::runtime::{Engine, PatternConv, Precision, QuantOptions, QuantPatternConv};
+use pcnn::runtime::{Engine, PatternConv, Precision, QuantOptions};
 use pcnn::serve::{Priority, ServeConfig, Server, ShutdownMode};
 use pcnn::tensor::conv::{conv2d_forward, Conv2dShape};
 use pcnn::tensor::Tensor;
@@ -71,8 +71,9 @@ fn main() {
     }
     let x = random_tensor(&[1, spec.in_c, spec.in_h, spec.in_w], 2);
 
-    let sparse = PatternConv::from_dense(&weight, shape, &set).expect("projected weights conform");
-    let quant = QuantPatternConv::from_pattern_conv(&sparse, &QuantOptions::default());
+    let sparse = PatternConv::from_dense(&weight, shape, &set)
+        .expect("projected weights conform")
+        .with_int8(&QuantOptions::default());
     println!(
         "layer {} ({}x{}x3x3 at {}x{}, n={n}): weight scale {:.3e}, {} kernels",
         spec.name,
@@ -80,12 +81,12 @@ fn main() {
         spec.in_c,
         spec.in_h,
         spec.in_w,
-        quant.weight_params().scale,
+        sparse.weight_params().expect("int8 weights").scale,
         spec.kernels(),
     );
     let dense_s = time(reps, || conv2d_forward(&x, &weight, None, &shape));
     let f32_s = time(reps, || sparse.forward(&x));
-    let int8_s = time(reps, || quant.forward(&x));
+    let int8_s = time(reps, || sparse.forward_with(&x, Precision::Int8));
     println!(
         "dense im2col {:7.2} ms   f32 pattern {:7.2} ms   int8 pattern {:7.2} ms   (int8 vs f32: {:.2}x)",
         dense_s * 1e3,
@@ -93,7 +94,10 @@ fn main() {
         int8_s * 1e3,
         f32_s / int8_s
     );
-    let err = rel_error(&quant.forward(&x), &sparse.forward(&x));
+    let err = rel_error(
+        &sparse.forward_with(&x, Precision::Int8),
+        &sparse.forward(&x),
+    );
     println!("int8 vs f32 relative error: {err:.2e} (quantisation noise)\n");
 
     // --- 2. Whole network through compile_quant ------------------------
@@ -110,7 +114,7 @@ fn main() {
     // 8-bit weights shrink only the weight bits; codes and tables stay.
     let spm8 = report.spm_weight_bits / 4 + report.spm_index_bits + report.spm_table_bits;
     println!(
-        "compiled VGG-16 proxy: {} f32 + {} int8 conv ops over one topology",
+        "compiled VGG-16 proxy: {} pattern conv ops, {} carrying int8 weights",
         report.sparse_layers,
         graph.quant_op_count(),
     );
