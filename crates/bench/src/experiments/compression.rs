@@ -87,7 +87,7 @@ fn sweep_table(
         ]);
     }
     if !opt.train {
-        t.note("proxy accuracy columns need --train (see EXPERIMENTS.md for a recorded run)");
+        t.note("proxy accuracy columns need a training run: `tables -- table1 --train`");
     }
     t
 }

@@ -10,9 +10,8 @@
 //! cargo run -p pcnn-bench --release --bin tables -- table1 --train
 //! ```
 //!
-//! Criterion micro-benchmarks (`benches/`) cover the projection and
-//! distillation kernels, SPM sparse convolution vs dense, the pointer
-//! generator, and the cycle simulator.
+//! Performance is not measured here: timing the crates is the job of
+//! the standalone `benchmark/` package (see `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 

@@ -324,8 +324,8 @@ mod tests {
     #[test]
     fn table1_flops_exact() {
         // Paper Table I FLOPs: 1.39 / 1.04 / (0.70) / 0.35 ×10⁸.
-        // (The paper prints 0.30 for n=2 but its own "77.8% pruned" column
-        // implies 0.70 — see EXPERIMENTS.md.)
+        // (The paper prints 0.30 for n=2, but its own "77.8% pruned"
+        // column keeps 2/9 of the 3.13×10⁸ dense count, which is 0.70.)
         let net = vgg16_cifar();
         for (n, expect) in [
             (4usize, 139_198_464u64),

@@ -251,9 +251,10 @@ mod tests {
     #[test]
     fn vgg16_imagenet_matches_standard_count() {
         let net = vgg16_imagenet();
-        // Standard VGG-16 conv MACs at 224×224 ≈ 1.53×10¹⁰ (the paper's
-        // Table III reports 6.82×10⁹, inconsistent with its own pruned-%
-        // column; see EXPERIMENTS.md).
+        // Standard VGG-16 conv MACs at 224×224 ≈ 1.53×10¹⁰. The paper's
+        // Table III prints a 6.82×10⁹ baseline, but its per-row FLOPs
+        // cells disagree with its own pruned-% column, so the standard
+        // count is pinned instead.
         assert_eq!(net.conv_macs(), 15_346_630_656);
         assert_eq!(net.conv_params(), 14_710_464);
     }

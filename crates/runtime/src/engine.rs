@@ -1,13 +1,14 @@
 //! The batched inference engine: many concurrent requests over one
 //! compiled graph.
 //!
-//! An [`Engine`] pins an [`ExecutableGraph`] behind an `Arc` and fans
-//! inference requests out over the persistent work-stealing
-//! [`ThreadPool`] from `pcnn_tensor::parallel`. This is the
-//! "serve heavy traffic" configuration: the graph compiles once, worker
-//! threads live for the engine's lifetime, and each request is an
-//! independent job so an expensive request never blocks cheap ones
-//! behind it (work stealing rebalances).
+//! An [`Engine`] pins an [`ExecutableGraph`] behind an `Arc` next to a
+//! persistent [`ThreadPool`] from `pcnn_tensor::parallel`. The graph
+//! compiles once and the worker threads live as long as the engine.
+//! A single request runs on the calling thread ([`Engine::infer`]).
+//! Many same-shape requests are coalesced ([`Engine::infer_coalesced`]):
+//! they are stacked into at most one NCHW sub-batch per worker, each
+//! sub-batch is one batched graph pass on the pool, and the outputs are
+//! split back into per-request tensors in submission order.
 
 use crate::graph::ExecutableGraph;
 use crate::profile::{ExecProfile, ExecProfiler};
@@ -15,7 +16,6 @@ use crate::quant_conv::Precision;
 use pcnn_tensor::parallel::ThreadPool;
 use pcnn_tensor::Tensor;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The engine's single graph-pass seam: every inference entry point
 /// funnels through here, so enabling the profiler instruments all of
@@ -30,38 +30,6 @@ fn run_graph(
         graph.run_profiled(x, precision, profiler)
     } else {
         graph.run_with(x, precision)
-    }
-}
-
-/// Aggregate timing of one [`Engine::serve`] call.
-///
-/// This is the *bulk, closed-loop* view: one synchronous call over a
-/// pre-collected request vector. Online serving telemetry — per-request
-/// queue-wait and end-to-end latency percentiles, throughput, and
-/// rejection counts under real concurrent traffic — lives in
-/// `pcnn-serve`'s `metrics` module, which absorbs and supersedes these
-/// fields for the async front-end.
-#[derive(Debug, Clone)]
-pub struct ServeStats {
-    /// Requests served.
-    pub requests: usize,
-    /// Wall-clock time for the whole batch.
-    pub wall: Duration,
-    /// Mean per-request latency (time inside the graph, excluding queue
-    /// wait).
-    pub mean_latency: Duration,
-    /// Slowest single request.
-    pub max_latency: Duration,
-}
-
-impl ServeStats {
-    /// Requests per second of wall-clock time.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.wall.is_zero() {
-            0.0
-        } else {
-            self.requests as f64 / self.wall.as_secs_f64()
-        }
     }
 }
 
@@ -225,46 +193,6 @@ impl Engine {
         run_graph(&self.graph, &self.profiler, x, precision)
     }
 
-    /// Runs independent requests concurrently, returning outputs in
-    /// request order.
-    pub fn infer_batch(&self, inputs: Vec<Tensor>) -> Vec<Tensor> {
-        let jobs: Vec<_> = inputs
-            .into_iter()
-            .map(|x| {
-                let graph = self.graph.clone();
-                let profiler = self.profiler.clone();
-                move || run_graph(&graph, &profiler, &x, Precision::F32)
-            })
-            .collect();
-        self.pool.run_batch(jobs)
-    }
-
-    /// Splits an NCHW batch into per-image requests, runs them
-    /// concurrently, and reassembles the batched output — the
-    /// throughput-oriented entry point benchmarked against the dense
-    /// batched path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not rank 4 or has an empty batch.
-    pub fn infer_images(&self, x: &Tensor) -> Tensor {
-        let dims = x.shape().to_vec();
-        assert_eq!(dims.len(), 4, "input must be NCHW");
-        let n = dims[0];
-        assert!(n > 0, "empty batch");
-        let img = dims[1..].iter().product::<usize>();
-        let inputs: Vec<Tensor> = (0..n)
-            .map(|i| {
-                Tensor::from_vec(
-                    x.as_slice()[i * img..(i + 1) * img].to_vec(),
-                    &[1, dims[1], dims[2], dims[3]],
-                )
-            })
-            .collect();
-        let outputs = self.infer_batch(inputs);
-        stack_outputs(&outputs)
-    }
-
     /// Coalesced execution: stacks same-shape single-image requests
     /// into contiguous NCHW sub-batches (at most one per worker), runs
     /// each sub-batch through the graph as **one** batched pass, and
@@ -274,9 +202,8 @@ impl Engine {
     /// This is the dispatch hook for dynamic micro-batchers
     /// (`pcnn-serve`): a batched graph pass amortises padded-plane
     /// construction, offset-table derivation, and per-op dispatch across
-    /// the whole batch (see [`crate::PatternConv::forward_batch_at`]),
-    /// which per-request [`Engine::infer_batch`] jobs cannot. `scratch`
-    /// holds the stacking buffers and is reused across calls, so a
+    /// the whole batch (see [`crate::PatternConv::forward_batch_at`]).
+    /// `scratch` holds the stacking buffers and is reused across calls, so a
     /// steady-state batcher performs no stacking allocations.
     ///
     /// # Panics
@@ -366,12 +293,12 @@ impl Engine {
         stacked
     }
 
-    /// Asynchronous [`Engine::infer_coalesced`]: stacks the same-shape
+    /// Asynchronous [`Engine::infer_coalesced_at`]: stacks the same-shape
     /// single-image requests into chunked batches, submits the chunk
     /// passes to the worker pool, and **returns immediately**; `on_done`
     /// runs on the worker that finishes the last chunk, receiving the
     /// per-request outputs in submission order plus the stacking buffers
-    /// for reuse.
+    /// for reuse. Every chunk runs at `precision` on the shared graph.
     ///
     /// This is the pipelined dispatch hook for `pcnn-serve`: the
     /// batcher thread hands a batch to the engine and goes straight
@@ -387,22 +314,6 @@ impl Engine {
     /// every other request keeps its output — and the failed chunk's
     /// stacking buffer is still reclaimed, so the caller's buffer pool
     /// never shrinks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input is not `1 × C × H × W` or shapes differ
-    /// across requests.
-    pub fn infer_coalesced_async<F>(&self, inputs: Vec<Tensor>, buffers: Vec<Vec<f32>>, on_done: F)
-    where
-        F: FnOnce(Vec<Option<Tensor>>, Vec<Vec<f32>>) + Send + 'static,
-    {
-        self.infer_coalesced_async_at(Precision::F32, inputs, buffers, on_done)
-    }
-
-    /// [`Engine::infer_coalesced_async`] at an explicit precision — the
-    /// dispatch hook for precision-aware batchers: a batch coalesced
-    /// from same-precision requests runs every chunk through the
-    /// selected precision of the shared graph.
     ///
     /// # Panics
     ///
@@ -427,7 +338,7 @@ impl Engine {
         )
     }
 
-    /// [`Engine::infer_coalesced_async`] with the chunk pass injected —
+    /// [`Engine::infer_coalesced_async_at`] with the chunk pass injected —
     /// the seam that lets tests drive the completion machinery with a
     /// deterministically panicking pass.
     fn coalesced_async_with<R, F>(
@@ -507,45 +418,6 @@ impl Engine {
             });
         }
     }
-
-    /// Runs requests concurrently and reports serving statistics.
-    pub fn serve(&self, inputs: Vec<Tensor>) -> (Vec<Tensor>, ServeStats) {
-        let n = inputs.len();
-        let start = Instant::now();
-        let jobs: Vec<_> = inputs
-            .into_iter()
-            .map(|x| {
-                let graph = self.graph.clone();
-                let profiler = self.profiler.clone();
-                move || {
-                    let t0 = Instant::now();
-                    let y = run_graph(&graph, &profiler, &x, Precision::F32);
-                    (y, t0.elapsed())
-                }
-            })
-            .collect();
-        let results = self.pool.run_batch(jobs);
-        let wall = start.elapsed();
-        let mut outputs = Vec::with_capacity(n);
-        let mut total = Duration::ZERO;
-        let mut max = Duration::ZERO;
-        for (y, lat) in results {
-            total += lat;
-            max = max.max(lat);
-            outputs.push(y);
-        }
-        let stats = ServeStats {
-            requests: n,
-            wall,
-            mean_latency: if n == 0 {
-                Duration::ZERO
-            } else {
-                total / n as u32
-            },
-            max_latency: max,
-        };
-        (outputs, stats)
-    }
 }
 
 /// Reusable stacking buffers for [`Engine::infer_coalesced`].
@@ -582,22 +454,6 @@ fn split_rows(y: &Tensor, outputs: &mut Vec<Tensor>) {
     }
 }
 
-/// Concatenates per-image outputs (batch dim 1 each) along the batch
-/// dimension.
-fn stack_outputs(outputs: &[Tensor]) -> Tensor {
-    assert!(!outputs.is_empty(), "nothing to stack");
-    let first = outputs[0].shape();
-    assert_eq!(first[0], 1, "per-image outputs must have batch 1");
-    let mut shape = first.to_vec();
-    shape[0] = outputs.len();
-    let mut data = Vec::with_capacity(outputs.iter().map(Tensor::len).sum());
-    for out in outputs {
-        assert_eq!(out.shape(), first, "inconsistent output shapes");
-        data.extend_from_slice(out.as_slice());
-    }
-    Tensor::from_vec(data, &shape)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,29 +468,6 @@ mod tests {
             (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
             shape,
         )
-    }
-
-    #[test]
-    fn batch_outputs_preserve_request_order() {
-        let model = models::tiny_cnn(3, 4, 7);
-        let engine = Engine::new(compile_dense(&model), 4);
-        let inputs: Vec<Tensor> = (0..12).map(|i| random_input(&[1, 3, 8, 8], i)).collect();
-        let single: Vec<Tensor> = inputs.iter().map(|x| engine.infer(x)).collect();
-        let batched = engine.infer_batch(inputs);
-        for (a, b) in single.iter().zip(&batched) {
-            pcnn_tensor::assert_slices_close(a.as_slice(), b.as_slice(), 1e-6);
-        }
-    }
-
-    #[test]
-    fn infer_images_equals_batched_forward() {
-        let model = models::tiny_cnn(5, 4, 9);
-        let engine = Engine::new(compile_dense(&model), 3);
-        let x = random_input(&[6, 3, 8, 8], 42);
-        let split = engine.infer_images(&x);
-        let whole = engine.infer(&x);
-        assert_eq!(split.shape(), whole.shape());
-        pcnn_tensor::assert_slices_close(split.as_slice(), whole.as_slice(), 1e-5);
     }
 
     #[test]
@@ -682,9 +515,14 @@ mod tests {
             .collect();
         let want: Vec<Tensor> = inputs.iter().map(|x| engine.infer(x)).collect();
         let (tx, rx) = std::sync::mpsc::channel();
-        engine.infer_coalesced_async(inputs, Vec::new(), move |outputs, buffers| {
-            tx.send((outputs, buffers)).expect("receiver alive");
-        });
+        engine.infer_coalesced_async_at(
+            Precision::F32,
+            inputs,
+            Vec::new(),
+            move |outputs, buffers| {
+                tx.send((outputs, buffers)).expect("receiver alive");
+            },
+        );
         let (outputs, buffers) = rx.recv().expect("completion fires");
         assert_eq!(outputs.len(), 5);
         assert_eq!(buffers.len(), 2, "both chunk buffers recycle");
@@ -804,19 +642,5 @@ mod tests {
         // More shards than workers still yields one worker per shard.
         let shards = shards.into_iter().next().expect("shard 0").into_shards(4);
         assert!(shards.iter().all(|s| s.threads() == 1));
-    }
-
-    #[test]
-    fn serve_reports_consistent_stats() {
-        let model = models::tiny_cnn(2, 4, 11);
-        let engine = Engine::new(compile_dense(&model), 2);
-        let inputs: Vec<Tensor> = (0..8)
-            .map(|i| random_input(&[1, 3, 8, 8], i + 100))
-            .collect();
-        let (outputs, stats) = engine.serve(inputs);
-        assert_eq!(outputs.len(), 8);
-        assert_eq!(stats.requests, 8);
-        assert!(stats.throughput_rps() > 0.0);
-        assert!(stats.max_latency >= stats.mean_latency);
     }
 }

@@ -57,18 +57,15 @@
 //!    storage model.
 //!
 //! 3. **Batched executor** ([`engine`]). An [`engine::Engine`] shares
-//!    the compiled graph across a persistent work-stealing thread pool
-//!    ([`pcnn_tensor::parallel::ThreadPool`]) and fans out concurrent
-//!    inference requests — batch them ([`engine::Engine::infer_batch`]),
-//!    split an NCHW batch into per-image jobs
-//!    ([`engine::Engine::infer_images`]), or measure serving throughput
-//!    ([`engine::Engine::serve`]). For dynamic batchers the engine
-//!    offers coalesced execution hooks
-//!    ([`engine::Engine::infer_coalesced`],
-//!    [`engine::Engine::infer_coalesced_async`]): same-shape
-//!    single-image requests stack into one batched graph pass, which
-//!    amortises per-op dispatch, offset tables and scratch across the
-//!    whole batch ([`PatternConv::forward_batch_at`]).
+//!    the compiled graph with a persistent thread pool
+//!    ([`pcnn_tensor::parallel::ThreadPool`]). One request runs on the
+//!    calling thread ([`engine::Engine::infer`]). Many same-shape
+//!    single-image requests are coalesced
+//!    ([`engine::Engine::infer_coalesced`], and
+//!    [`engine::Engine::infer_coalesced_async_at`] for dynamic
+//!    batchers): they stack into at most one batched graph pass per
+//!    worker, which amortises per-op dispatch, offset tables and
+//!    scratch across the batch ([`PatternConv::forward_batch_at`]).
 //!
 //! 4. **Quantised backend** ([`quant_conv`], [`quant_kernels`]). Each
 //!    compiled [`PatternConv`] can carry a second, **int8** copy of its
@@ -95,7 +92,7 @@
 //! use pcnn_core::PrunePlan;
 //! use pcnn_nn::models;
 //! use pcnn_runtime::compile::{prune_and_compile, CompileOptions};
-//! use pcnn_runtime::engine::Engine;
+//! use pcnn_runtime::engine::{BatchScratch, Engine};
 //! use pcnn_tensor::Tensor;
 //!
 //! // 1. Train-or-load a model, then prune it with a PCNN plan (n = 2).
@@ -107,12 +104,12 @@
 //!     prune_and_compile(&mut model, &plan, &CompileOptions::default()).unwrap();
 //! assert_eq!(report.sparse_layers, 2);
 //!
-//! // 3. Serve batched traffic over the work-stealing pool.
+//! // 3. Coalesce single-image requests into batched passes.
 //! let engine = Engine::new(graph, 4);
 //! let requests: Vec<Tensor> = (0..8).map(|_| Tensor::ones(&[1, 3, 8, 8])).collect();
-//! let (outputs, stats) = engine.serve(requests);
+//! let outputs = engine.infer_coalesced(requests, &mut BatchScratch::new());
 //! assert_eq!(outputs.len(), 8);
-//! assert!(stats.throughput_rps() > 0.0);
+//! assert_eq!(outputs[0].shape(), &[1, 10]);
 //! ```
 //!
 //! ## Correctness
@@ -144,7 +141,7 @@ pub use compile::{
     compile, compile_dense, compile_quant, prune_and_compile, prune_and_compile_quant,
     CompileOptions, CompileReport,
 };
-pub use engine::{Engine, ServeStats};
+pub use engine::Engine;
 pub use graph::ExecutableGraph;
 pub use pattern_conv::{ConvScratch, PatternConv, Walk};
 pub use profile::{ExecProfile, ExecProfiler, LayerProfile, PhaseSplit, PrecisionProfile};

@@ -318,8 +318,8 @@ pub struct LayerProfile {
 }
 
 impl LayerProfile {
-    /// One JSON object — the schema `benches/kernel_microbench.rs`
-    /// reuses for its per-(dtype, n, width) records.
+    /// One JSON object: one element of a precision's `layers` array in
+    /// [`ExecProfile::to_json`].
     pub fn to_json(&self) -> String {
         json::object(|o| {
             o.int("layer", self.layer)

@@ -113,23 +113,52 @@ fn paper_various_plans_lower_end_to_end() {
     pcnn_tensor::assert_slices_close(got.as_slice(), want.as_slice(), 1e-5);
 }
 
+/// Coalesced execution is bit-exact whatever the batch split: 7 requests
+/// over 1, 2, 3 and 7 workers are stacked into 1, 2, 3 and 7 chunks, and
+/// every request's output must equal both the 1-chunk pass and its own
+/// single-request pass, at f32 and at int8.
 #[test]
 fn batched_engine_matches_sequential_graph() {
-    use pcnn_runtime::engine::Engine;
+    use pcnn_runtime::engine::{BatchScratch, Engine};
+    use std::sync::Arc;
     let mut model = tiny_cnn(4, 8, 9);
     warm_batchnorm(&mut model, 8, 80);
     let plan = PrunePlan::uniform(2, 2, 32);
-    let (graph, _, _) =
-        prune_and_compile(&mut model, &plan, &CompileOptions::default()).expect("compile");
-    let engine = Engine::new(graph, 4);
-    let inputs: Vec<Tensor> = (0..16)
+    let (graph, _, _) = prune_and_compile_quant(
+        &mut model,
+        &plan,
+        &CompileOptions::default(),
+        &QuantOptions::default(),
+    )
+    .expect("compile");
+    assert!(graph.quant_op_count() > 0);
+    let graph = Arc::new(graph);
+    let inputs: Vec<Tensor> = (0..7)
         .map(|i| random_input(&[1, 3, 8, 8], 90 + i))
         .collect();
-    let sequential: Vec<Tensor> = inputs.iter().map(|x| engine.graph().run(x)).collect();
-    let (parallel, stats) = engine.serve(inputs);
-    assert_eq!(stats.requests, 16);
-    for (a, b) in sequential.iter().zip(&parallel) {
-        pcnn_tensor::assert_slices_close(a.as_slice(), b.as_slice(), 1e-6);
+    for precision in [Precision::F32, Precision::Int8] {
+        let mut one_chunk: Option<Vec<Tensor>> = None;
+        for workers in [1usize, 2, 3, 7] {
+            let engine = Engine::from_shared(graph.clone(), workers);
+            let got =
+                engine.infer_coalesced_at(precision, inputs.clone(), &mut BatchScratch::new());
+            assert_eq!(got.len(), inputs.len());
+            let want = one_chunk.get_or_insert_with(|| got.clone());
+            for (i, (x, y)) in inputs.iter().zip(&got).enumerate() {
+                let single = engine.infer_with(x, precision);
+                assert_eq!(y.shape(), single.shape());
+                assert_eq!(
+                    y.as_slice(),
+                    want[i].as_slice(),
+                    "{precision:?}, {workers} chunks, request {i} vs 1 chunk"
+                );
+                assert_eq!(
+                    y.as_slice(),
+                    single.as_slice(),
+                    "{precision:?}, {workers} chunks, request {i} vs infer_with"
+                );
+            }
+        }
     }
 }
 

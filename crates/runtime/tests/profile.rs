@@ -62,7 +62,7 @@ fn assert_profile_accounts(
     assert!(total_ns > 0, "profiled time recorded");
     // The phases are nested strictly inside the measured window, so the
     // sum can never exceed it (beyond clock granularity) and must cover
-    // at least 90% of it — the acceptance criterion.
+    // at least 90% of it — the acceptance bar.
     assert!(
         total_ns <= wall_ns + wall_ns / 50,
         "phase sum {total_ns}ns exceeds measured service time {wall_ns}ns"

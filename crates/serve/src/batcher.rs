@@ -18,11 +18,10 @@
 //! budget waiting there dispatches with whatever is queued instead of
 //! waiting `max_wait` again. `max_wait == 0` degenerates to
 //! batch-as-available (never waits, still coalesces whatever is already
-//! queued); `max_batch == 1` degenerates to per-request dispatch — the
-//! baseline the serving bench compares against.
+//! queued); `max_batch == 1` degenerates to per-request dispatch.
 //!
 //! Dispatch is **pipelined**: a coalesced batch is handed to the
-//! engine's worker pool via `Engine::infer_coalesced_async` and the
+//! engine's worker pool via `Engine::infer_coalesced_async_at` and the
 //! batcher immediately goes back to coalescing, so queue management
 //! overlaps execution. At most `engine.threads() + 1` batches are in
 //! flight per shard — past that the batcher blocks, the queue fills,

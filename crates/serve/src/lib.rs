@@ -37,8 +37,7 @@
 //! * **Latency telemetry** ([`metrics`]): lock-free counters and
 //!   log-bucketed histograms, kept per shard and merged on read
 //!   ([`metrics::LogHistogram::merge_from`]), giving p50/p95/p99 of
-//!   queue wait and end-to-end latency plus throughput — absorbing the
-//!   engine's bulk `ServeStats` view.
+//!   queue wait and end-to-end latency plus throughput.
 //! * **Windowed health** ([`window`], [`health`], [`attribution`]):
 //!   rolling 1 s / 10 s / 60 s rates and latency quantiles over the
 //!   same wait-free primitives, an SLO burn-rate health engine

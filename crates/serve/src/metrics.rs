@@ -18,11 +18,10 @@
 //! everything into one [`TelemetrySnapshot`] and also carries the
 //! per-shard breakdown ([`ShardSnapshot`]).
 //!
-//! This module absorbs the per-batch
-//! `pcnn_runtime::engine::ServeStats` view: a [`TelemetrySnapshot`]
-//! carries throughput plus p50/p95/p99 of both **queue wait** (admission
-//! → dispatch, the cost of batching) and **end-to-end latency**
-//! (admission → ticket fulfilment, what the client observes).
+//! A [`TelemetrySnapshot`] carries throughput plus p50/p95/p99 of both
+//! **queue wait** (admission → dispatch, the cost of batching) and
+//! **end-to-end latency** (admission → ticket fulfilment, what the
+//! client observes).
 
 use crate::events::{EventCode, EventConfig, EventJournal, RecordedEvent, Severity};
 use crate::window::{WindowSet, WindowSnapshot, WindowStats, WINDOWS};
@@ -1162,9 +1161,8 @@ impl ServerMetrics {
     }
 }
 
-/// A point-in-time telemetry reading — the serving-era successor of
-/// `pcnn_runtime::engine::ServeStats` (throughput and mean latency are
-/// still here, now joined by tail percentiles and admission counters).
+/// A point-in-time telemetry reading: throughput and mean latency, tail
+/// percentiles, and admission counters.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
     /// Requests admitted.

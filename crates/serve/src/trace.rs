@@ -42,8 +42,8 @@ pub struct TraceConfig {
 
 impl Default for TraceConfig {
     /// 1-in-64 sampling into 256-span shard rings: cheap enough to
-    /// leave on in production (the serving bench pins the closed-loop
-    /// overhead under 2%), deep enough for a useful postmortem.
+    /// leave on in production (the `benchmark/` serving workloads run
+    /// with it on), deep enough for a useful postmortem.
     fn default() -> Self {
         TraceConfig {
             sample_every: 64,

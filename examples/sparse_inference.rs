@@ -11,13 +11,14 @@
 //!    accelerator speedup claim.
 //! 2. Prunes the VGG-16-topology proxy network with a `PrunePlan`,
 //!    lowers it through the layer compiler (BN folded, ReLU fused), and
-//!    serves batched traffic on the work-stealing engine.
+//!    runs 16 requests through the engine as coalesced batches.
 
 use pcnn::core::project::project_onto_set;
 use pcnn::core::{PatternSet, PrunePlan};
 use pcnn::nn::models::{vgg16_proxy, VggProxyConfig};
 use pcnn::nn::zoo::vgg16_cifar;
 use pcnn::runtime::compile::{prune_and_compile, CompileOptions};
+use pcnn::runtime::engine::BatchScratch;
 use pcnn::runtime::{Engine, PatternConv};
 use pcnn::tensor::conv::{conv2d_forward, Conv2dShape};
 use pcnn::tensor::Tensor;
@@ -76,7 +77,7 @@ fn main() {
         9.0 / n as f64
     );
 
-    // --- 2. Whole network: prune, lower, serve -------------------------
+    // --- 2. Whole network: prune, lower, run ---------------------------
     let cfg = VggProxyConfig::default();
     let mut model = vgg16_proxy(&cfg, 3);
     let plan = PrunePlan::uniform(13, n, 32);
@@ -97,14 +98,14 @@ fn main() {
     let batch: Vec<Tensor> = (0..16)
         .map(|i| random_tensor(&[1, 3, cfg.input_hw, cfg.input_hw], 10 + i))
         .collect();
-    let (outputs, stats) = engine.serve(batch);
+    let start = Instant::now();
+    let outputs = engine.infer_coalesced(batch, &mut BatchScratch::new());
+    let wall = start.elapsed().as_secs_f64();
     println!(
-        "served {} requests on {} workers: {:.1} req/s (mean latency {:.2} ms, max {:.2} ms)",
-        stats.requests,
+        "ran {} requests as coalesced batches on {} workers: {:.1} req/s",
+        outputs.len(),
         engine.threads(),
-        stats.throughput_rps(),
-        stats.mean_latency.as_secs_f64() * 1e3,
-        stats.max_latency.as_secs_f64() * 1e3,
+        outputs.len() as f64 / wall,
     );
     assert_eq!(outputs.len(), 16);
 }

@@ -140,7 +140,7 @@ fn mixed_precision_traffic_routes_each_request_to_its_datapath() {
 
 /// The quantised engine output stays within 1e-5 of the
 /// dequantise-then-f32 reference when driven through the serving stack
-/// (acceptance criterion, end to end).
+/// (the acceptance bar, end to end).
 #[test]
 fn served_int8_matches_dequantized_reference() {
     let (engine, hw) = quant_engine(2, 29);

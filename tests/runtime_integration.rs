@@ -8,6 +8,7 @@ use pcnn::core::sparse::SparseConv;
 use pcnn::core::PrunePlan;
 use pcnn::nn::models::{tiny_cnn, vgg16_proxy, VggProxyConfig};
 use pcnn::runtime::compile::{prune_and_compile, CompileOptions};
+use pcnn::runtime::engine::BatchScratch;
 use pcnn::runtime::{Engine, PatternConv};
 use pcnn::tensor::conv::Conv2dShape;
 use pcnn::tensor::Tensor;
@@ -40,8 +41,8 @@ fn pruned_vgg_proxy_serves_through_the_engine() {
     let requests: Vec<Tensor> = (0..6)
         .map(|i| random_input(&[1, 3, cfg.input_hw, cfg.input_hw], 100 + i))
         .collect();
-    let (outputs, stats) = engine.serve(requests.clone());
-    assert_eq!(stats.requests, 6);
+    let outputs = engine.infer_coalesced(requests.clone(), &mut BatchScratch::new());
+    assert_eq!(outputs.len(), 6);
     for (x, y) in requests.iter().zip(&outputs) {
         let want = model.forward(x, false);
         pcnn::tensor::assert_slices_close(y.as_slice(), want.as_slice(), 1e-5);
