@@ -5,7 +5,9 @@
 //! [`BoundedQueue`] — admission control, priorities, and backpressure
 //! are queue properties and stay identical at any shard count — and
 //! each dispatching into its own `Engine` shard with its own in-flight
-//! cap, buffer pool, and [`ShardMetrics`].
+//! cap, buffer pool, and [`ShardMetrics`]. Every request a batcher
+//! resolves is recorded once, into that shard's per-precision ledger
+//! ([`ShardMetrics::record`]).
 //!
 //! The coalescing rule is the classic serving trade-off dial: after the
 //! first request of a batch arrives, the batcher keeps popping until it
@@ -67,11 +69,9 @@ use crate::events::{EventCode, Severity};
 use crate::faults::FaultPlan;
 use crate::health::{HealthEngine, HealthState};
 use crate::incident::IncidentRecorder;
-use crate::metrics::{ServerMetrics, ShardMetrics};
+use crate::metrics::{Outcome, ServerMetrics, ShardMetrics};
 use crate::queue::{BoundedQueue, Pop, Priority};
-use crate::supervisor::{
-    DelayedRetry, HeartbeatGuard, InflightEntry, ShardSlot, PHASE_ACTIVE, PHASE_IDLE,
-};
+use crate::supervisor::{HeartbeatGuard, InflightEntry, ShardSlot, PHASE_ACTIVE, PHASE_IDLE};
 use crate::ticket::{ServeError, TicketCell};
 use crate::trace::{ActiveSpan, FlightRecorder, RecordedSpan, SpanOutcome};
 use crate::RetryPolicy;
@@ -129,17 +129,6 @@ impl Request {
     }
 }
 
-/// The retry wiring a batcher needs when `max_attempts > 1`.
-#[derive(Clone)]
-pub(crate) struct RetryCtx {
-    pub policy: RetryPolicy,
-    /// Where backoff-delayed retries park until the supervisor tick
-    /// flushes them; `None` when supervision is off (backoff then
-    /// degrades to an immediate re-queue — better than a retry that
-    /// nothing would ever flush).
-    pub delayed: Option<Arc<Mutex<Vec<DelayedRetry>>>>,
-}
-
 /// Everything one batcher thread needs, bundled for the spawn.
 pub(crate) struct BatcherContext {
     /// This batcher's engine shard (the generation's own handle — the
@@ -176,8 +165,8 @@ pub(crate) struct BatcherContext {
     /// Total shards serving the queue (a retry only bounces when a
     /// *different* shard exists to bounce to).
     pub shards_total: usize,
-    /// Retry wiring, present when the policy enables retries.
-    pub retry: Option<RetryCtx>,
+    /// The retry policy, present when it enables retries.
+    pub retry: Option<RetryPolicy>,
     pub max_batch: usize,
     pub max_wait: Duration,
 }
@@ -254,8 +243,7 @@ fn screen(ctx: &BatcherContext, r: Request) -> Option<Request> {
     // only work left is accounting and dropping the input.
     if r.cell.is_resolved() {
         if ctx.slot.registry.claim(r.id).is_some() {
-            ctx.shard.cancelled.inc();
-            ctx.shard.precision(r.precision).cancelled.inc();
+            ctx.shard.record(r.precision, Outcome::Cancelled);
             if let Some(span) = r.span {
                 record_terminal_span(ctx, &span, r.precision, SpanOutcome::Cancelled, 0);
             }
@@ -268,14 +256,12 @@ fn screen(ctx: &BatcherContext, r: Request) -> Option<Request> {
     // is an SLO violation, not bookkeeping.
     if r.deadline.is_some_and(|d| Instant::now() >= d) {
         if ctx.slot.registry.claim(r.id).is_some() {
-            ctx.shard.expired.inc();
-            ctx.shard.precision(r.precision).expired.inc();
-            ctx.shard.window_failed(r.precision);
+            ctx.shard.record(r.precision, Outcome::Expired);
             ctx.metrics.events().emit(
                 EventCode::DeadlineExceeded,
                 Severity::Warn,
                 ctx.shard_index as u64,
-                ctx.shard.expired.get(),
+                ctx.shard.total(|p| p.expired.get()),
             );
             if let Some(span) = r.span {
                 record_terminal_span(ctx, &span, r.precision, SpanOutcome::Expired, 0);
@@ -335,9 +321,7 @@ fn register(slot: &ShardSlot, r: &Request) {
 /// still ours to fail.
 fn dispose_stale(ctx: &BatcherContext, r: Request) {
     if ctx.slot.registry.claim(r.id).is_some() {
-        ctx.shard.failed.inc();
-        ctx.shard.precision(r.precision).failed.inc();
-        ctx.shard.window_failed(r.precision);
+        ctx.shard.record(r.precision, Outcome::Failed);
         r.cell.complete(Err(ServeError::ShardFailed));
     }
 }
@@ -546,9 +530,7 @@ fn dispatch(
             if ctx.slot.registry.claim(r.id).is_none() {
                 continue;
             }
-            ctx.shard.aborted.inc();
-            ctx.shard.precision(r.precision).aborted.inc();
-            ctx.shard.window_aborted(r.precision);
+            ctx.shard.record(r.precision, Outcome::Aborted);
             // Span first, ticket second: a woken waiter always finds
             // its span already recorded.
             if let Some(span) = r.span {
@@ -565,10 +547,7 @@ fn dispatch(
     let precision = batch[0].precision;
     // Retry-eligible items keep an input clone for the re-queue; when
     // retries are off (the default) nothing is cloned.
-    let max_attempts = ctx
-        .retry
-        .as_ref()
-        .map_or(1, |r| r.policy.max_attempts.max(1));
+    let max_attempts = ctx.retry.as_ref().map_or(1, |r| r.max_attempts.max(1));
     let mut inputs = Vec::with_capacity(batch.len());
     let mut items = Vec::with_capacity(batch.len());
     for r in batch {
@@ -586,11 +565,7 @@ fn dispatch(
         });
         inputs.push(r.input);
     }
-    ctx.shard.batches.inc();
-    ctx.shard.batched_images.add(items.len() as u64);
-    let pm = ctx.shard.precision(precision);
-    pm.batches.inc();
-    pm.batched_images.add(items.len() as u64);
+    ctx.shard.record_batch(precision, items.len());
 
     let buffers = std::mem::take(&mut *buffer_pool.lock().expect("buffer pool poisoned"));
     let shard = ctx.shard.clone();
@@ -659,12 +634,7 @@ fn dispatch(
                 }
                 let outcome = match &output {
                     Some(_) => {
-                        shard.latency.record(done_at - item.submitted);
-                        shard.completed.inc();
-                        let pm = shard.precision(precision);
-                        pm.latency.record(done_at - item.submitted);
-                        pm.completed.inc();
-                        shard.window_completed(precision, done_at - item.submitted);
+                        shard.record(precision, Outcome::Completed(done_at - item.submitted));
                         slot.budget.on_success();
                         SpanOutcome::Completed
                     }
@@ -679,14 +649,12 @@ fn dispatch(
                         ) {
                             continue;
                         }
-                        shard.failed.inc();
-                        shard.precision(precision).failed.inc();
-                        shard.window_failed(precision);
+                        shard.record(precision, Outcome::Failed);
                         metrics.events().emit(
                             EventCode::EngineFault,
                             Severity::Error,
                             shard_slot as u64,
-                            shard.failed.get(),
+                            shard.total(|p| p.failed.get()),
                         );
                         if let Some(incidents) = incidents.upgrade() {
                             incidents.on_engine_fault();
@@ -732,7 +700,7 @@ fn dispatch(
 }
 
 /// Attempts to re-queue a faulted request for another shard. Returns
-/// `true` when the retry was accepted (queued or parked for backoff) —
+/// `true` when the retry was queued —
 /// the item's claim has been consumed and the caller must not touch the
 /// ticket again.
 #[allow(clippy::too_many_arguments)]
@@ -742,14 +710,14 @@ fn try_retry(
     slot: &Arc<ShardSlot>,
     health: &HealthEngine,
     queue: &Arc<BoundedQueue<Request>>,
-    retry: &Option<RetryCtx>,
+    retry: &Option<RetryPolicy>,
     shard: &ShardMetrics,
     metrics: &ServerMetrics,
     shard_index: usize,
 ) -> bool {
     let Some(retry) = retry else { return false };
     let next_attempt = item.attempt + 1;
-    if next_attempt >= retry.policy.max_attempts.max(1) {
+    if next_attempt >= retry.max_attempts.max(1) {
         return false;
     }
     let Some(input) = &item.retry_input else {
@@ -780,19 +748,7 @@ fn try_retry(
         avoid_shard: Some(shard_index),
         bounced: false,
     };
-    let accepted = match &retry.delayed {
-        Some(delayed) if !retry.policy.backoff.is_zero() => {
-            delayed
-                .lock()
-                .expect("delayed retries poisoned")
-                .push(DelayedRetry {
-                    due: Instant::now() + retry.policy.backoff,
-                    request,
-                });
-            true
-        }
-        _ => queue.try_push(request, Priority::High).is_ok(),
-    };
+    let accepted = queue.try_push(request, Priority::High).is_ok();
     if accepted {
         shard.retries.inc();
         metrics.events().emit(

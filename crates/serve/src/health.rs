@@ -2,11 +2,11 @@
 //! [`crate::window`] into an operational verdict.
 //!
 //! A declarative [`SloConfig`] states what "good" means — a latency
-//! target at a percentile, an availability target, and the two
-//! evaluation windows — and the [`HealthEngine`] grades live traffic
-//! against it with the standard SRE **multi-window burn rate**: the
-//! error budget is `1 − availability_target` (for errors) or
-//! `1 − latency_percentile` (for slow requests), and the burn rate is
+//! target at the [`LATENCY_PERCENTILE`], an availability target, and
+//! the two evaluation windows — and the [`HealthEngine`] grades live
+//! traffic against it with the standard SRE **multi-window burn
+//! rate**: the error budget is `1 − availability_target` (for errors)
+//! or `1 − LATENCY_PERCENTILE` (for slow requests), and the burn rate is
 //! how many times faster than budget the server is currently failing.
 //! Burn 1.0 means "exactly on budget"; burn 2.0 means the budget is
 //! being consumed twice as fast as it accrues.
@@ -44,15 +44,20 @@ use pcnn_sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use pcnn_sync::Arc;
 use std::time::Duration;
 
+/// The percentile the latency target applies to ("p99 under
+/// target"). Its complement is the slow-request budget.
+pub const LATENCY_PERCENTILE: f64 = 0.99;
+/// Slow-window burn rate at which the server leaves `Healthy`.
+pub const DEGRADED_BURN: f64 = 1.0;
+/// Burn rate both windows must reach for `Overloaded`.
+pub const OVERLOADED_BURN: f64 = 2.0;
+
 /// The declarative service-level objective a server is graded against.
 #[derive(Debug, Clone)]
 pub struct SloConfig {
-    /// End-to-end latency target: `latency_percentile` of requests in
-    /// a window should complete within this.
+    /// End-to-end latency target: [`LATENCY_PERCENTILE`] of requests
+    /// in a window should complete within this.
     pub latency_target: Duration,
-    /// The percentile the latency target applies to (`0.99` = "p99
-    /// under target"). Its complement is the slow-request budget.
-    pub latency_percentile: f64,
     /// Fraction of requests that should complete without an engine
     /// fault. Its complement is the error budget.
     pub availability_target: f64,
@@ -60,10 +65,6 @@ pub struct SloConfig {
     pub fast_window: Duration,
     /// The slow evaluation window: stable, reacts late.
     pub slow_window: Duration,
-    /// Slow-window burn rate at which the server leaves `Healthy`.
-    pub degraded_burn: f64,
-    /// Burn rate both windows must reach for `Overloaded`.
-    pub overloaded_burn: f64,
     /// Windows with fewer attempts than this report burn 0 — a handful
     /// of requests is noise, not an SLO signal.
     pub min_samples: u64,
@@ -78,17 +79,14 @@ pub struct SloConfig {
 }
 
 impl Default for SloConfig {
-    /// p99 ≤ 250 ms, 99.9% availability, 1 s / 10 s windows, degraded
-    /// at burn 1, overloaded at burn 2, no shedding.
+    /// p99 ≤ 250 ms, 99.9% availability, 1 s / 10 s windows, no
+    /// shedding.
     fn default() -> Self {
         SloConfig {
             latency_target: Duration::from_millis(250),
-            latency_percentile: 0.99,
             availability_target: 0.999,
             fast_window: Duration::from_secs(1),
             slow_window: Duration::from_secs(10),
-            degraded_burn: 1.0,
-            overloaded_burn: 2.0,
             min_samples: 20,
             shed_low_priority: false,
             eval_interval: Duration::from_millis(100),
@@ -104,7 +102,7 @@ pub enum HealthState {
     /// Burning budget faster than it accrues on the slow window (or
     /// spiking on the fast one) — the warning rung.
     Degraded = 1,
-    /// Both windows burning at `overloaded_burn` or worse; the
+    /// Both windows burning at [`OVERLOADED_BURN`] or worse; the
     /// shedding hook (when enabled) is active.
     Overloaded = 2,
 }
@@ -295,7 +293,7 @@ impl HealthEngine {
             return out; // rates are reported, but too few samples to burn
         }
         let error_budget = (1.0 - self.config.availability_target).max(1e-9);
-        let latency_budget = (1.0 - self.config.latency_percentile).max(1e-9);
+        let latency_budget = (1.0 - LATENCY_PERCENTILE).max(1e-9);
         out.burn = (out.error_rate / error_budget).max(out.slow_fraction / latency_budget);
         out
     }
@@ -307,12 +305,9 @@ impl HealthEngine {
     pub fn evaluate_at(&self, metrics: &ServerMetrics, now_ns: u64) -> HealthReport {
         let fast = self.burn_window(metrics, now_ns, self.config.fast_window);
         let slow = self.burn_window(metrics, now_ns, self.config.slow_window);
-        let target = if fast.burn >= self.config.overloaded_burn
-            && slow.burn >= self.config.overloaded_burn
-        {
+        let target = if fast.burn >= OVERLOADED_BURN && slow.burn >= OVERLOADED_BURN {
             HealthState::Overloaded
-        } else if slow.burn >= self.config.degraded_burn || fast.burn >= self.config.overloaded_burn
-        {
+        } else if slow.burn >= DEGRADED_BURN || fast.burn >= OVERLOADED_BURN {
             HealthState::Degraded
         } else {
             HealthState::Healthy
@@ -396,7 +391,7 @@ impl HealthEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ServerMetrics;
+    use crate::metrics::{Outcome, ServerMetrics};
     use pcnn_runtime::Precision;
 
     /// An SLO that real traffic always violates (1 ns target) with
@@ -411,7 +406,8 @@ mod tests {
 
     fn record_completions(m: &ServerMetrics, n: usize, latency: Duration) {
         for _ in 0..n {
-            m.shard(0).window_completed(Precision::F32, latency);
+            m.shard(0)
+                .record(Precision::F32, Outcome::Completed(latency));
         }
     }
 
@@ -464,7 +460,7 @@ mod tests {
         });
         record_completions(&m, 45, Duration::from_micros(10));
         for _ in 0..5 {
-            m.shard(0).window_failed(Precision::F32);
+            m.shard(0).record(Precision::F32, Outcome::Failed);
         }
         let now = m.now_ns();
         let r = h.evaluate_at(&m, now);
@@ -522,26 +518,25 @@ mod tests {
         // Old compliant traffic: 5 s ago, well inside the 10 s slow
         // window but outside the 1 s fast window.
         let now = m.now_ns() + 6_000_000_000;
-        let w = &m.shard(0).windows;
+        let w = &m.shard(0).precision(Precision::F32).window;
         for _ in 0..960 {
-            w.shard
-                .on_completed(now - 5_000_000_000, /* 10 µs */ 10_000);
+            w.on_completed(now - 5_000_000_000, /* 10 µs */ 10_000);
         }
         // Fresh spike: every recent sample violates.
         for _ in 0..40 {
-            w.shard.on_completed(now, /* 100 ms */ 100_000_000);
+            w.on_completed(now, /* 100 ms */ 100_000_000);
         }
         let r1 = h.evaluate_at(&m, now);
         // Fast window: 40/40 slow → burn 4000. Slow window: 40/1000
-        // slow → burn 4, which is ≥ overloaded_burn too... so pick the
+        // slow → burn 4, which is ≥ OVERLOADED_BURN too... so pick the
         // mix so the slow window stays under: 40/1000 = 4% > 1% budget.
         // Keep the assertion on the state machine rule instead: target
-        // is Overloaded only when BOTH windows burn ≥ overloaded_burn.
-        if r1.slow.burn < h.config().overloaded_burn {
+        // is Overloaded only when BOTH windows burn ≥ OVERLOADED_BURN.
+        if r1.slow.burn < OVERLOADED_BURN {
             assert_eq!(r1.state, HealthState::Degraded);
             assert_eq!(h.evaluate_at(&m, now).state, HealthState::Degraded);
         }
-        assert!(r1.fast.burn >= h.config().overloaded_burn);
+        assert!(r1.fast.burn >= OVERLOADED_BURN);
     }
 
     #[test]

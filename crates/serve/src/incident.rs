@@ -451,6 +451,7 @@ mod tests {
     use super::*;
     use crate::events::{EventCode, Severity};
     use crate::health::{HealthEngine, SloConfig};
+    use crate::metrics::Outcome;
     use crate::shutdown::ShutdownMode;
     use crate::trace::TraceConfig;
     use pcnn_nn::models;
@@ -482,10 +483,9 @@ mod tests {
             min_samples: 5,
             ..SloConfig::default()
         });
+        let slow = Outcome::Completed(Duration::from_millis(5));
         for _ in 0..50 {
-            r.metrics
-                .shard(0)
-                .window_completed(Precision::F32, Duration::from_millis(5));
+            r.metrics.shard(0).record(Precision::F32, slow);
         }
         h.evaluate_at(&r.metrics, r.metrics.now_ns())
     }

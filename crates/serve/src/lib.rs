@@ -35,7 +35,9 @@
 //!   condvars only — no async runtime, consistent with the
 //!   dependency-free workspace.
 //! * **Latency telemetry** ([`metrics`]): lock-free counters and
-//!   log-bucketed histograms, kept per shard and merged on read
+//!   log-bucketed histograms. Each request outcome is recorded once,
+//!   into a per-precision ledger of its shard; shard and server totals
+//!   are summed and merged from it on read
 //!   ([`metrics::LogHistogram::merge_from`]), giving p50/p95/p99 of
 //!   queue wait and end-to-end latency plus throughput.
 //! * **Windowed health** ([`window`], [`health`], [`attribution`]):
@@ -111,17 +113,17 @@ pub use incident::{DiagnosticSnapshot, IncidentRecorder, IncidentTrigger};
 pub use metrics::{PrecisionSnapshot, ServerMetrics, ShardSnapshot, TelemetrySnapshot};
 pub use pcnn_runtime::Precision;
 pub use queue::Priority;
-pub use shutdown::{DrainPrecision, DrainReport, ShutdownMode};
+pub use shutdown::{DrainReport, ShutdownMode};
 pub use supervisor::{BreakerState, RetryPolicy, ShardStatus, SupervisorConfig};
 pub use ticket::{ServeError, Ticket};
 pub use trace::{FlightRecorder, RecordedSpan, SpanOutcome, TraceConfig};
 pub use window::{WindowSnapshot, WindowStats, WINDOWS};
 
-use batcher::{BatcherContext, Request, RetryCtx};
-use metrics::{family, ms};
+use batcher::{BatcherContext, Request};
+use metrics::{family, ms, Outcome};
 use pcnn_runtime::{json, Engine, ExecProfiler, ExecutableGraph};
 use pcnn_sync::atomic::{AtomicBool, Ordering};
-use pcnn_sync::{thread, Arc, Mutex};
+use pcnn_sync::{thread, Arc};
 use queue::{BoundedQueue, PushError};
 use std::time::{Duration, Instant};
 use supervisor::{ShardSlot, SpawnFn, Supervisor};
@@ -170,9 +172,9 @@ pub struct ServeConfig {
     /// is sampled.
     pub trace: TraceConfig,
     /// The service-level objective the built-in health engine grades
-    /// live traffic against ([`SloConfig`]) — latency target and
-    /// percentile, availability target, burn-rate windows, and the
-    /// opt-in low-priority shedding hook.
+    /// live traffic against ([`SloConfig`]) — latency target,
+    /// availability target, burn-rate windows, and the opt-in
+    /// low-priority shedding hook.
     pub slo: SloConfig,
     /// The structured event journal's knobs ([`EventConfig`]): ring
     /// retention and per-code rate limiting for the control-plane
@@ -194,8 +196,8 @@ pub struct ServeConfig {
     /// The default (`max_attempts: 1`) disables retries.
     pub retry: RetryPolicy,
     /// Shard supervision knobs ([`SupervisorConfig`]): heartbeat stall
-    /// detection, restart-rate circuit breaking, half-open probing.
-    /// Enabled by default.
+    /// detection, restart-rate circuit breaking, half-open probing. The
+    /// supervisor always runs.
     pub supervision: SupervisorConfig,
     /// The armed fault-injection plan ([`FaultPlan`]) — deterministic
     /// chaos for tests and drills. `None` (default) injects nothing
@@ -251,12 +253,9 @@ impl ServeConfig {
                 .object("slo", |s| {
                     let slo = &self.slo;
                     s.fixed("latency_target_ms", ms(slo.latency_target), 3)
-                        .float("latency_percentile", slo.latency_percentile)
                         .float("availability_target", slo.availability_target)
                         .float("fast_window_s", slo.fast_window.as_secs_f64())
                         .float("slow_window_s", slo.slow_window.as_secs_f64())
-                        .float("degraded_burn", slo.degraded_burn)
-                        .float("overloaded_burn", slo.overloaded_burn)
                         .int("min_samples", slo.min_samples)
                         .bool("shed_low_priority", slo.shed_low_priority)
                         .fixed("eval_interval_ms", ms(slo.eval_interval), 3);
@@ -272,14 +271,12 @@ impl ServeConfig {
             };
             o.object("retry", |r| {
                 r.int("max_attempts", self.retry.max_attempts)
-                    .fixed("backoff_ms", ms(self.retry.backoff), 3)
                     .float("budget_ratio", self.retry.budget_ratio)
                     .int("budget_burst", self.retry.budget_burst);
             })
             .object("supervision", |s| {
                 let sup = &self.supervision;
-                s.bool("enabled", sup.enabled)
-                    .fixed("stall_timeout_ms", ms(sup.stall_timeout), 3)
+                s.fixed("stall_timeout_ms", ms(sup.stall_timeout), 3)
                     .int("max_restarts", sup.max_restarts)
                     .float("restart_window_s", sup.restart_window.as_secs_f64())
                     .fixed("open_duration_ms", ms(sup.open_duration), 3)
@@ -381,7 +378,6 @@ impl Server {
             .enumerate()
             .map(|(i, engine)| ShardSlot::new(i, engine, &config.retry))
             .collect();
-        let delayed = Arc::new(Mutex::new(Vec::new()));
         // The spawn hook: everything a batcher generation needs, bound
         // once here so the supervisor can respawn shards without ever
         // constructing a `BatcherContext` itself.
@@ -393,10 +389,7 @@ impl Server {
             let abort = abort.clone();
             let health = health.clone();
             let faults = config.faults.clone();
-            let retry = (config.retry.max_attempts > 1).then(|| RetryCtx {
-                policy: config.retry.clone(),
-                delayed: config.supervision.enabled.then(|| delayed.clone()),
-            });
+            let retry = (config.retry.max_attempts > 1).then(|| config.retry.clone());
             let max_batch = config.max_batch;
             let max_wait = config.max_wait;
             Box::new(move |slot: Arc<ShardSlot>, generation: u64| {
@@ -433,8 +426,6 @@ impl Server {
         let supervisor = Supervisor::start(
             config.supervision.clone(),
             slots,
-            delayed,
-            queue.clone(),
             metrics.clone(),
             incidents.clone(),
             spawn,
@@ -777,9 +768,6 @@ impl Server {
         // kept running could respawn a shard the drain is tearing down.
         self.supervisor.stop_and_join();
         self.supervisor.join_batchers();
-        // Backoff-parked retries: the queue is closed, so each fails
-        // with the engine fault that caused it — never silently lost.
-        self.supervisor.final_flush();
         // Tickets a dead shard's registry still holds (breaker open, no
         // live generation to resolve them).
         self.supervisor.fail_orphans();
@@ -788,10 +776,7 @@ impl Server {
         // server). Fail them as aborted-by-shutdown, attributed to
         // shard 0 for lack of a better owner.
         while let Some(r) = self.queue.try_pop() {
-            let shard = self.metrics.shard(0);
-            shard.aborted.inc();
-            shard.precision(r.precision).aborted.inc();
-            shard.window_aborted(r.precision);
+            self.metrics.shard(0).record(r.precision, Outcome::Aborted);
             r.cell.complete(Err(ServeError::Aborted));
         }
         let snap = self.metrics.snapshot();
@@ -803,18 +788,7 @@ impl Server {
             expired: snap.expired,
             cancelled: snap.cancelled,
             rejected_at_shutdown: snap.rejected_shutdown,
-            precisions: snap
-                .precisions
-                .iter()
-                .map(|p| DrainPrecision {
-                    precision: p.precision,
-                    completed: p.completed,
-                    failed: p.failed,
-                    aborted: p.aborted,
-                    expired: p.expired,
-                    cancelled: p.cancelled,
-                })
-                .collect(),
+            precisions: snap.precisions,
             spans: self.recorder.spans(),
             wall: start.elapsed(),
         };

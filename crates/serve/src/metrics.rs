@@ -1,5 +1,6 @@
 //! Lock-free serving telemetry: counters and log-bucketed latency
-//! histograms, kept **per shard** and merged on read.
+//! histograms, kept in **one per-precision ledger per shard** and
+//! summed or merged on read.
 //!
 //! Every hot-path record is a single relaxed atomic increment, so the
 //! batchers and an arbitrary number of client threads can publish
@@ -7,12 +8,16 @@
 //! [`LogHistogram`] — one bucket per power of two of nanoseconds — which
 //! is coarse (quantiles are exact to within ~2×, reported at the bucket's
 //! geometric midpoint) but constant-size, allocation-free, and mergeable
-//! ([`LogHistogram::merge_from`], which is how per-shard histograms roll
-//! up into the server-wide view).
+//! ([`LogHistogram::merge_from`], which is how the ledgers roll up into
+//! shard and server-wide views).
 //!
-//! A sharded server gives each batcher its own [`ShardMetrics`] — its
-//! shard-local batch/service/latency histograms never share a cache
-//! line with another shard's — while admission-side counters
+//! A sharded server gives each batcher its own [`ShardMetrics`], so no
+//! two shards share a cache line. Each request outcome is recorded
+//! exactly once, into its precision's [`PrecisionMetrics`] (counters,
+//! latency, rolling window) through [`ShardMetrics::record`]; every
+//! shard and server total is derived as the f32 + int8 sum. Only the
+//! queue-wait and service histograms, the retry counter and the
+//! in-flight gauge are kept per shard, and admission-side counters
 //! (submitted / rejected) stay server-global because `submit` runs
 //! before shard assignment. [`ServerMetrics::snapshot`] merges
 //! everything into one [`TelemetrySnapshot`] and also carries the
@@ -24,7 +29,7 @@
 //! client observes).
 
 use crate::events::{EventCode, EventConfig, EventJournal, RecordedEvent, Severity};
-use crate::window::{WindowSet, WindowSnapshot, WindowStats, WINDOWS};
+use crate::window::{pool, WindowSet, WindowSnapshot, WindowStats, WINDOWS};
 use pcnn_runtime::{json, Precision};
 use pcnn_sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use pcnn_sync::Arc;
@@ -343,8 +348,27 @@ impl LogHistogram {
     }
 }
 
-/// Dispatch metrics of one precision class (f32 or int8) within a
-/// shard — the label under which mixed-precision traffic is told apart.
+/// How one request left the server. Every resolution path records its
+/// outcome through [`ShardMetrics::record`], the one place that knows
+/// which counter and which rolling window an outcome feeds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Fulfilled with an output, after this end-to-end latency.
+    Completed(Duration),
+    /// Failed by an engine fault or by the death of its shard.
+    Failed,
+    /// Aborted by shutdown.
+    Aborted,
+    /// Dropped because its deadline elapsed before dispatch. Windowed
+    /// as a failure: a deadline miss is an SLO violation.
+    Expired,
+    /// Cancelled by its client before dispatch. Not windowed: the
+    /// client walked away, the server did nothing wrong.
+    Cancelled,
+}
+
+/// The outcome ledger of one precision class (f32 or int8) within a
+/// shard. Shard and server totals are sums of these, never kept twice.
 #[derive(Debug, Default)]
 pub struct PrecisionMetrics {
     /// Requests of this precision fulfilled with an output.
@@ -364,113 +388,78 @@ pub struct PrecisionMetrics {
     pub batched_images: Counter,
     /// Admission → ticket fulfilment of this precision's requests.
     pub latency: LogHistogram,
+    /// The rolling-window twin of the outcome counters, clocked against
+    /// the server's shared epoch so every shard's rings rotate in phase
+    /// (which is what makes the pooled reads in
+    /// [`ServerMetrics::merged_window`] exact up to bucket granularity).
+    pub window: WindowSet,
 }
 
-/// The rolling-window twins of one shard's cumulative signals: a
-/// [`WindowSet`] for the shard pooled plus one per precision class,
-/// all clocked against the server's shared epoch so every shard's
-/// rings rotate in phase (which is what makes the cross-shard merge in
-/// [`ServerMetrics::merged_window`] exact up to bucket granularity).
+/// The dispatch-side metrics of **one** shard, written only by that
+/// shard's batcher thread, the engine workers running its completions,
+/// and the supervisor failing its orphans.
 #[derive(Debug)]
-pub struct ShardWindows {
-    epoch: Instant,
-    /// The shard's pooled windowed signals.
-    pub shard: WindowSet,
-    /// Per-precision windowed signals (indexed by [`Precision::index`]).
-    pub by_precision: [WindowSet; 2],
-}
-
-impl Default for ShardWindows {
-    /// Rings clocked against a private epoch starting now.
-    fn default() -> Self {
-        ShardWindows {
-            epoch: Instant::now(),
-            shard: WindowSet::new(),
-            by_precision: [WindowSet::new(), WindowSet::new()],
-        }
-    }
-}
-
-impl ShardWindows {
-    /// Nanoseconds since the shared telemetry epoch — the timestamp
-    /// windowed records carry.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
-}
-
-/// The dispatch-side counters and histograms of **one** shard, written
-/// only by that shard's batcher thread and the engine workers running
-/// its completions.
-#[derive(Debug, Default)]
 pub struct ShardMetrics {
-    /// Requests whose ticket was fulfilled with an output.
-    pub completed: Counter,
-    /// Requests failed by an abort-mode shutdown.
-    pub aborted: Counter,
-    /// Requests failed because their chunk's engine pass panicked.
-    pub failed: Counter,
-    /// Requests dropped because their deadline elapsed before
-    /// dispatch (`pcnn_deadline_exceeded_total`).
-    pub expired: Counter,
-    /// Requests whose client cancelled the ticket before dispatch
-    /// (`pcnn_requests_cancelled_total`).
-    pub cancelled: Counter,
     /// Transient engine faults this shard re-queued for another shard
     /// under the retry policy (`pcnn_retries_total`).
     pub retries: Counter,
-    /// Batches dispatched to the engine.
-    pub batches: Counter,
-    /// Total images across dispatched batches.
-    pub batched_images: Counter,
     /// Admission → dispatch wait.
     pub queue_wait: LogHistogram,
-    /// Admission → ticket fulfilment.
-    pub latency: LogHistogram,
     /// Dispatch → batch completion (engine time per batch).
     pub service: LogHistogram,
     /// Batches dispatched to the engine and not yet completed.
     pub inflight_batches: Gauge,
-    /// The same dispatch metrics, labeled by execution precision
-    /// (indexed by [`Precision::index`]).
+    /// The outcome ledger, by execution precision (indexed by
+    /// [`Precision::index`]).
     pub by_precision: [PrecisionMetrics; 2],
-    /// The rolling-window view of this shard's traffic.
-    pub windows: ShardWindows,
+    epoch: Instant,
 }
 
 impl ShardMetrics {
     /// Shard metrics clocked against the server's shared `epoch`.
     pub fn with_epoch(epoch: Instant) -> Self {
-        let mut shard = ShardMetrics::default();
-        shard.windows.epoch = epoch;
-        shard
+        ShardMetrics {
+            retries: Counter::default(),
+            queue_wait: LogHistogram::new(),
+            service: LogHistogram::new(),
+            inflight_batches: Gauge::default(),
+            by_precision: Default::default(),
+            epoch,
+        }
     }
 
-    /// Feeds one completion (and its end-to-end latency) into the
-    /// rolling windows. The cumulative twins (`completed`, `latency`,
-    /// per-precision) stay the caller's responsibility.
-    pub fn window_completed(&self, p: Precision, latency: Duration) {
-        let w = &self.windows;
-        let now = w.now_ns();
-        let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
-        w.shard.on_completed(now, ns);
-        w.by_precision[p.index()].on_completed(now, ns);
+    /// Records how one request of precision `p` left the server.
+    pub fn record(&self, p: Precision, outcome: Outcome) {
+        let pm = self.precision(p);
+        let now = || self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        match outcome {
+            Outcome::Completed(latency) => {
+                pm.completed.inc();
+                pm.latency.record(latency);
+                let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
+                pm.window.on_completed(now(), ns);
+            }
+            Outcome::Failed => {
+                pm.failed.inc();
+                pm.window.on_failed(now());
+            }
+            Outcome::Expired => {
+                pm.expired.inc();
+                pm.window.on_failed(now());
+            }
+            Outcome::Aborted => {
+                pm.aborted.inc();
+                pm.window.on_aborted(now());
+            }
+            Outcome::Cancelled => pm.cancelled.inc(),
+        }
     }
 
-    /// Feeds one engine-fault failure into the rolling windows.
-    pub fn window_failed(&self, p: Precision) {
-        let w = &self.windows;
-        let now = w.now_ns();
-        w.shard.on_failed(now);
-        w.by_precision[p.index()].on_failed(now);
-    }
-
-    /// Feeds one shutdown abort into the rolling windows.
-    pub fn window_aborted(&self, p: Precision) {
-        let w = &self.windows;
-        let now = w.now_ns();
-        w.shard.on_aborted(now);
-        w.by_precision[p.index()].on_aborted(now);
+    /// Records one dispatched batch of `images` requests at precision `p`.
+    pub fn record_batch(&self, p: Precision, images: usize) {
+        let pm = self.precision(p);
+        pm.batches.inc();
+        pm.batched_images.add(images as u64);
     }
 
     /// The metrics of one precision class.
@@ -478,14 +467,29 @@ impl ShardMetrics {
         &self.by_precision[p.index()]
     }
 
+    /// `live` summed over both precisions: every shard-level outcome and
+    /// batch count is derived this way.
+    pub(crate) fn total(&self, live: fn(&PrecisionMetrics) -> u64) -> u64 {
+        self.by_precision.iter().map(live).sum()
+    }
+
+    /// Folds both precisions' end-to-end latency into `into`.
+    pub(crate) fn merge_latency_into(&self, into: &LogHistogram) {
+        for pm in &self.by_precision {
+            into.merge_from(&pm.latency);
+        }
+    }
+
     /// A point-in-time reading of this shard.
     pub fn snapshot(&self, shard: usize) -> ShardSnapshot {
+        let latency = LogHistogram::new();
+        self.merge_latency_into(&latency);
         let mut snap = ShardSnapshot {
             shard,
             queue_wait_p50: self.queue_wait.quantile(0.50),
             queue_wait_p99: self.queue_wait.quantile(0.99),
-            latency_p50: self.latency.quantile(0.50),
-            latency_p99: self.latency.quantile(0.99),
+            latency_p50: latency.quantile(0.50),
+            latency_p99: latency.quantile(0.99),
             service_mean: self.service.mean(),
             ..ShardSnapshot::default()
         };
@@ -637,8 +641,8 @@ pub(crate) enum Scope {
         fn(&PrecisionMetrics) -> u64,
         Option<Field<PrecisionSnapshot>>,
     ),
-    /// One histogram per shard.
-    ShardHistogram(fn(&ShardMetrics) -> &LogHistogram),
+    /// One histogram per shard, folded into the one it is handed.
+    ShardHistogram(fn(&ShardMetrics, &LogHistogram)),
     /// One histogram per execution precision, merged over shards.
     PrecisionHistogram(fn(&PrecisionMetrics) -> &LogHistogram),
     /// The event journal's totals (labels `code`, `severity`).
@@ -669,7 +673,8 @@ pub(crate) struct Metric {
 
 // Row constructors for `METRICS`. `row!` takes the scope as written;
 // the other three spell the common counter/gauge scopes as
-// `<field>[.<reader>] @ <JSON position> [, total @ <JSON position>]`.
+// `[sum] <field>[.<reader>] @ <JSON position> [, total @ <JSON position>]`,
+// where `sum` reads a shard value as the sum of its two precisions.
 macro_rules! row {
     ($kind:ident $name:literal, $help:literal, $scope:expr) => {
         Metric {
@@ -689,6 +694,10 @@ macro_rules! shard {
     ($f:ident @ $at:literal, total @ $tat:literal => $kind:ident $name:literal, $help:literal) => {
         row!($kind $name, $help,
             Scope::Shard(|s| s.$f.get(), field!($f @ $at), Some(field!($f @ $tat))))
+    };
+    (sum $f:ident @ $at:literal, total @ $tat:literal => $kind:ident $name:literal, $help:literal) => {
+        row!($kind $name, $help,
+            Scope::Shard(|s| s.total(|p| p.$f.get()), field!($f @ $at), Some(field!($f @ $tat))))
     };
 }
 macro_rules! precision {
@@ -727,30 +736,30 @@ pub(crate) static METRICS: [Metric; 41] = [
         "Low-priority requests shed by the health engine while Overloaded."),
     server!(shard_restarts.get @ 9 => Counter "pcnn_shard_restarts_total",
         "Batcher generations torn down and respawned by the supervisor."),
-    shard!(completed @ 0, total @ 1 => Counter "pcnn_requests_completed_total",
+    shard!(sum completed @ 0, total @ 1 => Counter "pcnn_requests_completed_total",
         "Requests fulfilled with an output."),
-    shard!(failed @ 2, total @ 5 => Counter "pcnn_requests_failed_total",
+    shard!(sum failed @ 2, total @ 5 => Counter "pcnn_requests_failed_total",
         "Requests failed by engine faults."),
-    shard!(aborted @ 1, total @ 4 => Counter "pcnn_requests_aborted_total",
+    shard!(sum aborted @ 1, total @ 4 => Counter "pcnn_requests_aborted_total",
         "Requests aborted by shutdown."),
-    shard!(expired @ 3, total @ 6 => Counter "pcnn_deadline_exceeded_total",
+    shard!(sum expired @ 3, total @ 6 => Counter "pcnn_deadline_exceeded_total",
         "Requests dropped because their deadline elapsed before dispatch."),
-    shard!(cancelled @ 4, total @ 7 => Counter "pcnn_requests_cancelled_total",
+    shard!(sum cancelled @ 4, total @ 7 => Counter "pcnn_requests_cancelled_total",
         "Requests cancelled by their clients before dispatch."),
     shard!(retries @ 5, total @ 8 => Counter "pcnn_retries_total",
         "Transient engine faults re-queued for another shard under the retry policy."),
-    shard!(batches @ 6, total @ 14 => Counter "pcnn_batches_dispatched_total",
+    shard!(sum batches @ 6, total @ 14 => Counter "pcnn_batches_dispatched_total",
         "Batches dispatched to the engine."),
     row!(Counter "pcnn_batched_images_total", "Images across dispatched batches.",
-        Scope::Shard(|s| s.batched_images.get(), field!(batched_images @ 7), None)),
+        Scope::Shard(|s| s.total(|p| p.batched_images.get()), field!(batched_images @ 7), None)),
     shard!(inflight_batches @ 8, total @ 13 => Gauge "pcnn_inflight_batches",
         "Batches dispatched and not yet completed."),
     row!(Histogram "pcnn_queue_wait_seconds", "Admission to dispatch wait.",
-        Scope::ShardHistogram(|s| &s.queue_wait)),
+        Scope::ShardHistogram(|s, h| h.merge_from(&s.queue_wait))),
     row!(Histogram "pcnn_latency_seconds", "Admission to ticket fulfilment (end-to-end).",
-        Scope::ShardHistogram(|s| &s.latency)),
+        Scope::ShardHistogram(ShardMetrics::merge_latency_into)),
     row!(Histogram "pcnn_service_seconds", "Engine time per dispatched batch.",
-        Scope::ShardHistogram(|s| &s.service)),
+        Scope::ShardHistogram(|s, h| h.merge_from(&s.service))),
     precision!(completed @ 0 => "pcnn_precision_completed_total",
         "Requests fulfilled, by execution precision."),
     precision!(failed @ 1 => "pcnn_precision_failed_total",
@@ -904,25 +913,11 @@ impl ServerMetrics {
         &self.events
     }
 
-    /// Pools one [`WindowSet`] per shard (chosen by `pick`) over the
-    /// trailing `window` ending at `now_ns`.
-    fn pooled_window(
-        &self,
-        now_ns: u64,
-        window: Duration,
-        label: &str,
-        pick: impl Fn(&ShardWindows) -> &WindowSet,
-    ) -> (LogHistogram, WindowStats) {
-        let hist = LogHistogram::new();
-        let (mut c, mut f, mut a) = (0u64, 0u64, 0u64);
-        for shard in &self.shards {
-            let (sc, sf, sa) = pick(&shard.windows).accumulate(now_ns, window, &hist);
-            c += sc;
-            f += sf;
-            a += sa;
-        }
-        let stats = WindowStats::compute(label.to_string(), window, &hist, c, f, a);
-        (hist, stats)
+    /// Every precision ledger's rolling windows, across all shards.
+    fn all_windows(&self) -> impl Iterator<Item = &WindowSet> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.by_precision.iter().map(|p| &p.window))
     }
 
     /// Pools every shard's rolling window ending at `now_ns` into one
@@ -931,32 +926,35 @@ impl ServerMetrics {
     /// burn rates from — `now_ns` is explicit so burn evaluation is
     /// deterministic under test.
     pub fn merged_window(&self, now_ns: u64, window: Duration) -> (LogHistogram, u64, u64, u64) {
-        let (hist, s) = self.pooled_window(now_ns, window, "total", |w| &w.shard);
+        let (hist, s) = pool(self.all_windows(), now_ns, window, "total");
         (hist, s.completed, s.failed, s.aborted)
     }
 
     /// The per-window readings (total + per-shard + per-precision) for
-    /// every standard window ([`WINDOWS`]). All three windows read
-    /// against one `now`, so they nest: the 60 s totals always cover
-    /// the 10 s totals.
+    /// every standard window ([`WINDOWS`]), each pooled from the
+    /// precision ledgers it covers. All three windows read against one
+    /// `now`, so they nest: the 60 s totals always cover the 10 s totals.
     pub fn window_snapshots(&self) -> Vec<WindowSnapshot> {
         let now = self.now_ns();
         WINDOWS
             .iter()
             .map(|&w| WindowSnapshot {
                 window: w,
-                total: self.pooled_window(now, w, "total", |sw| &sw.shard).1,
+                total: pool(self.all_windows(), now, w, "total").1,
                 shards: self
                     .shards
                     .iter()
                     .enumerate()
-                    .map(|(i, s)| s.windows.shard.stats_over(now, w, format!("shard-{i}")))
+                    .map(|(i, s)| {
+                        let sets = s.by_precision.iter().map(|p| &p.window);
+                        pool(sets, now, w, &format!("shard-{i}")).1
+                    })
                     .collect(),
                 precisions: Precision::ALL
                     .iter()
                     .map(|&p| {
-                        self.pooled_window(now, w, p.label(), |sw| &sw.by_precision[p.index()])
-                            .1
+                        let sets = self.shards.iter().map(|s| &s.precision(p).window);
+                        pool(sets, now, w, p.label()).1
                     })
                     .collect(),
             })
@@ -1011,7 +1009,7 @@ impl ServerMetrics {
         let mut shards = Vec::with_capacity(self.shards.len());
         for (i, shard) in self.shards.iter().enumerate() {
             queue_wait.merge_from(&shard.queue_wait);
-            latency.merge_from(&shard.latency);
+            shard.merge_latency_into(&latency);
             service.merge_from(&shard.service);
             shards.push(shard.snapshot(i));
         }
@@ -1099,9 +1097,11 @@ impl ServerMetrics {
                         f.sample(&label, live(s));
                     }
                 }
-                Scope::ShardHistogram(get) => {
+                Scope::ShardHistogram(fold) => {
                     for (label, s) in shards() {
-                        f.histogram(&label, get(s));
+                        let h = LogHistogram::new();
+                        fold(s, &h);
+                        f.histogram(&label, &h);
                     }
                 }
                 Scope::Precision(live, _) => {
@@ -1610,12 +1610,13 @@ mod tests {
         m.submitted.add(10);
         m.rejected.inc();
         let shard = m.shard(0);
-        shard.completed.add(9);
-        shard.batches.add(3);
-        shard.batched_images.add(9);
+        for _ in 0..3 {
+            shard.record_batch(Precision::F32, 3);
+        }
         for i in 1..=9u64 {
             shard.queue_wait.record(Duration::from_micros(i * 10));
-            shard.latency.record(Duration::from_micros(i * 100));
+            let latency = Duration::from_micros(i * 100);
+            shard.record(Precision::F32, Outcome::Completed(latency));
         }
         let snap = m.snapshot();
         assert_eq!(snap.submitted, 10);
@@ -1639,15 +1640,14 @@ mod tests {
         m.submitted.add(30);
         for (i, per_shard) in [10u64, 15, 5].into_iter().enumerate() {
             let shard = m.shard(i);
-            shard.completed.add(per_shard);
-            shard.batches.add(per_shard / 5);
-            shard.batched_images.add(per_shard);
+            for _ in 0..per_shard / 5 {
+                shard.record_batch(Precision::F32, 5);
+            }
             for k in 0..per_shard {
                 // Distinct latency scales per shard so the merged
                 // percentiles provably pool all three.
-                shard
-                    .latency
-                    .record(Duration::from_micros(10u64.pow(i as u32 + 1) + k));
+                let latency = Duration::from_micros(10u64.pow(i as u32 + 1) + k);
+                shard.record(Precision::F32, Outcome::Completed(latency));
             }
         }
         let snap = m.snapshot();
@@ -1753,18 +1753,14 @@ mod tests {
         m.queue_depth.set(3);
         for (i, n) in [12u64, 6].into_iter().enumerate() {
             let s = m.shard(i);
-            s.completed.add(n);
-            s.batches.add(n / 3);
-            s.batched_images.add(n);
+            for _ in 0..n / 3 {
+                s.record_batch(Precision::F32, 3);
+            }
             for k in 0..n {
-                s.latency.record(Duration::from_micros(100 + 40 * k));
+                let latency = Duration::from_micros(100 + 40 * k);
+                s.record(Precision::F32, Outcome::Completed(latency));
                 s.queue_wait.record(Duration::from_micros(10 + k));
                 s.service.record(Duration::from_micros(50));
-            }
-            let pm = s.precision(Precision::F32);
-            pm.completed.add(n);
-            for k in 0..n {
-                pm.latency.record(Duration::from_micros(100 + 40 * k));
             }
         }
         let text = m.render_prometheus();
@@ -1895,15 +1891,14 @@ mod tests {
     #[test]
     fn windowed_traffic_lands_in_snapshot_and_prometheus() {
         let m = ServerMetrics::new(2);
+        let completed = |ms| Outcome::Completed(Duration::from_millis(ms));
         for _ in 0..40 {
-            m.shard(0)
-                .window_completed(Precision::F32, Duration::from_millis(2));
+            m.shard(0).record(Precision::F32, completed(2));
         }
         for _ in 0..10 {
-            m.shard(1)
-                .window_completed(Precision::F32, Duration::from_millis(8));
+            m.shard(1).record(Precision::F32, completed(8));
         }
-        m.shard(1).window_failed(Precision::F32);
+        m.shard(1).record(Precision::F32, Outcome::Failed);
         let snap = m.snapshot();
         assert_eq!(snap.windows.len(), WINDOWS.len());
         // Everything above happened "just now": the 1 s window holds it
@@ -2009,11 +2004,22 @@ mod tests {
     fn per_precision_expired_and_cancelled_reach_the_exposition() {
         // Counted and in the JSON since deadlines/cancellation landed,
         // but missing from the hand-kept Prometheus list until the
-        // table replaced it.
+        // table replaced it. Every outcome is recorded once, into its
+        // precision's ledger; the shard series are derived from it.
         let m = ServerMetrics::new(2);
-        m.shard(0).precision(Precision::Int8).expired.add(2);
-        m.shard(1).precision(Precision::Int8).expired.add(3);
-        m.shard(1).precision(Precision::F32).cancelled.add(4);
+        let recorded = |shard: usize, p, outcome, n| {
+            for _ in 0..n {
+                m.shard(shard).record(p, outcome);
+            }
+        };
+        let done = Outcome::Completed(Duration::from_micros(300));
+        recorded(0, Precision::F32, done, 7);
+        recorded(0, Precision::Int8, Outcome::Expired, 2);
+        recorded(1, Precision::Int8, Outcome::Expired, 3);
+        recorded(1, Precision::F32, Outcome::Cancelled, 4);
+        recorded(1, Precision::Int8, done, 5);
+        recorded(0, Precision::Int8, Outcome::Failed, 1);
+        recorded(1, Precision::F32, Outcome::Aborted, 6);
         let text = m.render_prometheus();
         assert!(text.contains("pcnn_precision_expired_total{precision=\"int8\"} 5\n"));
         assert!(text.contains("pcnn_precision_expired_total{precision=\"f32\"} 0\n"));
@@ -2021,19 +2027,54 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.precisions[Precision::Int8.index()].expired, 5);
         assert_eq!(snap.precisions[Precision::F32.index()].cancelled, 4);
+        // Expired is a window failure, cancelled lands in no window.
+        for w in &snap.windows {
+            assert_eq!(w.total.completed, 12, "window {:?}", w.window);
+            assert_eq!(w.total.failed, 1 + 5, "window {:?}", w.window);
+            assert_eq!(w.total.aborted, 6, "window {:?}", w.window);
+            assert_eq!(w.shards[1].failed, 3);
+            assert_eq!(w.precisions[Precision::F32.index()].failed, 0);
+        }
+        // Shard series and precision series are two views of one
+        // ledger: they sum to the same totals, in the snapshot and in
+        // the exposition.
+        type Pick<S> = fn(&S) -> u64;
+        #[rustfmt::skip]
+        let outcomes: [(&str, &str, Pick<ShardSnapshot>, Pick<PrecisionSnapshot>); 5] = [
+            ("completed", "pcnn_requests_completed_total", |s| s.completed, |p| p.completed),
+            ("failed", "pcnn_requests_failed_total", |s| s.failed, |p| p.failed),
+            ("aborted", "pcnn_requests_aborted_total", |s| s.aborted, |p| p.aborted),
+            ("expired", "pcnn_deadline_exceeded_total", |s| s.expired, |p| p.expired),
+            ("cancelled", "pcnn_requests_cancelled_total", |s| s.cancelled, |p| p.cancelled),
+        ];
+        let series_sum = |family: &str| -> u64 {
+            text.lines()
+                .filter(|l| l.starts_with(&format!("{family}{{")))
+                .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+                .sum()
+        };
+        for (name, shard_family, shard, precision) in outcomes {
+            let by_shard: u64 = snap.shards.iter().map(shard).sum();
+            let by_precision: u64 = snap.precisions.iter().map(precision).sum();
+            assert_eq!(by_shard, by_precision, "{name}");
+            assert_eq!(series_sum(shard_family), by_shard, "{shard_family}");
+            let precision_family = format!("pcnn_precision_{name}_total");
+            assert_eq!(series_sum(&precision_family), by_shard, "{name}");
+        }
+        assert_eq!(snap.completed, 12);
+        assert_eq!(snap.expired, 5);
     }
 
     #[test]
     fn merged_window_pools_shards_for_burn_evaluation() {
         let m = ServerMetrics::new(2);
+        let completed = Outcome::Completed(Duration::from_millis(1));
         for _ in 0..30 {
-            m.shard(0)
-                .window_completed(Precision::F32, Duration::from_millis(1));
-            m.shard(1)
-                .window_completed(Precision::F32, Duration::from_millis(1));
+            m.shard(0).record(Precision::F32, completed);
+            m.shard(1).record(Precision::F32, completed);
         }
-        m.shard(0).window_failed(Precision::F32);
-        m.shard(1).window_aborted(Precision::F32);
+        m.shard(0).record(Precision::F32, Outcome::Failed);
+        m.shard(1).record(Precision::F32, Outcome::Aborted);
         let (hist, completed, failed, aborted) =
             m.merged_window(m.now_ns(), Duration::from_secs(10));
         assert_eq!(completed, 60);

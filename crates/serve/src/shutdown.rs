@@ -12,6 +12,7 @@
 //! [`crate::ServeError::Aborted`] instead of an inference pass,
 //! bounding shutdown time by one in-flight batch per shard.
 
+use crate::metrics::PrecisionSnapshot;
 use crate::trace::RecordedSpan;
 use std::time::Duration;
 
@@ -23,25 +24,6 @@ pub enum ShutdownMode {
     /// Fail queued requests with [`crate::ServeError::Aborted`]; only
     /// the batch already inside the engine completes.
     Abort,
-}
-
-/// Lifetime outcome counts for one execution precision, summed across
-/// every shard — the shutdown-time view of the per-precision telemetry.
-#[derive(Debug, Clone)]
-pub struct DrainPrecision {
-    /// Precision label (`"f32"` / `"int8"`).
-    pub precision: &'static str,
-    /// Requests completed at this precision.
-    pub completed: u64,
-    /// Requests failed with `EngineFault` at this precision.
-    pub failed: u64,
-    /// Requests aborted by shutdown at this precision.
-    pub aborted: u64,
-    /// Requests whose deadline elapsed before dispatch at this
-    /// precision.
-    pub expired: u64,
-    /// Requests cancelled by their clients at this precision.
-    pub cancelled: u64,
 }
 
 /// What shutdown did, assembled from the final metrics (summed across
@@ -63,8 +45,10 @@ pub struct DrainReport {
     pub cancelled: u64,
     /// Submissions refused because shutdown had begun.
     pub rejected_at_shutdown: u64,
-    /// Per-precision breakdown of the lifetime outcome counts above.
-    pub precisions: Vec<DrainPrecision>,
+    /// Per-precision breakdown of the lifetime counts above, from the
+    /// final snapshot (one entry per precision, in `Precision::ALL`
+    /// order). The totals above are its sums.
+    pub precisions: Vec<PrecisionSnapshot>,
     /// The flight recorder's final contents — the sampled span
     /// timelines still in the rings when the last batcher exited, for
     /// shutdown postmortems (aborted requests included).

@@ -51,31 +51,25 @@
 //! structures in this module; the batcher's hot path pays one registry
 //! insert/remove per request and one heartbeat store per loop.
 
-use crate::batcher::Request;
 use crate::events::{EventCode, Severity};
 use crate::incident::IncidentRecorder;
-use crate::metrics::ServerMetrics;
-use crate::queue::{BoundedQueue, Priority};
+use crate::metrics::{Outcome, ServerMetrics};
 use crate::ticket::{ServeError, TicketCell};
 use pcnn_runtime::{Engine, Precision};
 use pcnn_sync::atomic::{AtomicU64, Ordering};
 use pcnn_sync::{thread, Arc, Condvar, Mutex};
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Retry policy for transient engine faults, applied per failed
-/// request in the dispatch completion callback.
+/// request in the dispatch completion callback. An accepted retry
+/// re-queues at once, at high priority.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts a request gets (first try included). `1` — the
     /// default — disables retries entirely, and the batchers then skip
     /// the input clone retries would need.
     pub max_attempts: u32,
-    /// Delay before a retry re-enters the queue. Zero (default)
-    /// re-queues immediately from the completion callback; non-zero
-    /// delays are parked and flushed by the supervisor tick (so they
-    /// require supervision to be enabled).
-    pub backoff: Duration,
     /// Retry-budget tokens earned per completed request (token-bucket
     /// refill rate). `0.1` means one retry is earned per ten
     /// completions.
@@ -90,20 +84,15 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 1,
-            backoff: Duration::ZERO,
             budget_ratio: 0.1,
             budget_burst: 16,
         }
     }
 }
 
-/// Knobs of the shard supervisor.
+/// Knobs of the shard supervisor, which always runs.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Whether the supervisor thread runs at all. Off, batcher panics
-    /// still fail fast (their tickets resolve at shutdown) but nothing
-    /// restarts shards; the slot bookkeeping stays inert.
-    pub enabled: bool,
     /// How long an **active** batcher's heartbeat may go stale before
     /// the shard is declared wedged. Must comfortably exceed
     /// `max_wait` plus the slowest expected batch service time —
@@ -122,11 +111,10 @@ pub struct SupervisorConfig {
 }
 
 impl Default for SupervisorConfig {
-    /// Supervision on: 1 s stall timeout, breaker at 3 deaths per
-    /// 10 s, 2 s open, 4 probe batches.
+    /// 1 s stall timeout, breaker at 3 deaths per 10 s, 2 s open, 4
+    /// probe batches.
     fn default() -> Self {
         SupervisorConfig {
-            enabled: true,
             stall_timeout: Duration::from_secs(1),
             max_restarts: 3,
             restart_window: Duration::from_secs(10),
@@ -542,13 +530,6 @@ pub struct ShardStatus {
     pub retry_tokens: u64,
 }
 
-/// A retry parked until its backoff elapses, flushed by the supervisor
-/// tick (or failed at shutdown).
-pub(crate) struct DelayedRetry {
-    pub(crate) due: Instant,
-    pub(crate) request: Request,
-}
-
 /// The spawn hook the server installs: given a slot and the generation
 /// to run as, start a batcher thread for it. Lives in `lib.rs` so the
 /// supervisor never constructs a `BatcherContext` itself.
@@ -559,14 +540,11 @@ struct StopSignal {
     wake: Condvar,
 }
 
-/// The supervisor: owns the shard slots and (when enabled) a monitor
-/// thread driving detection, teardown, respawn, the circuit breakers,
-/// and delayed-retry flushing.
+/// The supervisor: owns the shard slots and a monitor thread driving
+/// detection, teardown, respawn and the circuit breakers.
 pub(crate) struct Supervisor {
     config: SupervisorConfig,
     slots: Vec<Arc<ShardSlot>>,
-    delayed: Arc<Mutex<Vec<DelayedRetry>>>,
-    queue: Arc<BoundedQueue<Request>>,
     metrics: Arc<ServerMetrics>,
     incidents: Arc<IncidentRecorder>,
     spawn: SpawnFn,
@@ -576,23 +554,17 @@ pub(crate) struct Supervisor {
 
 impl Supervisor {
     /// Builds the supervisor over already-spawned generation-0 batchers
-    /// and starts the monitor thread when supervision is enabled.
-    #[allow(clippy::too_many_arguments)]
+    /// and starts the monitor thread.
     pub(crate) fn start(
         config: SupervisorConfig,
         slots: Vec<Arc<ShardSlot>>,
-        delayed: Arc<Mutex<Vec<DelayedRetry>>>,
-        queue: Arc<BoundedQueue<Request>>,
         metrics: Arc<ServerMetrics>,
         incidents: Arc<IncidentRecorder>,
         spawn: SpawnFn,
     ) -> Arc<Supervisor> {
-        let enabled = config.enabled;
         let sup = Arc::new(Supervisor {
             config,
             slots,
-            delayed,
-            queue,
             metrics,
             incidents,
             spawn,
@@ -602,19 +574,17 @@ impl Supervisor {
             },
             monitor: Mutex::new(None),
         });
-        if enabled {
-            let me = Arc::clone(&sup);
-            let handle = thread::Builder::new()
-                .name("pcnn-serve-supervisor".to_string())
-                .spawn(move || me.run())
-                .expect("spawn supervisor thread");
-            *sup.monitor.lock().expect("monitor handle poisoned") = Some(handle);
-        }
+        let me = Arc::clone(&sup);
+        let handle = thread::Builder::new()
+            .name("pcnn-serve-supervisor".to_string())
+            .spawn(move || me.run())
+            .expect("spawn supervisor thread");
+        *sup.monitor.lock().expect("monitor handle poisoned") = Some(handle);
         sup
     }
 
-    /// The monitor loop: sleep a tick (interruptible by stop), flush
-    /// due retries, evaluate every slot.
+    /// The monitor loop: sleep a tick (interruptible by stop), evaluate
+    /// every slot.
     fn run(&self) {
         let tick = self
             .config
@@ -637,7 +607,6 @@ impl Supervisor {
                     return;
                 }
             }
-            self.flush_due_retries();
             let now_ns = self.metrics.now_ns();
             for slot in &self.slots {
                 self.evaluate_slot(slot, now_ns);
@@ -682,7 +651,7 @@ impl Supervisor {
     }
 
     fn batches_of(&self, slot: &ShardSlot) -> u64 {
-        self.metrics.shard(slot.index).batches.get()
+        self.metrics.shard(slot.index).total(|p| p.batches.get())
     }
 
     fn emit_breaker(&self, slot: &ShardSlot, state: BreakerState) {
@@ -740,9 +709,7 @@ impl Supervisor {
         }
         let shard = self.metrics.shard(slot.index);
         for entry in orphans {
-            shard.failed.inc();
-            shard.precision(entry.precision).failed.inc();
-            shard.window_failed(entry.precision);
+            shard.record(entry.precision, Outcome::Failed);
             entry.cell.complete(Err(ServeError::ShardFailed));
         }
     }
@@ -773,59 +740,6 @@ impl Supervisor {
             generation,
         );
         self.incidents.on_shard_restart();
-    }
-
-    /// Re-queues every delayed retry whose backoff has elapsed. A push
-    /// that fails (queue full or closed) fails the ticket with the
-    /// fault that caused the retry — never silently dropped.
-    fn flush_due_retries(&self) {
-        let now = Instant::now();
-        let due: Vec<DelayedRetry> = {
-            let mut delayed = self.delayed.lock().expect("delayed retries poisoned");
-            let mut due = Vec::new();
-            let mut i = 0;
-            while i < delayed.len() {
-                if delayed[i].due <= now {
-                    due.push(delayed.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            due
-        };
-        for d in due {
-            self.push_or_fail(d.request);
-        }
-    }
-
-    fn push_or_fail(&self, request: Request) {
-        let origin = request.avoid_shard.unwrap_or(0);
-        let cell = request.cell.clone();
-        let precision = request.precision;
-        if self.queue.try_push(request, Priority::High).is_err() {
-            // Charge the failure to the shard whose fault triggered
-            // the retry — that is where the request actually died.
-            let shard = self
-                .metrics
-                .shard(origin.min(self.metrics.shard_count() - 1));
-            shard.failed.inc();
-            shard.precision(precision).failed.inc();
-            shard.window_failed(precision);
-            cell.complete(Err(ServeError::EngineFault));
-        }
-    }
-
-    /// Fails every still-parked retry (shutdown: the queue is closed,
-    /// so re-queueing is pointless) — the last step that guarantees no
-    /// parked ticket outlives the server unresolved.
-    pub(crate) fn final_flush(&self) {
-        let parked: Vec<DelayedRetry> = {
-            let mut delayed = self.delayed.lock().expect("delayed retries poisoned");
-            std::mem::take(&mut *delayed)
-        };
-        for d in parked {
-            self.push_or_fail(d.request);
-        }
     }
 
     /// Stops the monitor thread (idempotent).

@@ -378,13 +378,27 @@ impl WindowSet {
             self.aborted.sum_over(now_ns, window),
         )
     }
+}
 
-    /// A point-in-time reading of this set alone over `window`.
-    pub fn stats_over(&self, now_ns: u64, window: Duration, label: String) -> WindowStats {
-        let hist = LogHistogram::new();
-        let (completed, failed, aborted) = self.accumulate(now_ns, window, &hist);
-        WindowStats::compute(label, window, &hist, completed, failed, aborted)
+/// Pools `sets` over the trailing `window` ending at `now_ns` into one
+/// merged latency histogram and one reading labelled `label` — how the
+/// per-precision rings roll up into shard, precision and server views.
+pub fn pool<'a>(
+    sets: impl IntoIterator<Item = &'a WindowSet>,
+    now_ns: u64,
+    window: Duration,
+    label: &str,
+) -> (LogHistogram, WindowStats) {
+    let hist = LogHistogram::new();
+    let (mut c, mut f, mut a) = (0u64, 0u64, 0u64);
+    for set in sets {
+        let (sc, sf, sa) = set.accumulate(now_ns, window, &hist);
+        c += sc;
+        f += sf;
+        a += sa;
     }
+    let stats = WindowStats::compute(label.to_string(), window, &hist, c, f, a);
+    (hist, stats)
 }
 
 /// Derived statistics of one traffic class over one trailing window.
@@ -639,7 +653,7 @@ mod tests {
             s.on_failed(now - k * 100 * W);
         }
         s.on_aborted(now);
-        let stats = s.stats_over(now, Duration::from_secs(1), "total".into());
+        let stats = pool([&s], now, Duration::from_secs(1), "total").1;
         assert_eq!(stats.completed, 90);
         assert_eq!(stats.failed, 9);
         assert_eq!(stats.aborted, 1);
@@ -651,14 +665,14 @@ mod tests {
         assert!(stats.latency_p99 <= Duration::from_millis(4));
         assert_eq!(stats.latency_mean, Duration::from_millis(2));
         // A tiny window sees only the most recent slice.
-        let recent = s.stats_over(now, Duration::ZERO, "total".into());
+        let recent = pool([&s], now, Duration::ZERO, "total").1;
         assert!(recent.completed < 90 && recent.completed >= 1);
     }
 
     #[test]
     fn empty_window_stats_are_all_zero() {
         let s = WindowSet::default();
-        let stats = s.stats_over(42 * SEC, Duration::from_secs(10), "total".into());
+        let stats = pool([&s], 42 * SEC, Duration::from_secs(10), "total").1;
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.error_rate, 0.0);
         assert_eq!(stats.abort_rate, 0.0);

@@ -8,12 +8,16 @@
 //! printed before the JSON writer replaced them, minus the keys removed
 //! with their fields (`windowed`, `events.enabled` and the journal's
 //! `enabled`; the always-zero `epilogue_ns`, `pattern_groups`,
-//! `epilogue_fraction` and `execute_mean_ns.epilogue`).
+//! `epilogue_fraction` and `execute_mean_ns.epilogue`; the five config
+//! knobs nothing set: `slo.latency_percentile`, the SLO's degraded and
+//! overloaded `*_burn` thresholds, the retry's back-off delay in ms, and
+//! `supervision.enabled`).
 
 use pcnn_runtime::profile::{LayerProfile, PrecisionProfile};
 use pcnn_runtime::{ExecProfile, Precision};
 use pcnn_serve::attribution::{BandAttribution, ExecPhaseShare, SegmentStats, WindowAttribution};
 use pcnn_serve::health::BurnWindow;
+use pcnn_serve::metrics::Outcome;
 use pcnn_serve::{
     AttributionReport, DiagnosticSnapshot, EventCode, EventConfig, EventJournal, HealthReport,
     HealthState, IncidentTrigger, PrecisionSnapshot, RecordedEvent, RecordedSpan, ServeConfig,
@@ -342,7 +346,10 @@ fn journal_dump_matches_its_golden_output() {
 /// A fixed synthetic state with every counter distinct enough that a
 /// crossed accessor or a reordered family shows in the text. Window
 /// traffic is recorded "just now", so all three trailing windows hold
-/// it whenever the render happens.
+/// it whenever the render happens. Completions, failures and batches go
+/// through `record` / `record_batch`, like a server's; the aborted,
+/// expired and cancelled counts go straight into the ledger, as if
+/// recorded more than 60 s ago, so they reach no trailing window.
 fn synthetic_metrics() -> ServerMetrics {
     let m = ServerMetrics::new(2);
     m.submitted.add(40);
@@ -354,37 +361,26 @@ fn synthetic_metrics() -> ServerMetrics {
     m.shard_restarts.add(1);
     for (i, n) in [12u64, 6].into_iter().enumerate() {
         let s = m.shard(i);
-        s.completed.add(n);
-        s.failed.add(1 + i as u64);
-        s.aborted.add(2);
-        s.expired.add(3);
-        s.cancelled.add(4);
-        s.retries.add(5);
-        s.batches.add(n / 3);
-        s.batched_images.add(n);
-        s.inflight_batches.inc();
         let p = if i == 0 {
             Precision::F32
         } else {
             Precision::Int8
         };
+        s.retries.add(5);
+        s.inflight_batches.inc();
+        for _ in 0..n / 3 {
+            s.record_batch(p, 3);
+        }
+        for k in 0..n {
+            s.record(p, Outcome::Completed(Duration::from_micros(100 + 40 * k)));
+            s.queue_wait.record(Duration::from_micros(10 + k));
+            s.service.record(Duration::from_micros(50));
+        }
+        s.record(p, Outcome::Failed);
         let pm = s.precision(p);
-        pm.completed.add(n);
-        pm.failed.add(1);
         pm.aborted.add(2);
         pm.expired.add(3);
         pm.cancelled.add(4);
-        pm.batches.add(n / 3);
-        pm.batched_images.add(n);
-        for k in 0..n {
-            let latency = Duration::from_micros(100 + 40 * k);
-            s.latency.record(latency);
-            pm.latency.record(latency);
-            s.queue_wait.record(Duration::from_micros(10 + k));
-            s.service.record(Duration::from_micros(50));
-            s.window_completed(p, latency);
-        }
-        s.window_failed(p);
     }
     m.events()
         .emit_at(500, EventCode::QueueFull, Severity::Warn, 256, 256);

@@ -20,8 +20,8 @@ use pcnn_nn::models;
 use pcnn_runtime::compile::compile_dense;
 use pcnn_runtime::Engine;
 use pcnn_serve::{
-    BreakerState, EventCode, FaultPlan, Priority, RetryPolicy, ServeConfig, ServeError, Server,
-    ShutdownMode, SupervisorConfig, Ticket,
+    BreakerState, DrainReport, EventCode, FaultPlan, Priority, RetryPolicy, ServeConfig,
+    ServeError, Server, ShutdownMode, SupervisorConfig, Ticket,
 };
 use pcnn_tensor::Tensor;
 
@@ -58,6 +58,19 @@ fn must_resolve(t: Ticket, timeout: Duration) -> Result<Tensor, ServeError> {
 
 fn restart_count(server: &Server, shard: usize) -> u64 {
     server.shard_status(shard).restarts
+}
+
+/// Every lifetime total of a drain report is the sum of its
+/// per-precision breakdown: one ledger, two views.
+fn assert_totals_are_precision_sums(report: &DrainReport) {
+    let sum = |get: fn(&pcnn_serve::PrecisionSnapshot) -> u64| -> u64 {
+        report.precisions.iter().map(get).sum()
+    };
+    assert_eq!(report.completed, sum(|p| p.completed));
+    assert_eq!(report.failed, sum(|p| p.failed));
+    assert_eq!(report.aborted, sum(|p| p.aborted));
+    assert_eq!(report.expired, sum(|p| p.expired));
+    assert_eq!(report.cancelled, sum(|p| p.cancelled));
 }
 
 fn journal_has(server: &Server, code: EventCode) -> bool {
@@ -154,7 +167,6 @@ fn crash_loop_trips_breaker_and_half_open_probe_recovers() {
                 restart_window: Duration::from_secs(30),
                 open_duration: Duration::from_millis(150),
                 probe_batches: 1,
-                ..SupervisorConfig::default()
             },
             faults: Some(faults.clone()),
             ..ServeConfig::default()
@@ -274,6 +286,7 @@ fn expired_deadline_fails_fast_without_an_engine_pass() {
     assert_eq!(snap.completed, 0, "no engine pass was spent on it");
     let report = server.shutdown(ShutdownMode::Drain);
     assert_eq!(report.expired, 1);
+    assert_totals_are_precision_sums(&report);
 }
 
 /// `ServeConfig::default_deadline` stamps every plain `submit`.
@@ -297,6 +310,7 @@ fn default_deadline_applies_to_plain_submits() {
     ));
     let report = server.shutdown(ShutdownMode::Drain);
     assert_eq!(report.expired, 1);
+    assert_totals_are_precision_sums(&report);
 }
 
 /// A cancelled ticket is reclaimed at dequeue: the input is dropped
@@ -327,6 +341,7 @@ fn cancelled_ticket_is_reclaimed_at_dequeue() {
     assert_eq!(server.metrics().snapshot().completed, 0);
     let report = server.shutdown(ShutdownMode::Drain);
     assert_eq!(report.cancelled, 1);
+    assert_totals_are_precision_sums(&report);
 }
 
 /// A transient engine fault retries on a different shard and succeeds:
@@ -345,7 +360,6 @@ fn transient_fault_retries_on_another_shard_and_succeeds() {
                 max_attempts: 2,
                 budget_ratio: 1.0,
                 budget_burst: 4,
-                ..RetryPolicy::default()
             },
             faults: Some(faults.clone()),
             ..ServeConfig::default()
@@ -402,7 +416,6 @@ fn persistent_fault_exhausts_attempts_and_fails() {
                 max_attempts: 2,
                 budget_ratio: 1.0,
                 budget_burst: 4,
-                ..RetryPolicy::default()
             },
             faults: Some(faults.clone()),
             ..ServeConfig::default()
@@ -416,6 +429,7 @@ fn persistent_fault_exhausts_attempts_and_fails() {
     assert_eq!(faults.engine_faults_fired(), 2);
     let report = server.shutdown(ShutdownMode::Drain);
     assert_eq!(report.failed, 1, "one request, one failure — not two");
+    assert_totals_are_precision_sums(&report);
 }
 
 /// Forced admission rejections consume exactly their budget.
@@ -439,31 +453,6 @@ fn forced_queue_full_rejects_exactly_n_submissions() {
     must_resolve(t, Duration::from_secs(10)).expect("served");
     assert!(faults.exhausted());
     server.shutdown(ShutdownMode::Drain);
-}
-
-/// Supervision disabled: the slot bookkeeping stays inert, no monitor
-/// thread runs, and a healthy server serves exactly as before.
-#[test]
-fn disabled_supervision_serves_normally() {
-    let server = server_with(
-        2,
-        ServeConfig {
-            shards: 2,
-            supervision: SupervisorConfig {
-                enabled: false,
-                ..SupervisorConfig::default()
-            },
-            ..ServeConfig::default()
-        },
-    );
-    let tickets: Vec<Ticket> = (0..16).map(|_| server.submit(input()).unwrap()).collect();
-    for t in tickets {
-        must_resolve(t, Duration::from_secs(10)).expect("served");
-    }
-    assert_eq!(server.shard_status(0).restarts, 0);
-    assert_eq!(server.shard_status(1).generation, 0);
-    let report = server.shutdown(ShutdownMode::Drain);
-    assert_eq!(report.completed, 16);
 }
 
 /// The Prometheus rendering carries the new fault-tolerance series.

@@ -240,7 +240,7 @@ fn trace_demo(smoke: bool, shards: usize) {
 /// cross-references the engine's pad/kernel phase split,
 /// checks the health engine reports `Healthy` at this (comfortable)
 /// load, and writes the attribution + health blocks into
-/// `PROFILE_serve.json` for CI to parse.
+/// `PROFILE_serve.json`.
 fn attribution_demo(smoke: bool, shards: usize) {
     let hw = VggProxyConfig::default().input_hw;
     let clients = if smoke { 4 } else { 6 };
@@ -258,7 +258,7 @@ fn attribution_demo(smoke: bool, shards: usize) {
                 ring_capacity: 1024,
             },
             // A deliberately lenient SLO: closed-loop smoke load must
-            // grade Healthy, which CI asserts below.
+            // grade Healthy, which is asserted below.
             slo: SloConfig {
                 latency_target: Duration::from_secs(5),
                 ..SloConfig::default()
@@ -289,6 +289,12 @@ fn attribution_demo(smoke: bool, shards: usize) {
     let spans = server.flight_recorder().spans();
     let mut report = AttributionReport::analyze(&spans);
     assert!(report.analyzed > 0, "traced run must retain spans");
+    let labels: Vec<&str> = report.windows.iter().map(|w| w.label.as_str()).collect();
+    assert_eq!(labels, ["1s", "10s", "60s", "overall"]);
+    assert!(
+        report.windows.iter().all(|w| w.segments.len() == 5),
+        "every window splits into the five segments"
+    );
     let profile = server.engine().exec_profile();
     report.attach_exec_profile(&profile);
     assert!(
@@ -336,7 +342,7 @@ fn attribution_demo(smoke: bool, shards: usize) {
 /// step lands inside the capture cooldown). The run validates the event
 /// journal's Prometheus families, prints the captured incident, and
 /// writes the on-demand `Server::diagnostics()` snapshot plus the
-/// incident into `PROFILE_serve.json` for CI to parse.
+/// incident into `PROFILE_serve.json`.
 fn incident_demo(smoke: bool, shards: usize) {
     let hw = VggProxyConfig::default().input_hw;
     let clients = if smoke { 4 } else { 6 };
@@ -392,7 +398,9 @@ fn incident_demo(smoke: bool, shards: usize) {
     let incidents = recorder.incidents();
     let incident = &incidents[0];
     assert_eq!(incident.trigger, IncidentTrigger::HealthDegraded);
+    assert_eq!(incident.health.state, HealthState::Degraded);
     assert!(!incident.events.is_empty(), "event tail rides along");
+    assert!(incident.attribution.analyzed > 0, "no spans attributed");
     println!("\n{incident}");
 
     // --- Event journal in the exporter -------------------------------------
@@ -411,6 +419,7 @@ fn incident_demo(smoke: bool, shards: usize) {
     // --- PROFILE_serve.json with diagnostics + incident blocks ------------
     let diag = server.diagnostics();
     assert_eq!(diag.trigger, IncidentTrigger::OnDemand);
+    assert!(!diag.version.is_empty(), "diagnostics carry build info");
     let json = json::object(|o| {
         o.extend(&server.engine().exec_profile().to_json())
             .raw("diagnostics", &diag.to_json())
@@ -435,7 +444,7 @@ fn incident_demo(smoke: bool, shards: usize) {
 /// heartbeat), every admitted request must resolve exactly once, and
 /// traffic afterwards must run at full parity with the health engine
 /// reporting `Healthy`. The run writes `CHAOS_serve.json` — journal,
-/// telemetry, shard supervision status — for CI to validate.
+/// telemetry, shard supervision status — as the drill's artifact.
 fn chaos_demo(smoke: bool, shards: usize) {
     let hw = VggProxyConfig::default().input_hw;
     // The drill needs a surviving shard while shard 0 is down.
@@ -575,6 +584,7 @@ fn chaos_demo(smoke: bool, shards: usize) {
 
     // --- CHAOS_serve.json for CI ------------------------------------------
     let snap = server.metrics().snapshot();
+    assert!(snap.shard_restarts >= 2, "telemetry counts both restarts");
     let json = json::object(|o| {
         o.int("crashes_fired", faults.crashes_fired())
             .int("stalls_fired", faults.stalls_fired())
