@@ -15,7 +15,7 @@
 //! 1. **Kernel registry** ([`registry`]). Each 3×3 sparsity pattern is
 //!    compiled once into tap coordinates, and execution dispatches onto
 //!    monomorphised kernels built on the explicit SIMD tiles of
-//!    [`pcnn_tensor::simd`] (AVX2 detected at runtime, scalar fallback
+//!    [`pcnn_tensor::simd`] (AVX2 + FMA detected at runtime, scalar fallback
 //!    under `PCNN_FORCE_SCALAR=1` — bit-identical either way) — the
 //!    regularity of pattern pruning is what makes a fixed unrolled
 //!    kernel per pattern possible at all. A registry can cover a

@@ -142,9 +142,11 @@ fn zero_border(border: &mut [i8]) {
 ///
 /// `out[ox] += Σ_j weights[j] · padded[base + offsets[j] + ox · stride]`
 ///
-/// `N` is a compile-time constant so the tap loop fully unrolls; the
-/// `stride == 1` path is written as `N` slice-zips the optimiser can
-/// vectorise.
+/// Each tap is one fused multiply-add straight into the running value,
+/// taps in order — the rounding sequence of every f32 walk in this
+/// module. `N` is a compile-time constant so the tap loop fully
+/// unrolls; the `stride == 1` path is written as `N` slice-zips the
+/// optimiser can vectorise.
 ///
 /// # Panics
 ///
@@ -165,17 +167,15 @@ pub fn accumulate_rows<const N: usize>(
             let w = weights[j];
             let src = &padded[base + offsets[j]..base + offsets[j] + ow];
             for (o, &x) in out.iter_mut().zip(src) {
-                *o += w * x;
+                *o = w.mul_add(x, *o);
             }
         }
     } else {
         for (ox, o) in out.iter_mut().enumerate() {
             let x = ox * stride;
-            let mut acc = 0.0f32;
             for j in 0..N {
-                acc += weights[j] * padded[base + offsets[j] + x];
+                *o = weights[j].mul_add(padded[base + offsets[j] + x], *o);
             }
-            *o += acc;
         }
     }
 }
@@ -301,7 +301,9 @@ pub fn accumulate_plane_batch_dyn(
 /// any host: the request passes through [`SimdLevel::effective`], which
 /// downgrades AVX2 to the scalar instantiation when this CPU cannot
 /// execute it. Both tiers compute **bit-identical** f32 results — one
-/// kernel source, two instantiations, no FMA.
+/// kernel source, two instantiations, and each output element's taps
+/// fused into it one correctly rounded multiply-add at a time, in
+/// pattern order.
 #[inline]
 #[allow(clippy::too_many_arguments)] // kernel geometry is irreducible
 pub fn accumulate_plane_batch_dyn_at(
@@ -328,6 +330,16 @@ pub fn accumulate_plane_batch_dyn_at(
                 )
             }
         }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Scalar if hardware_fma() => {
+            // SAFETY: `hardware_fma()` is a positive (cached) CPUID
+            // check for FMA on this host.
+            unsafe {
+                batch_f32_fma(
+                    out, padded, geo, oh, ow, row_stride, offsets, weights, stride,
+                )
+            }
+        }
         _ => batch_f32(
             ScalarToken,
             out,
@@ -345,13 +357,13 @@ pub fn accumulate_plane_batch_dyn_at(
 
 /// The AVX2 instantiation of [`batch_f32`]. The `#[target_feature]`
 /// boundary is here so every `#[inline(always)]` token op below it
-/// compiles with AVX2 enabled.
+/// compiles with AVX2 and FMA enabled.
 ///
 /// # Safety
 ///
-/// AVX2 must be available on the executing CPU.
+/// AVX2 and FMA must be available on the executing CPU.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn batch_f32_avx2(
     out: &mut [f32],
@@ -364,11 +376,57 @@ unsafe fn batch_f32_avx2(
     weights: &[f32],
     stride: usize,
 ) {
-    // SAFETY: the function's own contract guarantees AVX2.
+    // SAFETY: the function's own contract guarantees AVX2 and FMA.
     let token = unsafe { Avx2Token::assert_available() };
     batch_f32(
         token, out, padded, geo, oh, ow, row_stride, offsets, weights, stride,
     );
+}
+
+/// The scalar instantiation of [`batch_f32`] where the CPU has FMA (see
+/// [`hardware_fma`]).
+///
+/// # Safety
+///
+/// FMA must be available on the executing CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn batch_f32_fma(
+    out: &mut [f32],
+    padded: &[f32],
+    geo: BatchPlanes,
+    oh: usize,
+    ow: usize,
+    row_stride: usize,
+    offsets: &[usize],
+    weights: &[f32],
+    stride: usize,
+) {
+    batch_f32(
+        ScalarToken,
+        out,
+        padded,
+        geo,
+        oh,
+        ow,
+        row_stride,
+        offsets,
+        weights,
+        stride,
+    );
+}
+
+/// Whether the scalar tier's f32 kernels can be compiled for FMA.
+/// [`f32::mul_add`] is one instruction in an `fma`-enabled function and
+/// a libm call everywhere else — the same correctly rounded value at
+/// about a twentieth of the speed — so on x86-64 the scalar tier runs an
+/// `fma`-enabled instantiation of each f32 kernel when CPUID reports
+/// FMA, and the plain one only on hosts without it.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn hardware_fma() -> bool {
+    std::is_x86_feature_detected!("fma")
 }
 
 /// The shared f32 batch kernel: monomorphises the tap count and routes
@@ -437,7 +495,8 @@ fn batch_f32<S: SimdToken>(
 ///   `ow % 8` lanes ([`SimdToken::f32x8_load_partial`]).
 ///
 /// Strided planes fall back to the scalar slice kernel (identical on
-/// both tiers).
+/// both tiers). Every form seeds its accumulators from the output plane
+/// and fuses the `N` taps into them in order.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn batch_f32_n<S: SimdToken, const N: usize>(
@@ -480,8 +539,8 @@ fn batch_f32_n<S: SimdToken, const N: usize>(
 }
 
 /// Scalar const-width rows for 1- and 2-wide planes (deepest layers):
-/// fixed-size accumulators, taps fully unrolled. Identical on both
-/// tiers by construction.
+/// the output row as fixed-size accumulators, taps fully unrolled.
+/// Identical on both tiers by construction.
 #[inline(always)]
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 fn tiny_rows_f32<S: SimdToken, const N: usize, const OW: usize>(
@@ -502,18 +561,16 @@ fn tiny_rows_f32<S: SimdToken, const N: usize, const OW: usize>(
             let orow: &mut [f32; OW] = (&mut out[ob + oy * OW..ob + (oy + 1) * OW])
                 .try_into()
                 .expect("row length is OW");
-            let mut acc = [0.0f32; OW];
+            let mut acc = *orow;
             for j in 0..N {
                 let src: &[f32; OW] = (&padded[rb + offs[j]..rb + offs[j] + OW])
                     .try_into()
                     .expect("row length is OW");
                 for k in 0..OW {
-                    acc[k] += wts[j] * src[k];
+                    acc[k] = wts[j].mul_add(src[k], acc[k]);
                 }
             }
-            for k in 0..OW {
-                orow[k] += acc[k];
-            }
+            *orow = acc;
         }
     }
 }
@@ -542,26 +599,24 @@ fn tile_f32_ow4<S: SimdToken, const N: usize>(
         while oy + 1 < oh {
             let rb0 = ib + oy * row_stride;
             let rb1 = rb0 + row_stride;
-            let mut acc = simd::F32x8::zero();
+            let orow = &mut out[ob + oy * 4..];
+            let mut acc = t.f32x8_load(orow);
             for j in 0..N {
                 let x = t.f32x8_load_2x4(&padded[rb0 + offs[j]..], &padded[rb1 + offs[j]..]);
-                acc = t.f32x8_mul_acc(acc, wsplat[j], x);
+                acc = t.f32x8_fma(acc, wsplat[j], x);
             }
-            let orow = &mut out[ob + oy * 4..];
-            let o = t.f32x8_load(orow);
-            t.f32x8_store(t.f32x8_add(o, acc), orow);
+            t.f32x8_store(acc, orow);
             oy += 2;
         }
         if oy < oh {
             let rb = ib + oy * row_stride;
-            let mut acc = simd::F32x8::zero();
+            let orow = &mut out[ob + oy * 4..];
+            let mut acc = t.f32x8_load_partial(orow, 4);
             for j in 0..N {
                 let x = t.f32x8_load_partial(&padded[rb + offs[j]..], 4);
-                acc = t.f32x8_mul_acc(acc, wsplat[j], x);
+                acc = t.f32x8_fma(acc, wsplat[j], x);
             }
-            let orow = &mut out[ob + oy * 4..];
-            let o = t.f32x8_load_partial(orow, 4);
-            t.f32x8_store_partial(t.f32x8_add(o, acc), orow, 4);
+            t.f32x8_store_partial(acc, orow, 4);
         }
     }
 }
@@ -587,14 +642,13 @@ fn rows_f32_const<S: SimdToken, const N: usize, const OW: usize>(
         for oy in 0..oh {
             let rb = ib + oy * row_stride;
             for c in 0..OW / 8 {
-                let mut acc = simd::F32x8::zero();
+                let orow = &mut out[ob + oy * OW + c * 8..];
+                let mut acc = t.f32x8_load(orow);
                 for j in 0..N {
                     let x = t.f32x8_load(&padded[rb + offs[j] + c * 8..]);
-                    acc = t.f32x8_mul_acc(acc, wsplat[j], x);
+                    acc = t.f32x8_fma(acc, wsplat[j], x);
                 }
-                let orow = &mut out[ob + oy * OW + c * 8..];
-                let o = t.f32x8_load(orow);
-                t.f32x8_store(t.f32x8_add(o, acc), orow);
+                t.f32x8_store(acc, orow);
             }
         }
     }
@@ -624,24 +678,22 @@ fn rows_f32_dyn<S: SimdToken, const N: usize>(
         for oy in 0..oh {
             let rb = ib + oy * row_stride;
             for c in 0..full {
-                let mut acc = simd::F32x8::zero();
+                let orow = &mut out[ob + oy * ow + c * 8..];
+                let mut acc = t.f32x8_load(orow);
                 for j in 0..N {
                     let x = t.f32x8_load(&padded[rb + offs[j] + c * 8..]);
-                    acc = t.f32x8_mul_acc(acc, wsplat[j], x);
+                    acc = t.f32x8_fma(acc, wsplat[j], x);
                 }
-                let orow = &mut out[ob + oy * ow + c * 8..];
-                let o = t.f32x8_load(orow);
-                t.f32x8_store(t.f32x8_add(o, acc), orow);
+                t.f32x8_store(acc, orow);
             }
             if tail > 0 {
-                let mut acc = simd::F32x8::zero();
+                let orow = &mut out[ob + oy * ow + full * 8..];
+                let mut acc = t.f32x8_load_partial(orow, tail);
                 for j in 0..N {
                     let x = t.f32x8_load_partial(&padded[rb + offs[j] + full * 8..], tail);
-                    acc = t.f32x8_mul_acc(acc, wsplat[j], x);
+                    acc = t.f32x8_fma(acc, wsplat[j], x);
                 }
-                let orow = &mut out[ob + oy * ow + full * 8..];
-                let o = t.f32x8_load_partial(orow, tail);
-                t.f32x8_store_partial(t.f32x8_add(o, acc), orow, tail);
+                t.f32x8_store_partial(acc, orow, tail);
             }
         }
     }
@@ -713,9 +765,9 @@ pub fn pad_quant_plane_overwrite_at(
 ///
 /// # Safety
 ///
-/// AVX2 must be available on the executing CPU.
+/// AVX2 and FMA must be available on the executing CPU.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn pad_quant_avx2(
     plane: &[f32],
     h: usize,
@@ -725,7 +777,7 @@ unsafe fn pad_quant_avx2(
     q_max: i32,
     buf: &mut [i8],
 ) {
-    // SAFETY: the function's own contract guarantees AVX2.
+    // SAFETY: the function's own contract guarantees AVX2 and FMA.
     let token = unsafe { Avx2Token::assert_available() };
     pad_quant_rows(token, plane, h, w, pad, 0, scale, q_max, buf);
 }
@@ -824,11 +876,11 @@ pub fn relu_in_place_at(level: SimdLevel, data: &mut [f32]) {
 
 /// # Safety
 ///
-/// AVX2 must be available on the executing CPU.
+/// AVX2 and FMA must be available on the executing CPU.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn relu_avx2(data: &mut [f32]) {
-    // SAFETY: the function's own contract guarantees AVX2.
+    // SAFETY: the function's own contract guarantees AVX2 and FMA.
     let token = unsafe { Avx2Token::assert_available() };
     relu_impl(token, data);
 }
@@ -1081,9 +1133,9 @@ pub fn accumulate_plane_batch_dyn_i8_at(
 ///
 /// # Safety
 ///
-/// AVX2 must be available on the executing CPU.
+/// AVX2 and FMA must be available on the executing CPU.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn batch_i8_avx2(
     out: &mut [i32],
@@ -1096,7 +1148,7 @@ unsafe fn batch_i8_avx2(
     weights: &[i8],
     stride: usize,
 ) {
-    // SAFETY: the function's own contract guarantees AVX2.
+    // SAFETY: the function's own contract guarantees AVX2 and FMA.
     let token = unsafe { Avx2Token::assert_available() };
     batch_i8(
         token, out, padded, geo, oh, ow, row_stride, offsets, weights, stride,
@@ -1519,11 +1571,9 @@ pub fn accumulate_rows_dyn(
         _ => {
             for (ox, o) in out.iter_mut().enumerate() {
                 let x = ox * stride;
-                let mut acc = 0.0f32;
                 for (&off, &w) in offsets.iter().zip(weights) {
-                    acc += w * padded[base + off + x];
+                    *o = w.mul_add(padded[base + off + x], *o);
                 }
-                *o += acc;
             }
         }
     }
@@ -1607,8 +1657,9 @@ pub struct Requant<'a> {
     pub relu: bool,
 }
 
-/// The requantisation formula, one rounding per step and no FMA:
-/// `a · scale + bias`, clamped at zero when `relu`.
+/// The requantisation formula, one rounding per step and no FMA (the
+/// int8 path's only f32 arithmetic): `a · scale + bias`, clamped at
+/// zero when `relu`.
 #[inline(always)]
 pub fn requantize(a: i32, scale: f32, bias: f32, relu: bool) -> f32 {
     let v = a as f32 * scale + bias;
@@ -1681,8 +1732,8 @@ pub struct BandPass {
 ///
 /// Per output element the f32 arithmetic is that of seeding the plane
 /// with the bias and applying [`accumulate_plane_batch_dyn`] per live
-/// kernel in ascending `ic`, then the ReLU — a zero-seeded tap sum with
-/// separate multiply and add, added to the running value — so the
+/// kernel in ascending `ic`, then the ReLU: each tap, in pattern order,
+/// is one fused multiply-add straight into the running value, so the
 /// result is bit-identical to that walk on both tiers. The int8 sums
 /// never reach memory; they equal [`accumulate_plane_batch_dyn_i8`]'s
 /// (integer sums are exact in any order) and go through [`requantize`].
@@ -1712,6 +1763,12 @@ pub fn band_walk_at<E: TileEpilogue>(
             // (cached) CPUID check on this host.
             unsafe { band_walk_avx2(kernels, epilogue, input, out, oh, ow, scratch, time_pad) }
         }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Scalar if hardware_fma() => {
+            // SAFETY: `hardware_fma()` is a positive (cached) CPUID
+            // check for FMA on this host.
+            unsafe { band_walk_fma(kernels, epilogue, input, out, oh, ow, scratch, time_pad) }
+        }
         _ => band_walk_taps(
             ScalarToken,
             kernels,
@@ -1730,9 +1787,9 @@ pub fn band_walk_at<E: TileEpilogue>(
 ///
 /// # Safety
 ///
-/// AVX2 must be available on the executing CPU.
+/// AVX2 and FMA must be available on the executing CPU.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn band_walk_avx2<E: TileEpilogue>(
     kernels: &SpmKernels<'_, E::Wt>,
@@ -1744,10 +1801,42 @@ unsafe fn band_walk_avx2<E: TileEpilogue>(
     scratch: &mut Vec<E::In>,
     time_pad: bool,
 ) -> BandPass {
-    // SAFETY: the function's own contract guarantees AVX2.
+    // SAFETY: the function's own contract guarantees AVX2 and FMA.
     let token = unsafe { Avx2Token::assert_available() };
     band_walk_taps(
         token, kernels, epilogue, input, out, oh, ow, scratch, time_pad,
+    )
+}
+
+/// The scalar instantiation of [`band_walk_taps`] where the CPU has FMA
+/// (see [`hardware_fma`]).
+///
+/// # Safety
+///
+/// FMA must be available on the executing CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn band_walk_fma<E: TileEpilogue>(
+    kernels: &SpmKernels<'_, E::Wt>,
+    epilogue: E,
+    input: &[f32],
+    out: &mut [f32],
+    oh: usize,
+    ow: usize,
+    scratch: &mut Vec<E::In>,
+    time_pad: bool,
+) -> BandPass {
+    band_walk_taps(
+        ScalarToken,
+        kernels,
+        epilogue,
+        input,
+        out,
+        oh,
+        ow,
+        scratch,
+        time_pad,
     )
 }
 
@@ -1911,18 +2000,18 @@ impl TileEpilogue for BiasRelu<'_> {
         at: usize,
         pw: usize,
     ) -> simd::F32x8 {
-        // Zero-seeded, then added to the running value: the rounding
-        // sequence of the per-kernel entry points.
-        let mut sum = simd::F32x8::zero();
+        // Each tap fused straight into the running value, in pattern
+        // order: the rounding sequence of the per-kernel entry points.
+        let mut acc = acc;
         for j in 0..N {
             let x = match R {
                 1 => t.f32x8_load(&win[j][at..]),
                 2 => t.f32x8_load_2x4(&win[j][at..], &win[j][at + pw..]),
                 _ => unreachable!("f32 blocks span one or two rows"),
             };
-            sum = t.f32x8_mul_acc(sum, w[j], x);
+            acc = t.f32x8_fma(acc, w[j], x);
         }
-        t.f32x8_add(acc, sum)
+        acc
     }
 
     #[inline(always)]

@@ -112,11 +112,11 @@ pub fn maxpool2d_infer_at(level: SimdLevel, input: &Tensor, window: usize) -> Te
 ///
 /// # Safety
 ///
-/// AVX2 must be available on the executing CPU.
+/// AVX2 and FMA must be available on the executing CPU.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn maxpool_planes_avx2(data: &[f32], out: &mut [f32], h: usize, w: usize, window: usize) {
-    // SAFETY: the function's own contract guarantees AVX2.
+    // SAFETY: the function's own contract guarantees AVX2 and FMA.
     let token = unsafe { Avx2Token::assert_available() };
     maxpool_planes(token, data, out, h, w, window);
 }

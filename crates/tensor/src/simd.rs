@@ -4,20 +4,22 @@
 //! against the lane types and token trait of this module, and compiled
 //! **twice**: a scalar instantiation (plain per-lane loops) and an AVX2
 //! instantiation whose token methods lower to `std::arch` intrinsics
-//! inside a `#[target_feature(enable = "avx2")]` entry point. Which copy
-//! runs is decided once per process by [`active`]:
+//! inside a `#[target_feature(enable = "avx2,fma")]` entry point. Which
+//! copy runs is decided once per process by [`active`]:
 //!
 //! * `PCNN_FORCE_SCALAR=1` in the environment pins the scalar fallback
 //!   (the testing escape hatch — the property suites diff the two
 //!   instantiations against each other);
-//! * otherwise `is_x86_feature_detected!("avx2")` picks AVX2 on hosts
-//!   that have it, scalar everywhere else (non-x86_64 builds compile the
-//!   scalar token only).
+//! * otherwise the AVX2 tier runs on hosts that report both `avx2` and
+//!   `fma`, the scalar tier everywhere else (non-x86_64 builds compile
+//!   the scalar token only).
 //!
-//! Because both instantiations share one kernel source and every token
-//! op is **lane-wise with identical per-element semantics** (no FMA — a
-//! fused multiply-add rounds differently from `mul` then `add`), the f32
-//! paths agree *bit for bit* and the integer paths are exact by
+//! Both instantiations share one kernel source and every token op is
+//! **lane-wise with identical per-element semantics**. The one f32
+//! multiply-accumulate, [`SimdToken::f32x8_fma`], is a fused
+//! multiply-add on both tiers — `vfmadd` on AVX2, [`f32::mul_add`] per
+//! lane on scalar — and a fused multiply-add is correctly rounded, so
+//! the f32 paths agree *bit for bit*. The integer paths are exact by
 //! associativity. That is what lets the proptests assert `SIMD ==
 //! scalar` exactly rather than within a tolerance.
 //!
@@ -40,7 +42,7 @@ use std::sync::OnceLock;
 pub enum SimdLevel {
     /// Per-lane loops, no ISA assumptions — the portable fallback.
     Scalar,
-    /// 256-bit AVX2 kernels through `std::arch` intrinsics.
+    /// 256-bit AVX2 kernels with FMA through `std::arch` intrinsics.
     Avx2,
 }
 
@@ -54,8 +56,8 @@ impl SimdLevel {
     }
 
     /// The level this host can actually execute: downgrades
-    /// [`SimdLevel::Avx2`] to scalar when the CPU lacks AVX2 (or off
-    /// x86-64). Every dispatch site goes through this, so requesting a
+    /// [`SimdLevel::Avx2`] to scalar when the CPU lacks AVX2 or FMA (or
+    /// off x86-64). Every dispatch site goes through this, so requesting a
     /// tier the host cannot run is **safe** — it falls back rather than
     /// reaching `#[target_feature]` code the CPU cannot execute. The
     /// check is a cached-CPUID flag test, noise next to a kernel
@@ -64,15 +66,8 @@ impl SimdLevel {
     pub fn effective(self) -> SimdLevel {
         match self {
             SimdLevel::Scalar => SimdLevel::Scalar,
-            SimdLevel::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    if std::is_x86_feature_detected!("avx2") {
-                        return SimdLevel::Avx2;
-                    }
-                }
-                SimdLevel::Scalar
-            }
+            SimdLevel::Avx2 if avx2_fma_detected() => SimdLevel::Avx2,
+            SimdLevel::Avx2 => SimdLevel::Scalar,
         }
     }
 }
@@ -81,6 +76,21 @@ impl std::fmt::Display for SimdLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
+}
+
+/// Whether this CPU has everything the AVX2 tier executes: AVX2 and
+/// FMA. A cached-CPUID flag test after the first call.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2_fma_detected() -> bool {
+    std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+}
+
+/// Off x86-64 only the scalar tier exists.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn avx2_fma_detected() -> bool {
+    false
 }
 
 /// Uncached detection: `PCNN_FORCE_SCALAR=1` wins, then CPUID.
@@ -95,16 +105,11 @@ pub fn detect() -> SimdLevel {
 /// the caller — testable without mutating the process environment
 /// (`env::set_var` races `env::var_os` on other test threads).
 pub fn detect_with(force_scalar: bool) -> SimdLevel {
-    if force_scalar {
-        return SimdLevel::Scalar;
+    if !force_scalar && avx2_fma_detected() {
+        SimdLevel::Avx2
+    } else {
+        SimdLevel::Scalar
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::is_x86_feature_detected!("avx2") {
-            return SimdLevel::Avx2;
-        }
-    }
-    SimdLevel::Scalar
 }
 
 /// The process-wide dispatch decision, computed once on first use.
@@ -129,14 +134,6 @@ pub struct I16x16(pub [i16; 16]);
 #[repr(transparent)]
 pub struct I32x8(pub [i32; 8]);
 
-impl F32x8 {
-    /// All lanes zero.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        F32x8([0.0; 8])
-    }
-}
-
 impl I32x8 {
     /// All lanes zero.
     #[inline(always)]
@@ -148,17 +145,17 @@ impl I32x8 {
 /// The backend contract the pattern kernels are generic over.
 ///
 /// Every method is lane-wise and total: the scalar and AVX2
-/// implementations produce identical results per lane (the f32 ops use
-/// separate multiply and add — never FMA — so even rounding agrees).
+/// implementations produce identical results per lane (the one f32
+/// multiply-accumulate is fused on both, so even rounding agrees).
 /// Slice arguments must be at least as long as the lanes consumed; the
 /// `*_partial` ops take an explicit `len < 8` and treat the missing
 /// lanes as zero (load) or leave them untouched (store) — the masked
 /// tails of odd plane widths.
 ///
 /// Tokens are zero-sized proof objects: [`Avx2Token`] can only be
-/// obtained inside the `#[target_feature(enable = "avx2")]` dispatch
-/// wrappers of [`crate::direct`] and [`crate::pool`], which is what
-/// makes its intrinsic calls sound.
+/// obtained inside the `#[target_feature(enable = "avx2,fma")]`
+/// dispatch wrappers of [`crate::direct`] and [`crate::pool`], which is
+/// what makes its intrinsic calls sound.
 pub trait SimdToken: Copy {
     /// Loads 8 f32 lanes from the front of `s`.
     fn f32x8_load(self, s: &[f32]) -> F32x8;
@@ -173,11 +170,10 @@ pub trait SimdToken: Copy {
     fn f32x8_store_partial(self, v: F32x8, s: &mut [f32], len: usize);
     /// Broadcasts `x` to all lanes.
     fn f32x8_splat(self, x: f32) -> F32x8;
-    /// Lane-wise `a + b`.
-    fn f32x8_add(self, a: F32x8, b: F32x8) -> F32x8;
-    /// Lane-wise `acc + w · x` as **separate** multiply and add (no
-    /// FMA), so scalar and AVX2 round identically.
-    fn f32x8_mul_acc(self, acc: F32x8, w: F32x8, x: F32x8) -> F32x8;
+    /// Lane-wise `w · x + acc` as one **fused** multiply-add: the exact
+    /// value, rounded once. Correct rounding leaves no latitude, so
+    /// scalar ([`f32::mul_add`]) and AVX2 (`vfmadd`) agree bit for bit.
+    fn f32x8_fma(self, acc: F32x8, w: F32x8, x: F32x8) -> F32x8;
     /// Lane-wise ReLU with the executor's exact legacy semantics:
     /// `if v < 0 { +0.0 } else { v }` — strictly negative lanes become
     /// `+0.0`, and `-0.0` (which is not `< 0`) passes through, so every
@@ -275,13 +271,15 @@ impl SimdToken for ScalarToken {
     }
 
     #[inline(always)]
-    fn f32x8_add(self, a: F32x8, b: F32x8) -> F32x8 {
-        F32x8(std::array::from_fn(|k| a.0[k] + b.0[k]))
-    }
-
-    #[inline(always)]
-    fn f32x8_mul_acc(self, acc: F32x8, w: F32x8, x: F32x8) -> F32x8 {
-        F32x8(std::array::from_fn(|k| acc.0[k] + w.0[k] * x.0[k]))
+    fn f32x8_fma(self, acc: F32x8, w: F32x8, x: F32x8) -> F32x8 {
+        // A plain loop, not a closure: `mul_add` is one instruction only
+        // where it inlines into an `fma`-enabled caller, and a libm call
+        // anywhere else.
+        let mut v = acc.0;
+        for ((lane, &w), &x) in v.iter_mut().zip(&w.0).zip(&x.0) {
+            *lane = w.mul_add(x, *lane);
+        }
+        F32x8(v)
     }
 
     #[inline(always)]
@@ -393,18 +391,19 @@ mod avx2 {
     use std::arch::x86_64::*;
     use std::mem::transmute;
 
-    /// The AVX2 token. Constructing one asserts AVX2 is available —
-    /// only the `#[target_feature(enable = "avx2")]` dispatch wrappers
-    /// in [`crate::direct`] and [`crate::pool`] do so, after the
-    /// runtime check in [`super::active`].
+    /// The AVX2 token. Constructing one asserts AVX2 and FMA are
+    /// available — only the `#[target_feature(enable = "avx2,fma")]`
+    /// dispatch wrappers in [`crate::direct`] and [`crate::pool`] do so,
+    /// after the runtime check in [`super::SimdLevel::effective`].
     #[derive(Debug, Clone, Copy)]
     pub struct Avx2Token(());
 
     impl Avx2Token {
         /// # Safety
         ///
-        /// The caller must have verified AVX2 support (every method of
-        /// the returned token executes AVX2 instructions).
+        /// The caller must have verified AVX2 and FMA support (the
+        /// methods of the returned token execute AVX2 and FMA
+        /// instructions).
         #[inline(always)]
         pub unsafe fn assert_available() -> Self {
             Avx2Token(())
@@ -461,7 +460,7 @@ mod avx2 {
     // lint: allow(gated-intrinsics) — the token is the gate: an
     // `Avx2Token` only exists behind `assert_available()`, whose
     // callers (the `#[target_feature]` dispatch wrappers in
-    // `crate::direct`) have already passed the runtime AVX2 check, so
+    // `crate::direct`) have already passed the runtime AVX2 + FMA check, so
     // every method on it executes with the feature proven. The methods
     // stay `#[inline(always)]` rather than `#[target_feature]` so they
     // fold into their gated callers without call overhead.
@@ -520,17 +519,10 @@ mod avx2 {
         }
 
         #[inline(always)]
-        fn f32x8_add(self, a: F32x8, b: F32x8) -> F32x8 {
-            // SAFETY: register-only op.
-            unsafe { uf(_mm256_add_ps(f(a), f(b))) }
-        }
-
-        #[inline(always)]
-        fn f32x8_mul_acc(self, acc: F32x8, w: F32x8, x: F32x8) -> F32x8 {
-            // Deliberately mul-then-add (NOT vfmadd): bit-identical to
-            // the scalar token's rounding.
-            // SAFETY: register-only ops.
-            unsafe { uf(_mm256_add_ps(f(acc), _mm256_mul_ps(f(w), f(x)))) }
+        fn f32x8_fma(self, acc: F32x8, w: F32x8, x: F32x8) -> F32x8 {
+            // vfmadd: one rounding, the scalar token's `mul_add`.
+            // SAFETY: register-only op; token proves FMA.
+            unsafe { uf(_mm256_fmadd_ps(f(w), f(x), f(acc))) }
         }
 
         #[inline(always)]
@@ -738,18 +730,13 @@ mod tests {
         let l = active();
         assert!(matches!(l, SimdLevel::Scalar | SimdLevel::Avx2));
         assert_eq!(active(), l, "active() must be stable across calls");
-        #[cfg(target_arch = "x86_64")]
-        {
-            if !std::is_x86_feature_detected!("avx2") {
-                assert_eq!(
-                    detect(),
-                    SimdLevel::Scalar,
-                    "non-AVX2 hosts must select the scalar fallback"
-                );
-            }
+        if !avx2_fma_detected() {
+            assert_eq!(
+                detect(),
+                SimdLevel::Scalar,
+                "hosts without AVX2 and FMA must select the scalar fallback"
+            );
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        assert_eq!(detect(), SimdLevel::Scalar);
 
         // The PCNN_FORCE_SCALAR=1 escape hatch pins the scalar fallback
         // regardless of what the CPU offers — asserted on the pure core
@@ -766,18 +753,26 @@ mod tests {
         // Requesting the AVX2 tier is safe everywhere: `effective`
         // downgrades it to scalar when the host can't execute it.
         assert_eq!(SimdLevel::Scalar.effective(), SimdLevel::Scalar);
-        let eff = SimdLevel::Avx2.effective();
+        assert_eq!(SimdLevel::Avx2.effective(), detect_with(false));
+    }
+
+    /// The AVX2 tier executes `vfmadd`, so it needs FMA as well as AVX2:
+    /// detection and `effective` both pick it exactly when CPUID
+    /// reports the two, and the label stays `avx2` either way.
+    #[test]
+    fn avx2_tier_requires_both_avx2_and_fma() {
         #[cfg(target_arch = "x86_64")]
-        assert_eq!(
-            eff,
-            if std::is_x86_feature_detected!("avx2") {
-                SimdLevel::Avx2
-            } else {
-                SimdLevel::Scalar
-            }
-        );
+        let both = std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
         #[cfg(not(target_arch = "x86_64"))]
-        assert_eq!(eff, SimdLevel::Scalar);
+        let both = false;
+        let want = if both {
+            SimdLevel::Avx2
+        } else {
+            SimdLevel::Scalar
+        };
+        assert_eq!(detect_with(false), want);
+        assert_eq!(SimdLevel::Avx2.effective(), want);
+        assert_eq!(SimdLevel::Avx2.label(), "avx2");
     }
 
     #[test]
@@ -790,8 +785,17 @@ mod tests {
         assert_eq!(p.0, [-2.0, -1.5, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         let two = t.f32x8_load_2x4(&a[0..4], &a[8..12]);
         assert_eq!(two.0, [-2.0, -1.5, -1.0, -0.5, 2.0, 2.5, 3.0, 3.5]);
-        let acc = t.f32x8_mul_acc(t.f32x8_splat(1.0), t.f32x8_splat(2.0), v);
+        let acc = t.f32x8_fma(t.f32x8_splat(1.0), t.f32x8_splat(2.0), v);
         assert_eq!(acc.0, [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
+        // One rounding, not two: (1 + 2⁻²³)(1 − 2⁻²³) − 1 = −2⁻⁴⁶ exactly,
+        // where a rounded product would be 1 and leave 0.
+        let (above, below) = (1.0 + f32::EPSILON, 1.0 - f32::EPSILON);
+        let fused = t.f32x8_fma(
+            t.f32x8_splat(-1.0),
+            t.f32x8_splat(above),
+            t.f32x8_splat(below),
+        );
+        assert_eq!(fused.0, [-(2.0f32.powi(-46)); 8]);
         assert_eq!(t.f32x8_relu(acc).0[..3], [0.0, 0.0, 0.0]);
         let kept = t.f32x8_max_keep(
             F32x8([1.0, f32::NAN, 0.0, -0.0, 2.0, -1.0, f32::NAN, 5.0]),
@@ -859,16 +863,17 @@ mod tests {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn avx2_token_matches_scalar_token_exactly() {
-        if !std::is_x86_feature_detected!("avx2") {
+        if !avx2_fma_detected() {
             return;
         }
-        // SAFETY: only called after `is_x86_feature_detected!("avx2")`
-        // above confirms the CPU supports every instruction this fn
-        // (and the token it constructs) may execute.
-        #[target_feature(enable = "avx2")]
+        // SAFETY: only called after the AVX2 + FMA check above confirms
+        // the CPU supports every instruction this fn (and the token it
+        // constructs) may execute.
+        #[target_feature(enable = "avx2,fma")]
         unsafe fn check() {
             let s = ScalarToken;
-            // SAFETY: AVX2 was runtime-verified by the caller's guard.
+            // SAFETY: AVX2 and FMA were runtime-verified by the caller's
+            // guard.
             let a = unsafe { Avx2Token::assert_available() };
             let xs: Vec<f32> = (0..16).map(|i| (i as f32 * 0.7).sin() * 3.0).collect();
             let ys: Vec<f32> = (0..16).map(|i| (i as f32 * 1.3).cos() * 2.0).collect();
@@ -887,8 +892,8 @@ mod tests {
             assert_eq!(s.f32x8_load_2x4(&xs, &ys), a.f32x8_load_2x4(&xs, &ys));
             let (sv, sw) = (s.f32x8_load(&xs), s.f32x8_load(&ys));
             assert_eq!(
-                s.f32x8_mul_acc(sv, sw, s.f32x8_splat(0.37)),
-                a.f32x8_mul_acc(sv, sw, a.f32x8_splat(0.37))
+                s.f32x8_fma(sv, sw, s.f32x8_splat(0.37)),
+                a.f32x8_fma(sv, sw, a.f32x8_splat(0.37))
             );
             assert_eq!(s.f32x8_relu(sv), a.f32x8_relu(sv));
             assert_eq!(s.f32x8_deinterleave(sv, sw), a.f32x8_deinterleave(sv, sw));
@@ -970,7 +975,7 @@ mod tests {
             a.i32x8_store(a.i32x8_load(&acc), &mut ao);
             assert_eq!(so, ao);
         }
-        // SAFETY: guarded by the runtime AVX2 check above.
+        // SAFETY: guarded by the runtime AVX2 + FMA check above.
         unsafe { check() }
     }
 }

@@ -125,11 +125,13 @@ proptest! {
 // ---------------------------------------------------------------------------
 // SIMD tier parity: the AVX2 instantiation of the batched pattern
 // kernels must equal the scalar fallback *exactly* — bit-for-bit for
-// f32 (shared kernel source, no FMA) and 0 ULP for i32 accumulation —
-// across random plane shapes (masked tails and widths outside the
-// const-width set included), strides, batch sizes, and pattern masks.
-// On hosts without AVX2 the comparison degenerates to scalar-vs-scalar,
-// which keeps the suite meaningful under `PCNN_FORCE_SCALAR=1` too.
+// f32 (shared kernel source; every tap one fused multiply-add, `vfmadd`
+// on AVX2 and `f32::mul_add` on scalar, both correctly rounded) and
+// 0 ULP for i32 accumulation — across random plane shapes (masked tails
+// and widths outside the const-width set included), strides, batch
+// sizes, and pattern masks. On hosts without AVX2 and FMA the
+// comparison degenerates to scalar-vs-scalar, which keeps the suite
+// meaningful under `PCNN_FORCE_SCALAR=1` too.
 // ---------------------------------------------------------------------------
 
 use pcnn_tensor::direct::{
@@ -139,15 +141,9 @@ use pcnn_tensor::direct::{
 use pcnn_tensor::simd::SimdLevel;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
-/// The widest tier this host can execute (scalar when AVX2 is absent).
+/// The widest tier this host can execute (scalar without AVX2 and FMA).
 fn vector_level() -> SimdLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::is_x86_feature_detected!("avx2") {
-            return SimdLevel::Avx2;
-        }
-    }
-    SimdLevel::Scalar
+    SimdLevel::Avx2.effective()
 }
 
 /// Pattern geometry shared by the two kernel parity tests: tap offsets
