@@ -14,7 +14,12 @@
 //! channel streams its `n` taps through it in ascending `ic`, and the
 //! fused ReLU (int8: requantisation) runs on the registers on the way
 //! to a single store. The band is the operand read `out_c` times, so it
-//! is the one kept close; the weights stream past once per band.
+//! is the one kept close; the weights stream past once per band. At
+//! int8, on CPUs with AVX-VNNI and from
+//! [`pcnn_tensor::direct::VNNI_MIN_OUT_C`] output channels up, the walk
+//! is [`pcnn_tensor::direct::band_walk_vnni`] instead: each tile of the
+//! band packed into tap quads, equal sums (`crate::quant_conv` has the
+//! layout).
 //! Geometries without a tile (stride ≠ 1, kernels other than 3×3 pad 1,
 //! untiled widths, more than 9 taps) pad the whole batch once and run a
 //! channel loop one kernel at a time through
@@ -31,7 +36,7 @@
 //! precision keeps its own skip flags: quantisation can zero more
 //! kernels than f32 has.
 
-use crate::profile::{ConvPass, LayerStats};
+use crate::profile::{ConvPass, ConvWalk, LayerStats};
 use crate::quant_conv::{Int8Weights, Precision, QuantOptions};
 use crate::quant_kernels::{
     per_image_activation_params_at, quantize_batch_planes_at, requantize_plane_at,
@@ -42,8 +47,9 @@ use pcnn_core::quant::QuantParams;
 use pcnn_core::spm::{EncodeSpmError, SpmLayer};
 use pcnn_tensor::conv::Conv2dShape;
 use pcnn_tensor::direct::{
-    accumulate_plane_batch_dyn_at, accumulate_plane_batch_dyn_i8_at, band_walk_at, has_tile,
-    pad_plane_overwrite, padded_dims, relu_in_place_at, BatchPlanes, BiasRelu, Requant, SpmKernels,
+    accumulate_plane_batch_dyn_at, accumulate_plane_batch_dyn_i8_at, band_walk_at, band_walk_vnni,
+    has_tile, has_vnni, pad_plane_overwrite, padded_dims, relu_in_place_at, BatchPlanes, BiasRelu,
+    Requant, SpmKernels,
 };
 use pcnn_tensor::simd::{self, SimdLevel};
 use pcnn_tensor::Tensor;
@@ -63,13 +69,15 @@ pub enum Walk {
 
 /// Reusable scratch of the batched entry points, for either precision:
 /// padded planes (one band of them where the geometry has a tile, the
-/// whole batch's where it has none), the int8 path's per-image scales
-/// and, only for int8 geometries without a tile, one output channel's
-/// `i32` sums. Grown on first use and recycled across calls.
+/// whole batch's where it has none), the int8 path's per-image scales,
+/// the AVX-VNNI walk's packed tile and, only for int8 geometries without
+/// a tile, one output channel's `i32` sums. Grown on first use and
+/// recycled across calls.
 #[derive(Debug, Default)]
 pub struct ConvScratch {
     pub(crate) padded: Vec<f32>,
     pub(crate) qpadded: Vec<i8>,
+    pub(crate) packed: Vec<u32>,
     pub(crate) scales: Vec<f32>,
     pub(crate) acc: Vec<i32>,
 }
@@ -383,7 +391,7 @@ impl PatternConv {
         let nz = self.spm.nonzeros_per_kernel();
         let offsets = self.registry.offset_table(pw);
         let elem_bytes = int8.map_or(size_of::<f32>(), |_| size_of::<i8>());
-        let record = |pad_ns: u64, dispatches: u64, padded: usize| {
+        let record = |pad_ns: u64, dispatches: u64, padded: usize, walk: ConvWalk| {
             if let Some((stats, start)) = profile {
                 let total = start.elapsed().as_nanos() as u64;
                 stats.record_conv(&ConvPass {
@@ -394,6 +402,7 @@ impl PatternConv {
                     zero_kernels_skipped: skip.iter().filter(|&&s| s).count() as u64,
                     padded_bytes: (padded * elem_bytes) as u64,
                     level,
+                    walk,
                 });
             }
         };
@@ -403,15 +412,16 @@ impl PatternConv {
         if walk == Walk::Tiled && has_tile(shape, nz, oh, ow) {
             let (bias, relu, timed) = (self.bias.as_deref(), self.relu, profile.is_some());
             let prologue_ns;
-            let pass = match int8 {
+            let (pass, ran) = match int8 {
                 None => {
                     let kernels = self.kernels(self.spm.nonzeros(), skip, &offsets);
                     prologue_ns = since_entry();
                     let epilogue = BiasRelu { bias, relu };
                     let scratch = &mut scratch.padded;
-                    band_walk_at(
+                    let pass = band_walk_at(
                         level, &kernels, epilogue, input, out, oh, ow, scratch, timed,
-                    )
+                    );
+                    (pass, ConvWalk::Band)
                 }
                 Some(q) => {
                     scratch.scales.clear();
@@ -426,13 +436,25 @@ impl PatternConv {
                         relu,
                     };
                     prologue_ns = since_entry();
-                    let scratch = &mut scratch.qpadded;
-                    band_walk_at(
-                        level, &kernels, epilogue, input, out, oh, ow, scratch, timed,
-                    )
+                    let band = &mut scratch.qpadded;
+                    match &q.dwords {
+                        Some(dwords) if has_vnni(level) => {
+                            let packed = &mut scratch.packed;
+                            let pass = band_walk_vnni(
+                                dwords, epilogue, input, out, oh, ow, band, packed, timed,
+                            );
+                            (pass, ConvWalk::BandVnni)
+                        }
+                        _ => {
+                            let pass = band_walk_at(
+                                level, &kernels, epilogue, input, out, oh, ow, band, timed,
+                            );
+                            (pass, ConvWalk::Band)
+                        }
+                    }
                 }
             };
-            record(prologue_ns + pass.pad_ns, 1, pass.padded);
+            record(prologue_ns + pass.pad_ns, 1, pass.padded, ran);
             return;
         }
 
@@ -553,7 +575,7 @@ impl PatternConv {
                 }
             }
         }
-        record(pad_ns, dispatches, padded_len);
+        record(pad_ns, dispatches, padded_len, ConvWalk::PerKernel);
     }
 }
 

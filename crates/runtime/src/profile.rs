@@ -21,9 +21,11 @@
 //! Convolution layers additionally count kernel dispatches (one per
 //! band-walk call, i.e. per layer pass; live kernels on geometries
 //! without a tile), zero kernels skipped at the pass's precision (int8
-//! can skip more than f32), bytes written by padding, and
-//! the SIMD tier actually dispatched. The aggregate snapshot
-//! ([`ExecProfile`]) is the measured per-layer cost model the
+//! can skip more than f32), bytes written by padding, the SIMD tier
+//! actually dispatched, and the walk that ran (`ConvWalk`): an int8
+//! layer on the AVX-VNNI walk and one on the AVX2 tile both report the
+//! `avx2` tier, and only the walk label tells them apart. The aggregate
+//! snapshot ([`ExecProfile`]) is the measured per-layer cost model the
 //! bench-driven kernel-plan work consumes — the same role profiled
 //! execution plays in the PatDNN/PCONV compiler line.
 //!
@@ -51,6 +53,31 @@ pub struct LayerStats {
     /// SIMD tier last dispatched: 0 = none recorded, 1 = scalar,
     /// 2 = AVX2.
     simd: AtomicU8,
+    /// Walk last run: 0 = none recorded, else `ConvWalk` + 1.
+    walk: AtomicU8,
+}
+
+/// Which walk a convolution pass ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ConvWalk {
+    /// `band_walk_at`: the band-resident register-tile walk.
+    Band,
+    /// `band_walk_vnni`: the int8 walk on AVX-VNNI.
+    BandVnni,
+    /// One dispatch per live kernel (geometries without a tile).
+    PerKernel,
+}
+
+impl ConvWalk {
+    const ALL: [ConvWalk; 3] = [ConvWalk::Band, ConvWalk::BandVnni, ConvWalk::PerKernel];
+
+    fn label(self) -> &'static str {
+        match self {
+            ConvWalk::Band => "band",
+            ConvWalk::BandVnni => "band_vnni",
+            ConvWalk::PerKernel => "per_kernel",
+        }
+    }
 }
 
 /// One instrumented convolution pass, handed to
@@ -63,6 +90,7 @@ pub(crate) struct ConvPass {
     pub zero_kernels_skipped: u64,
     pub padded_bytes: u64,
     pub level: SimdLevel,
+    pub walk: ConvWalk,
 }
 
 impl LayerStats {
@@ -102,8 +130,10 @@ impl LayerStats {
             SimdLevel::Scalar => 1,
             SimdLevel::Avx2 => 2,
         };
-        // ordering: Relaxed — last-writer-wins tier tag, no payload.
+        // ordering: Relaxed — last-writer-wins tier and walk tags, no
+        // payload.
         self.simd.store(tier, Ordering::Relaxed);
+        self.walk.store(p.walk as u8 + 1, Ordering::Relaxed);
     }
 
     fn reset(&self) {
@@ -119,6 +149,7 @@ impl LayerStats {
         self.zero_kernels_skipped.store(0, Ordering::Relaxed);
         self.padded_bytes.store(0, Ordering::Relaxed);
         self.simd.store(0, Ordering::Relaxed);
+        self.walk.store(0, Ordering::Relaxed);
     }
 
     fn snapshot(&self, layer: usize, label: &str) -> LayerProfile {
@@ -144,6 +175,11 @@ impl LayerStats {
                 1 => "scalar",
                 2 => "avx2",
                 _ => "-",
+            },
+            // ordering: Relaxed — covered by the snapshot contract above.
+            walk: match self.walk.load(Ordering::Relaxed) {
+                0 => "-",
+                w => ConvWalk::ALL[usize::from(w - 1)].label(),
             },
         }
     }
@@ -315,6 +351,9 @@ pub struct LayerProfile {
     pub padded_bytes: u64,
     /// SIMD tier last dispatched (`"-"` until a conv pass records).
     pub simd_level: &'static str,
+    /// Walk last run: `"band"`, `"band_vnni"` or `"per_kernel"` (`"-"`
+    /// until a conv pass records).
+    pub walk: &'static str,
 }
 
 impl LayerProfile {
@@ -332,7 +371,8 @@ impl LayerProfile {
                 .int("kernel_dispatches", self.kernel_dispatches)
                 .int("zero_kernels_skipped", self.zero_kernels_skipped)
                 .int("padded_bytes", self.padded_bytes)
-                .str("simd_level", self.simd_level);
+                .str("simd_level", self.simd_level)
+                .str("walk", self.walk);
         })
     }
 }
@@ -556,6 +596,54 @@ mod tests {
         assert!(kernel > 0.0, "conv kernels always record kernel time");
         // The int8 weights were never compiled, let alone run.
         assert!(profile.phase_split(Precision::Int8).is_none());
+    }
+
+    #[test]
+    fn conv_layers_name_the_walk_they_ran() {
+        // The narrow proxy's 16-, 8- and 4-wide planes have a tile, its
+        // 2- and 1-wide ones run one dispatch per kernel. int8 takes the
+        // AVX-VNNI walk where `has_vnni` holds for the process's tier —
+        // never at the scalar one `PCNN_FORCE_SCALAR=1` pins — on layers
+        // of at least `VNNI_MIN_OUT_C` (16) output channels: all but the
+        // first two, which have 8.
+        use crate::compile::{prune_and_compile_quant, CompileOptions};
+        use pcnn_tensor::direct::has_vnni;
+        let mut model = models::vgg16_proxy(&models::VggProxyConfig::default(), 7);
+        let (graph, _, _) = prune_and_compile_quant(
+            &mut model,
+            &pcnn_core::PrunePlan::uniform(13, 4, 8),
+            &CompileOptions::default(),
+            &QuantOptions::default(),
+        )
+        .expect("the proxy lowers");
+        let profiler = ExecProfiler::for_graph(&graph);
+        profiler.set_enabled(true);
+        let x = Tensor::ones(&[2, 3, 16, 16]);
+        for precision in Precision::ALL {
+            let _ = graph.run_profiled(&x, precision, &profiler);
+        }
+        let int8_band = if has_vnni(simd::active()) {
+            "band_vnni"
+        } else {
+            "band"
+        };
+        let profile = profiler.snapshot();
+        for (p, band) in profile.precisions.iter().zip(["band", int8_band]) {
+            let walks: Vec<&str> = p
+                .layers
+                .iter()
+                .filter(|l| l.label.starts_with("PatternConv"))
+                .map(|l| l.walk)
+                .collect();
+            assert_eq!(walks.len(), 13);
+            assert_eq!(walks[..2], ["band"; 2], "{}", p.precision);
+            assert_eq!(walks[2..7], [band; 5], "{}", p.precision);
+            assert_eq!(walks[7..], ["per_kernel"; 6], "{}", p.precision);
+            assert!(p.layers.iter().any(|l| l.walk == "-"), "pools record none");
+        }
+        assert!(profile
+            .to_json()
+            .contains(&format!("\"walk\":\"{int8_band}\"")));
     }
 
     #[test]

@@ -22,7 +22,16 @@
 //!    four times the rows of an f32 one, so most layers quantise each
 //!    image's planes whole, once;
 //! 2. every surviving tap contributes an `i8 × i8` MAC into an `i32`
-//!    register tile of the output plane;
+//!    register tile of the output plane — on the AVX2 or scalar tile,
+//!    one tap per widening multiply, or, where the CPU has AVX-VNNI and
+//!    the layer at least [`pcnn_tensor::direct::VNNI_MIN_OUT_C`] output
+//!    channels, up to four taps per `vpdpbusd` lane
+//!    ([`pcnn_tensor::direct::band_walk_vnni`]): each band is packed one
+//!    64-output tile at a time into three dword planes per input channel
+//!    (taps 0–3, 4–7 and 8 of the 3×3 window, codes shifted to u8), and
+//!    `Int8Weights::new` lays each kernel out as one packed `i32` of
+//!    weights per tap group plus a per-channel seed that cancels the
+//!    shift. All three walks produce equal sums;
 //! 3. requantisation maps the tile back to `f32` (`acc · s_w · s_a`),
 //!    adds the folded batch-norm shift, and applies the fused ReLU
 //!    before its single store — the `i32` sums never reach memory.
@@ -37,6 +46,8 @@ use crate::pattern_conv::PatternConv;
 use pcnn_core::quant::{dequantize, quantize_symmetric, QuantParams};
 use pcnn_core::spm::SpmLayer;
 use pcnn_tensor::conv::conv2d_direct;
+use pcnn_tensor::direct::{has_vnni, DwordTaps, SpmKernels, VNNI_MIN_OUT_C};
+use pcnn_tensor::simd::SimdLevel;
 use pcnn_tensor::Tensor;
 
 /// The numeric precision an executable graph runs at.
@@ -106,6 +117,10 @@ pub(crate) struct Int8Weights {
     /// Per-kernel skip flags: all-zero quantised sequences. A superset
     /// of the f32 flags, since small weights may round to the zero code.
     pub(crate) skip: Vec<bool>,
+    /// The live kernels as the AVX-VNNI walk reads them, built where
+    /// that walk runs: on CPUs with AVX-VNNI, for 3×3 kernels and at
+    /// least `VNNI_MIN_OUT_C` output channels.
+    pub(crate) dwords: Option<DwordTaps>,
 }
 
 impl Int8Weights {
@@ -121,14 +136,34 @@ impl Int8Weights {
         );
         let n = spm.nonzeros_per_kernel();
         let (qweights, wparams) = quantize_symmetric(spm.nonzeros(), opts.weight_bits);
-        let skip = (0..spm.kernel_count())
+        let skip: Vec<bool> = (0..spm.kernel_count())
             .map(|ki| qweights[ki * n..(ki + 1) * n].iter().all(|&q| q == 0))
             .collect();
+        let set = spm.pattern_set();
+        let vnni = has_vnni(SimdLevel::Avx2) && spm.out_channels() >= VNNI_MIN_OUT_C;
+        let dwords = (vnni && set.area() == 9 && n > 0).then(|| {
+            // A 3×3 position is already the walk's tap number 3·ky + kx.
+            let positions: Vec<u8> = set
+                .iter()
+                .flat_map(|p| p.positions())
+                .map(|t| t as u8)
+                .collect();
+            let kernels = SpmKernels {
+                codes: spm.codes(),
+                weights: &qweights,
+                skip: &skip,
+                offsets: &[],
+                taps: n,
+                in_c: spm.in_channels(),
+            };
+            DwordTaps::new(&kernels, &positions)
+        });
         Int8Weights {
             qweights,
             wparams,
             act_bits: opts.act_bits,
             skip,
+            dwords,
         }
     }
 }

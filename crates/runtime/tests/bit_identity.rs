@@ -9,7 +9,10 @@
 //! The `Int8` rows were recorded on the commit before the band-resident
 //! walk (oc-major tile walk over a whole-batch padded scratch) and have
 //! not moved since: integer sums are exact, and the requantisation step
-//! is unchanged. The `F32` rows were re-recorded once, when every f32
+//! is unchanged. They hold across all three int8 walks — the AVX2 tile,
+//! the scalar tile and, on CPUs with AVX-VNNI, `band_walk_vnni`, which
+//! the wide proxy's layers take there (every one has at least 16 output
+//! channels). The `F32` rows were re-recorded once, when every f32
 //! pattern-conv accumulation became one fused multiply-add per tap
 //! (seed with the bias, then for each live kernel in ascending `ic`
 //! fuse each tap in pattern order into the running value). That

@@ -237,6 +237,7 @@ fn layer(layer: usize, label: &str) -> LayerProfile {
         zero_kernels_skipped: 17,
         padded_bytes: 1_327_104,
         simd_level: "avx2",
+        walk: "band_vnni",
     }
 }
 

@@ -37,6 +37,11 @@
 //!   batch up front and pulled all of it through L1 once per output
 //!   channel.
 //!
+//! The int8 walk has a second form for CPUs with AVX-VNNI,
+//! [`band_walk_vnni`]: each band is packed, one 64-output tile at a
+//! time, into fixed tap quads, so that one `vpdpbusd` applies up to four
+//! taps of a kernel to eight outputs (section comment above it).
+//!
 //! The padded-offset convention: for a tap at kernel position
 //! `(ky, kx)`, `off = ky · pw + kx` where `pw = w + 2·pad`, and an
 //! output row `oy` reads from `base = oy · stride · pw`. With the output
@@ -1640,9 +1645,10 @@ pub struct BiasRelu<'a> {
 /// The int8 walk's two ends: image `i`'s bands are quantised at
 /// `act_scales[i]` on the way in, and its `i32` sums return to f32 at
 /// `weight_scale · act_scales[i]` through [`requantize`] on the way out.
-/// The walk sums two taps' products in i16 before widening, so weight
-/// and activation codes must lie within ±127 — what symmetric
-/// quantisation produces; a −128 code can wrap a pair.
+/// The tile walk sums two taps' products in i16 before widening, so
+/// weight and activation codes must lie within ±127 — what symmetric
+/// quantisation produces; a −128 code can wrap a pair. [`band_walk_vnni`]
+/// takes the same epilogue.
 #[derive(Debug, Clone, Copy)]
 pub struct Requant<'a> {
     /// One activation scale per image of the batch.
@@ -2269,6 +2275,462 @@ fn band_walk<
     pass
 }
 
+// ---------------------------------------------------------------------------
+// The int8 walk on AVX-VNNI.
+//
+// `vpdpbusd` multiplies four u8 × i8 byte pairs and adds their sum into
+// one i32 lane: 32 MACs per 256-bit instruction. [`band_walk_vnni`] runs
+// image → row band → tile → output channel (the band walk's order with
+// the tile moved outside the channel loop, so one packing serves every
+// channel) over a *tap-quad packed band*:
+//
+// * **fixed tap groups** — the nine taps of a 3×3 window, numbered
+//   `t = 3·ky + kx`, fall into three groups whatever a kernel's pattern
+//   is: g0 = taps 0–3, g1 = taps 4–7, g2 = tap 8. Tap `t` is byte `t % 4`
+//   of group `t / 4`, so every tap count 1..=9 fits without padding a
+//   pattern to four taps;
+// * **the packed tile** — a tile is 64 output positions, eight i32x8
+//   accumulators. Entering it, the quantised band of every input channel
+//   is rewritten as three dword planes of 64 dwords: each dword holds the
+//   four activation codes of one group at one position, stored as
+//   `u8 = code + 128`. Every output channel reads the same planes, so the
+//   packing is paid once per tile and spread over `out_c` kernels;
+// * **dword taps** — at compile time each live kernel becomes one entry
+//   per group its pattern touches: the plane it reads (`3·ic + g`) and
+//   its four i8 weights packed into one i32, zero where the pattern has
+//   no tap ([`DwordTaps`]). One broadcast and one `vpdpbusd` per
+//   accumulator apply an entry;
+// * **the seed** — the +128 shift adds `128 · Σw` to every sum, so each
+//   output channel's accumulators start at `−128 · Σw` over its live
+//   weights. Both are exact in i32, for padding (code 0) and for the
+//   signed input of a first layer alike: `Σ (x + 128)·w − 128·Σw = Σ x·w`.
+//
+// Integer sums are exact in any order, so every output equals the band
+// walk's bit for bit, and it leaves through the same [`requantize`].
+// A width-4 plane's tile rows hold only 16 outputs of one image, so
+// there one tile spans up to four images of the batch.
+// ---------------------------------------------------------------------------
+
+/// Output positions one VNNI tile holds.
+const VNNI_TILE: usize = 64;
+
+/// i32x8 accumulators one VNNI tile holds.
+const VNNI_ACCS: usize = VNNI_TILE / 8;
+
+/// One layer's int8 kernels as [`band_walk_vnni`] reads them: per output
+/// channel, a run of dword taps — each a `u16` plane index and an `i32`
+/// of four weights, six bytes in two arrays — and one seed.
+#[derive(Debug, Clone)]
+pub struct DwordTaps {
+    /// Output channel `oc`'s dword taps are `starts[oc]..starts[oc + 1]`.
+    starts: Vec<u32>,
+    /// The packed plane each dword tap reads: `3 · ic + group`.
+    planes: Vec<u16>,
+    /// Its four i8 weights, byte `k` for tap `4 · group + k`.
+    weights: Vec<i32>,
+    /// Per output channel: −128 · Σ of its live weights.
+    seeds: Vec<i32>,
+    /// Input channels.
+    in_c: usize,
+}
+
+impl DwordTaps {
+    /// Flattens a layer's live kernels into dword taps, ascending `ic`
+    /// then group; a group whose four weights are all zero gets none.
+    /// `positions` holds, per pattern code, the `taps` kernel positions
+    /// `3·ky + kx` of its non-zeros in the order `k.weights` lists them.
+    /// `k.offsets` is not read.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a kernel has 1..=9 taps and there is at least one
+    /// input channel, if `3 · in_c` planes overflow a `u16` index, if a
+    /// position lies outside the 3×3 window, or if the tables disagree in
+    /// length.
+    pub fn new(k: &SpmKernels<'_, i8>, positions: &[u8]) -> Self {
+        let (n, in_c) = (k.taps, k.in_c);
+        assert!((1..=9).contains(&n), "{n} taps per kernel");
+        assert!(
+            (1..=(usize::from(u16::MAX) + 1) / 3).contains(&in_c),
+            "{in_c} input channels: none, or too many for a u16 plane index"
+        );
+        assert!(
+            k.weights.len() == k.codes.len() * n && k.skip.len() == k.codes.len(),
+            "kernel table length mismatch"
+        );
+        let out_c = k.codes.len() / in_c;
+        // Each non-zero of each pattern code as (group, byte shift).
+        let slots: Vec<(usize, u32)> = positions
+            .iter()
+            .map(|&t| {
+                assert!(t < 9, "tap position {t} outside the 3×3 window");
+                (usize::from(t / 4), 8 * u32::from(t % 4))
+            })
+            .collect();
+        // Room for three dword taps per live kernel; the tables stay
+        // resident for the layer's lifetime, so they are shrunk to fit.
+        let room = 3 * k.skip.iter().filter(|&&s| !s).count();
+        let mut d = DwordTaps {
+            starts: Vec::with_capacity(out_c + 1),
+            planes: Vec::with_capacity(room),
+            weights: Vec::with_capacity(room),
+            seeds: Vec::with_capacity(out_c),
+            in_c,
+        };
+        d.starts.push(0);
+        // Zipped chunks rather than indices: no bounds check per kernel.
+        for ((oc_codes, oc_skip), oc_weights) in k
+            .codes
+            .chunks_exact(in_c)
+            .zip(k.skip.chunks_exact(in_c))
+            .zip(k.weights.chunks_exact(in_c * n))
+        {
+            let mut sum = 0i32;
+            for (ic, ((&code, &skip), w)) in oc_codes
+                .iter()
+                .zip(oc_skip)
+                .zip(oc_weights.chunks_exact(n))
+                .enumerate()
+            {
+                if skip {
+                    continue;
+                }
+                let code = usize::from(code);
+                let mut quads = [0u32; 3];
+                for (&(g, shift), &w) in slots[code * n..(code + 1) * n].iter().zip(w) {
+                    quads[g] |= u32::from(w as u8) << shift;
+                    sum += i32::from(w);
+                }
+                for (g, &quad) in quads.iter().enumerate() {
+                    // Push, then drop a zero quad again: whether a group
+                    // is live follows the pattern codes, which a branch
+                    // predicts badly.
+                    d.planes.push((3 * ic + g) as u16);
+                    d.weights.push(quad as i32);
+                    let kept = d.planes.len() - usize::from(quad == 0);
+                    d.planes.truncate(kept);
+                    d.weights.truncate(kept);
+                }
+            }
+            d.seeds.push(-128 * sum);
+            d.starts
+                .push(u32::try_from(d.planes.len()).expect("dword taps fit u32"));
+        }
+        d.planes.shrink_to_fit();
+        d.weights.shrink_to_fit();
+        d
+    }
+}
+
+/// The fewest output channels [`band_walk_vnni`] pays off at. Packing
+/// costs the same per input channel and tile whatever `out_c` is, and
+/// narrower layers do not spread it thinly enough. On the narrow VGG-16
+/// proxy (batch 5, n = 2 and 4, a Xeon with AVX-VNNI) the walk ran
+/// 8-channel layers at 0.75–0.93× the AVX2 tile's speed, 16-channel ones
+/// at 0.87–1.28× and 24-channel ones at 1.19–1.8×.
+pub const VNNI_MIN_OUT_C: usize = 16;
+
+/// Whether [`band_walk_vnni`] runs at `level` on this host: the tier is
+/// AVX2 and CPUID reports AVX-VNNI. Never at [`SimdLevel::Scalar`], the
+/// tier `PCNN_FORCE_SCALAR=1` pins. The CPUID test is cached by `std`.
+pub fn has_vnni(level: SimdLevel) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        level.effective() == SimdLevel::Avx2 && std::is_x86_feature_detected!("avxvnni")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = level;
+        false
+    }
+}
+
+/// The int8 band walk on AVX-VNNI (section comment above): the outputs
+/// and [`BandPass`] of [`band_walk_at`] with this [`Requant`] epilogue,
+/// from `taps` rather than per-kernel weights. `band` grows to one band
+/// of quantised rows, as [`band_walk_at`]'s scratch does (times the
+/// images a width-4 tile spans); `packed` to one tile's dword planes,
+/// `3 · in_c · 64` of them. Packing counts as padding time.
+///
+/// # Panics
+///
+/// Panics unless [`has_vnni`] holds at [`SimdLevel::Avx2`] and
+/// [`has_tile`] for the geometry, or if a slice's length disagrees with
+/// it.
+#[allow(clippy::too_many_arguments)] // kernel geometry is irreducible
+pub fn band_walk_vnni(
+    taps: &DwordTaps,
+    epilogue: Requant<'_>,
+    input: &[f32],
+    out: &mut [f32],
+    oh: usize,
+    ow: usize,
+    band: &mut Vec<i8>,
+    packed: &mut Vec<u32>,
+    time_pad: bool,
+) -> BandPass {
+    assert!(has_vnni(SimdLevel::Avx2), "this CPU has no AVX-VNNI");
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: `has_vnni` just confirmed AVX2, FMA and AVX-VNNI on
+        // this host.
+        unsafe { vnni_walk(taps, epilogue, input, out, oh, ow, band, packed, time_pad) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("AVX-VNNI is x86-64 only")
+}
+
+/// The body of [`band_walk_vnni`].
+///
+/// # Safety
+///
+/// AVX2, FMA and AVX-VNNI must be available on the executing CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,avxvnni")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn vnni_walk(
+    taps: &DwordTaps,
+    e: Requant<'_>,
+    input: &[f32],
+    out: &mut [f32],
+    oh: usize,
+    ow: usize,
+    band: &mut Vec<i8>,
+    packed: &mut Vec<u32>,
+    time_pad: bool,
+) -> BandPass {
+    // SAFETY: the function's own contract guarantees AVX2 and FMA.
+    let t = unsafe { Avx2Token::assert_available() };
+    let rows = tile_rows(ow).unwrap_or_else(|| panic!("plane width {ow} has no tile"));
+    let (in_c, out_c) = (taps.in_c, taps.seeds.len());
+    let plane = oh * ow;
+    let n = out.len() / (out_c * plane);
+    assert!(
+        oh >= rows && out.len() == n * out_c * plane && input.len() == n * in_c * plane,
+        "geometry has no tile"
+    );
+    // Accumulators one image fills per tile (2 at width 4, else 8), and
+    // the images one tile spans.
+    let per_image = rows * ow / 8;
+    let slots = (VNNI_ACCS / per_image).min(n.max(1));
+    let pw = ow + 2;
+    let band_height = band_rows(slots * in_c * pw, rows, oh);
+    let band_plane = (band_height + 2) * pw;
+    if band.len() < slots * in_c * band_plane {
+        band.resize(slots * in_c * band_plane, 0);
+    }
+    let band = &mut band[..slots * in_c * band_plane];
+    if packed.len() < 3 * in_c * VNNI_TILE {
+        packed.resize(3 * in_c * VNNI_TILE, 0);
+    }
+    let packed = &mut packed[..3 * in_c * VNNI_TILE];
+
+    let mut pass = BandPass::default();
+    for first in (0..n).step_by(slots) {
+        let live = slots.min(n - first);
+        let accs = live * per_image;
+        let mut next = 0;
+        while next < oh {
+            // Output rows y0..y1, read from padded rows y0..y1 + 2.
+            let y0 = next.min(oh - rows);
+            let y1 = (next + band_height).min(oh);
+            next = y1;
+            let pad_start = time_pad.then(Instant::now);
+            for (s, image_band) in band
+                .chunks_exact_mut(in_c * band_plane)
+                .take(live)
+                .enumerate()
+            {
+                let image = first + s;
+                let image_in = &input[image * in_c * plane..(image + 1) * in_c * plane];
+                for (src, dst) in image_in
+                    .chunks_exact(plane)
+                    .zip(image_band.chunks_exact_mut(band_plane))
+                {
+                    e.pad_rows(t, image, src, oh, ow, y0, &mut dst[..(y1 - y0 + 2) * pw]);
+                }
+            }
+            if let Some(start) = pad_start {
+                pass.pad_ns += start.elapsed().as_nanos() as u64;
+            }
+            pass.padded += live * in_c * (y1 - y0 + 2) * pw;
+
+            let mut tile = y0;
+            while tile < y1 {
+                let y = tile.min(y1 - rows);
+                tile += rows;
+                // Accumulator `a` covers positions p..p + 8 of image slot
+                // s's tile rows: two quads of four, read from input
+                // channel 0's band at `quads[a]`, stored to output
+                // channel 0 at `dst[a]`.
+                let mut quads = [(0usize, 0usize); VNNI_ACCS];
+                let mut dst = [0usize; VNNI_ACCS];
+                let mut scale = [0.0f32; VNNI_ACCS];
+                for a in 0..accs {
+                    let (s, p) = (a / per_image, (a % per_image) * 8);
+                    let quad = |p: usize| s * in_c * band_plane + (y - y0 + p / ow) * pw + p % ow;
+                    quads[a] = (quad(p), quad(p + 4));
+                    dst[a] = (first + s) * out_c * plane + y * ow + p;
+                    scale[a] = e.weight_scale * e.act_scales[first + s];
+                }
+                let pack_start = time_pad.then(Instant::now);
+                for (ic, planes) in packed.chunks_exact_mut(3 * VNNI_TILE).enumerate() {
+                    let base = ic * band_plane;
+                    for (a, &(lo, hi)) in quads[..accs].iter().enumerate() {
+                        pack_quads(band, base + lo, base + hi, pw, planes, a * 8);
+                    }
+                }
+                if let Some(start) = pack_start {
+                    pass.pad_ns += start.elapsed().as_nanos() as u64;
+                }
+                for oc in 0..out_c {
+                    let run = taps.starts[oc] as usize..taps.starts[oc + 1] as usize;
+                    let ch = VnniChannel {
+                        planes: &taps.planes[run.clone()],
+                        weights: &taps.weights[run],
+                        seed: taps.seeds[oc],
+                        bias: e.bias.map_or(0.0, |b| b[oc]),
+                        relu: e.relu,
+                    };
+                    let at = oc * plane;
+                    match accs {
+                        2 => vnni_channel::<2>(&ch, packed, &scale, &dst, at, out),
+                        4 => vnni_channel::<4>(&ch, packed, &scale, &dst, at, out),
+                        6 => vnni_channel::<6>(&ch, packed, &scale, &dst, at, out),
+                        _ => vnni_channel::<8>(&ch, packed, &scale, &dst, at, out),
+                    }
+                }
+            }
+        }
+    }
+    pass
+}
+
+/// `vpshufb` indices that gather each group's four taps for one quad of
+/// output positions (the same in both 128-bit lanes): in a lane holding
+/// padded row `r` at bytes 0..8 and row `r + 1` at bytes 8..16, dword
+/// `j` of group g0 is taps (0,0) (0,1) (0,2) (1,0) of position `j` — in
+/// one holding rows `r + 1` and `r + 2`, groups g1 and g2. Index −128
+/// gathers zero: tap 8's group has one live byte.
+#[cfg(target_arch = "x86_64")]
+static TAP_QUADS: [[i8; 32]; 3] = {
+    let mut idx = [[0i8; 32]; 3];
+    let mut k = 0;
+    while k < 32 {
+        let (j, b) = (((k % 16) / 4) as i8, k % 4);
+        idx[0][k] = [j, j + 1, j + 2, 8 + j][b];
+        idx[1][k] = [j + 1, j + 2, 8 + j, 9 + j][b];
+        idx[2][k] = [10 + j, -128, -128, -128][b];
+        k += 1;
+    }
+    idx
+};
+
+/// Eight bytes of `band` from `at` as the low half of a vector; past the
+/// band's end the missing bytes read as zero — no dword uses them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,avxvnni")]
+#[inline]
+fn load8(band: &[i8], at: usize) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::_mm_loadl_epi64;
+    let mut tail = [0i8; 8];
+    let bytes = match band.get(at..at + 8) {
+        Some(bytes) => bytes,
+        None => {
+            let live = &band[at..];
+            tail[..live.len()].copy_from_slice(live);
+            &tail
+        }
+    };
+    // SAFETY: `bytes` holds eight readable bytes; the load is unaligned.
+    unsafe { _mm_loadl_epi64(bytes.as_ptr().cast()) }
+}
+
+/// Packs two quads of output positions — four each, starting at padded
+/// offsets `lo ≤ hi` of `band` — into dwords `at..at + 8` of the three
+/// group planes in `planes` (64 dwords each), as `code + 128`. Each quad
+/// reads eight bytes of three padded rows, two more than its six live
+/// ones: only the band's last quad reads past its end.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,avxvnni")]
+#[inline]
+fn pack_quads(band: &[i8], lo: usize, hi: usize, pw: usize, planes: &mut [u32], at: usize) {
+    use std::arch::x86_64::*;
+    debug_assert!(lo <= hi);
+    let at_rows = [lo, lo + pw, lo + 2 * pw, hi, hi + pw, hi + 2 * pw];
+    let mut rows = [_mm_setzero_si128(); 6];
+    if hi + 2 * pw + 8 <= band.len() {
+        for (row, &o) in rows.iter_mut().zip(&at_rows) {
+            // SAFETY: eight bytes from an offset of at most `hi + 2·pw`,
+            // and `hi + 2·pw + 8 ≤ band.len()`; the load is unaligned.
+            *row = unsafe { _mm_loadl_epi64(band.as_ptr().add(o).cast()) };
+        }
+    } else {
+        for (row, &o) in rows.iter_mut().zip(&at_rows) {
+            *row = load8(band, o);
+        }
+    }
+    let [r0, s0, u0, r1, s1, u1] = rows;
+    let rs = _mm256_set_m128i(_mm_unpacklo_epi64(r1, s1), _mm_unpacklo_epi64(r0, s0));
+    let su = _mm256_set_m128i(_mm_unpacklo_epi64(s1, u1), _mm_unpacklo_epi64(s0, u0));
+    let flip = _mm256_set1_epi8(-128);
+    for (g, (rows, idx)) in [rs, su, su].into_iter().zip(&TAP_QUADS).enumerate() {
+        // SAFETY: `idx` is 32 readable bytes.
+        let idx = unsafe { _mm256_loadu_si256(idx.as_ptr().cast()) };
+        let quad = _mm256_xor_si256(_mm256_shuffle_epi8(rows, idx), flip);
+        let dst = &mut planes[g * VNNI_TILE + at..g * VNNI_TILE + at + 8];
+        // SAFETY: `dst` is eight writable dwords; the store is unaligned.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), quad) };
+    }
+}
+
+/// One output channel's share of a VNNI tile.
+#[cfg(target_arch = "x86_64")]
+struct VnniChannel<'a> {
+    planes: &'a [u16],
+    weights: &'a [i32],
+    seed: i32,
+    bias: f32,
+    relu: bool,
+}
+
+/// Runs one output channel over a packed tile of `A` accumulators:
+/// seed, one `vpdpbusd` per accumulator per dword tap, then
+/// [`requantize`] at `scale[a]` into `out[at + dst[a]..][..8]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,avxvnni")]
+#[inline]
+fn vnni_channel<const A: usize>(
+    ch: &VnniChannel<'_>,
+    packed: &[u32],
+    scale: &[f32; VNNI_ACCS],
+    dst: &[usize; VNNI_ACCS],
+    at: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm256_set1_epi32(ch.seed); A];
+    for (&plane, &w) in ch.planes.iter().zip(ch.weights) {
+        let src = &packed[usize::from(plane) * VNNI_TILE..][..A * 8];
+        let w = _mm256_set1_epi32(w);
+        for (a, acc) in acc.iter_mut().enumerate() {
+            let x = &src[a * 8..a * 8 + 8];
+            // SAFETY: `x` is eight readable dwords; the load is unaligned.
+            let x = unsafe { _mm256_loadu_si256(x.as_ptr().cast()) };
+            *acc = _mm256_dpbusd_avx_epi32(*acc, x, w);
+        }
+    }
+    for (a, &acc) in acc.iter().enumerate() {
+        let mut sums = [0i32; 8];
+        // SAFETY: `sums` is eight writable i32s; the store is unaligned.
+        unsafe { _mm256_storeu_si256(sums.as_mut_ptr().cast(), acc) };
+        let o = &mut out[at + dst[a]..at + dst[a] + 8];
+        for (o, &s) in o.iter_mut().zip(&sums) {
+            *o = requantize(s, scale[a], ch.bias, ch.relu);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2443,8 +2905,9 @@ mod tests {
     fn i8_tile_walk_is_exact_at_the_code_extremes() {
         // Every code is ±127, the largest a symmetric quantiser emits:
         // a pair of products is then 2 · 127², the most the i16 pair sum
-        // must hold. Two output channels over three input channels,
-        // kernel (oc 1, ic 0) skipped; heights make the last tile slide.
+        // must hold, and the VNNI walk's shifted codes span 1..=255. Two
+        // output channels over three input channels, kernel (oc 1, ic 0)
+        // skipped; heights make the last tile slide.
         let images = 2usize;
         let act_scales = [1.0f32, 2.0];
         let weight_scale = 0.25f32;
@@ -2474,9 +2937,12 @@ mod tests {
                 .map(|i| if i % 7 == 3 { -127 } else { 127 })
                 .collect();
             // Code c keeps kernel positions c, c+2, c+4, … of the 3×3 grid.
-            let offsets: Vec<usize> = (0..3)
-                .flat_map(|c| (0..n).map(move |j| (c + 2 * j) % 9))
-                .map(|p| (p / 3) * pw + p % 3)
+            let positions: Vec<u8> = (0..3)
+                .flat_map(|c| (0..n).map(move |j| ((c + 2 * j) % 9) as u8))
+                .collect();
+            let offsets: Vec<usize> = positions
+                .iter()
+                .map(|&p| usize::from(p / 3) * pw + usize::from(p % 3))
                 .collect();
             let kernels = SpmKernels {
                 codes: &codes,
@@ -2507,6 +2973,7 @@ mod tests {
                     &mut scratch,
                     false,
                 );
+                let vnni = vnni_walk_or_notice(&kernels, &positions, e, &input, oh, ow);
                 let mut want = vec![f32::NAN; got.len()];
                 for oc in 0..2 {
                     let geo = BatchPlanes {
@@ -2551,8 +3018,285 @@ mod tests {
                     }
                 }
                 assert_eq!(got, want, "oh={oh} ow={ow} n={n} relu={relu}");
+                if let Some(vnni) = vnni {
+                    assert_eq!(vnni, want, "VNNI: oh={oh} ow={ow} n={n} relu={relu}");
+                }
             }
         }
+    }
+
+    /// [`band_walk_vnni`] over `kernels`, or `None` with a printed
+    /// notice on a CPU without AVX-VNNI — skipped, never passed silently.
+    fn vnni_walk_or_notice(
+        kernels: &SpmKernels<'_, i8>,
+        positions: &[u8],
+        e: Requant<'_>,
+        input: &[f32],
+        oh: usize,
+        ow: usize,
+    ) -> Option<Vec<f32>> {
+        if !has_vnni(SimdLevel::Avx2) {
+            eprintln!("SKIPPED: this CPU has no AVX-VNNI; the VNNI walk is not checked");
+            return None;
+        }
+        let out_c = kernels.codes.len() / kernels.in_c;
+        let n = input.len() / (kernels.in_c * oh * ow);
+        let mut got = vec![f32::NAN; n * out_c * oh * ow];
+        let taps = DwordTaps::new(kernels, positions);
+        let (mut band, mut packed) = (Vec::new(), Vec::new());
+        let pass = band_walk_vnni(
+            &taps,
+            e,
+            input,
+            &mut got,
+            oh,
+            ow,
+            &mut band,
+            &mut packed,
+            false,
+        );
+        assert!(pass.padded > 0 || n == 0);
+        Some(got)
+    }
+
+    /// A random int8 layer: `out_c × in_c` kernels of `n` taps over
+    /// three pattern codes, each `n` distinct positions of the 3×3
+    /// window, with the given kernels skipped (their weights zero).
+    struct I8Layer {
+        codes: Vec<u16>,
+        weights: Vec<i8>,
+        skip: Vec<bool>,
+        positions: Vec<u8>,
+        n: usize,
+        in_c: usize,
+    }
+
+    impl I8Layer {
+        fn random(out_c: usize, in_c: usize, n: usize, rng: &mut impl rand::Rng) -> Self {
+            let positions: Vec<u8> = (0..3)
+                .flat_map(|_| {
+                    let mut all: Vec<u8> = (0..9).collect();
+                    for i in 0..n {
+                        let j = rng.gen_range(i..9);
+                        all.swap(i, j);
+                    }
+                    all.truncate(n);
+                    all
+                })
+                .collect();
+            let kernels = out_c * in_c;
+            let codes = (0..kernels).map(|_| rng.gen_range(0u16..3)).collect();
+            let skip: Vec<bool> = (0..kernels).map(|ki| ki % 5 == 3).collect();
+            let weights = (0..kernels * n)
+                .map(|i| {
+                    if skip[i / n] {
+                        0
+                    } else {
+                        rng.gen_range(-127i32..=127) as i8
+                    }
+                })
+                .collect();
+            I8Layer {
+                codes,
+                weights,
+                skip,
+                positions,
+                n,
+                in_c,
+            }
+        }
+
+        fn offsets(&self, pw: usize) -> Vec<usize> {
+            self.positions
+                .iter()
+                .map(|&p| usize::from(p / 3) * pw + usize::from(p % 3))
+                .collect()
+        }
+
+        fn kernels<'a>(&'a self, offsets: &'a [usize]) -> SpmKernels<'a, i8> {
+            SpmKernels {
+                codes: &self.codes,
+                weights: &self.weights,
+                skip: &self.skip,
+                offsets,
+                taps: self.n,
+                in_c: self.in_c,
+            }
+        }
+    }
+
+    /// Per-image symmetric activation scales at `q_max`: `max|x| / q_max`,
+    /// or 1.0 for an all-zero image.
+    fn act_scales(input: &[f32], images: usize, q_max: i32) -> Vec<f32> {
+        input
+            .chunks_exact(input.len() / images)
+            .map(|img| match max_abs(img) {
+                0.0 => 1.0,
+                m => m / q_max as f32,
+            })
+            .collect()
+    }
+
+    /// Runs the scalar tile, the AVX2 tile and (where the CPU has it)
+    /// the VNNI walk over one layer and asserts all three bit-equal.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_three_walks_agree(
+        layer: &I8Layer,
+        input: &[f32],
+        images: usize,
+        oh: usize,
+        ow: usize,
+        act_bits: u32,
+        bias: Option<&[f32]>,
+        relu: bool,
+    ) {
+        let offsets = layer.offsets(ow + 2);
+        let kernels = layer.kernels(&offsets);
+        let q_max = (1 << (act_bits - 1)) - 1;
+        let scales = act_scales(input, images, q_max);
+        let e = Requant {
+            act_scales: &scales,
+            q_max,
+            weight_scale: 0.0123,
+            bias,
+            relu,
+        };
+        let out_c = layer.codes.len() / layer.in_c;
+        let walk = |level| {
+            let mut got = vec![f32::NAN; images * out_c * oh * ow];
+            band_walk_at(
+                level,
+                &kernels,
+                e,
+                input,
+                &mut got,
+                oh,
+                ow,
+                &mut Vec::new(),
+                false,
+            );
+            got
+        };
+        let scalar = walk(SimdLevel::Scalar);
+        let what = format!(
+            "n={} {oh}x{ow} images={images} bits={act_bits} bias={} relu={relu}",
+            layer.n,
+            bias.is_some()
+        );
+        assert!(scalar.iter().all(|v| v.is_finite()), "{what}");
+        assert_eq!(walk(SimdLevel::Avx2), scalar, "AVX2 tile: {what}");
+        if let Some(vnni) = vnni_walk_or_notice(&kernels, &layer.positions, e, input, oh, ow) {
+            assert_eq!(vnni, scalar, "VNNI walk: {what}");
+        }
+    }
+
+    #[test]
+    fn vnni_walk_equals_both_tiles_for_every_tap_count_and_width() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x7a9_0001);
+        let geometries = [(4usize, 4usize), (6, 4), (8, 8), (9, 8), (5, 16), (3, 32)];
+        for n in 1..=9 {
+            for (gi, &(oh, ow)) in geometries.iter().enumerate() {
+                // One, three and five images: width-4 tiles span four
+                // images, so these leave a partial tile of 1, 3 and 1.
+                let images = [1usize, 3, 5][(n + gi) % 3];
+                let (out_c, in_c) = (3, 4);
+                let layer = I8Layer::random(out_c, in_c, n, &mut rng);
+                // Signed input as a first layer sees; ReLU'd otherwise.
+                let signed = (n + gi) % 2 == 0;
+                let input: Vec<f32> = (0..images * in_c * oh * ow)
+                    .map(|_| {
+                        let v = rng.gen_range(-1.0f32..1.0);
+                        if signed {
+                            v
+                        } else {
+                            v.abs()
+                        }
+                    })
+                    .collect();
+                let bias: Vec<f32> = (0..out_c).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+                for act_bits in [2, 8] {
+                    for (with_bias, relu) in [(true, true), (false, false)] {
+                        let bias = with_bias.then_some(&bias[..]);
+                        assert_three_walks_agree(
+                            &layer, &input, images, oh, ow, act_bits, bias, relu,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vnni_walk_is_exact_on_an_all_zero_image_and_at_plus_minus_q_max() {
+        use rand::SeedableRng;
+        // Image 0 is all zeros (scale 1.0, every code 0); image 1 holds
+        // only ±q_max codes; every weight is ±127.
+        let (oh, ow, in_c, out_c, images) = (8usize, 8usize, 5usize, 4usize, 2usize);
+        let plane = in_c * oh * ow;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x7a9_0002);
+        for act_bits in [2u32, 8] {
+            for n in [1usize, 4, 9] {
+                let mut layer = I8Layer::random(out_c, in_c, n, &mut rng);
+                for (i, w) in layer.weights.iter_mut().enumerate() {
+                    if *w != 0 {
+                        *w = if i % 3 == 0 { -127 } else { 127 };
+                    }
+                }
+                let input: Vec<f32> = (0..images * plane)
+                    .map(|i| match (i / plane, i % 7) {
+                        (0, _) => 0.0,
+                        (_, 0) => -3.0,
+                        _ => 3.0,
+                    })
+                    .collect();
+                assert_three_walks_agree(&layer, &input, images, oh, ow, act_bits, None, false);
+            }
+        }
+    }
+
+    #[test]
+    fn vnni_is_never_taken_at_the_scalar_tier() {
+        // `PCNN_FORCE_SCALAR=1` pins `SimdLevel::Scalar`.
+        assert!(!has_vnni(SimdLevel::Scalar));
+        #[cfg(target_arch = "x86_64")]
+        let cpu = std::is_x86_feature_detected!("avxvnni");
+        #[cfg(not(target_arch = "x86_64"))]
+        let cpu = false;
+        assert_eq!(
+            has_vnni(SimdLevel::Avx2),
+            cpu && SimdLevel::Avx2.effective() == SimdLevel::Avx2
+        );
+    }
+
+    #[test]
+    fn dword_taps_pack_each_group_once_and_seed_minus_128_sum() {
+        // One output channel, two input channels: kernel 0 has taps 0, 4
+        // and 8 (groups g0, g1, g2), kernel 1 taps 1 and 2 (g0 only).
+        let positions = [0u8, 4, 8, 1, 2, 0];
+        let kernels = SpmKernels {
+            codes: &[0, 1],
+            weights: &[5, -6, 7, -1, 2, 0],
+            skip: &[false, false],
+            offsets: &[],
+            taps: 3,
+            in_c: 2,
+        };
+        let d = DwordTaps::new(&kernels, &positions);
+        assert_eq!(d.starts, [0, 4]);
+        assert_eq!(d.planes, [0, 1, 2, 3]);
+        let byte = |w: i8, k: u32| i32::from(w as u8) << (8 * k);
+        // Kernel 1's third tap (position 0, weight 0) adds nothing.
+        assert_eq!(
+            d.weights,
+            [
+                byte(5, 0),
+                byte(-6, 0),
+                byte(7, 0),
+                byte(-1, 1) | byte(2, 2)
+            ]
+        );
+        assert_eq!(d.seeds, [-128 * (5 - 6 + 7 - 1 + 2)]);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!    against both the f32 pattern kernels and dense im2col.
 //! 2. Lowers the VGG-16-topology proxy through `compile_quant` (one
 //!    compiled topology, two precisions), reports int8 accuracy against
-//!    the f32 path and the dequantise-then-f32 reference, and the SPM
-//!    storage win of 8-bit weights.
+//!    the f32 path and the dequantise-then-f32 reference, the SPM
+//!    storage win of 8-bit weights, and per layer the walk each
+//!    precision ran (`band`, `band_vnni` on CPUs with AVX-VNNI, or
+//!    `per_kernel`) with its int8/f32 time ratio.
 //! 3. Serves mixed-precision traffic through `pcnn-serve`, printing the
 //!    precision-labeled telemetry.
 
@@ -145,11 +147,37 @@ fn main() {
     let g_f32 = time(reps, || graph.run_with(&xb, Precision::F32));
     let g_int8 = time(reps, || graph.run_with(&xb, Precision::Int8));
     println!(
-        "batch-4 graph pass: f32 {:.2} ms   int8 {:.2} ms   ({:.2}x)\n",
+        "batch-4 graph pass: f32 {:.2} ms   int8 {:.2} ms   ({:.2}x)",
         g_f32 * 1e3,
         g_int8 * 1e3,
         g_f32 / g_int8
     );
+    // Per layer, from the engine's execution profile: which walk each
+    // precision ran, and int8 time over f32 time (below 1 = int8 wins).
+    let profiled = Engine::new(graph.clone(), 1);
+    profiled.enable_profiling();
+    for _ in 0..reps {
+        for precision in Precision::ALL {
+            std::hint::black_box(profiled.infer_with(&xb, precision));
+        }
+    }
+    let profile = profiled.exec_profile();
+    let layers = |p: Precision| {
+        let slot = profile.precisions.iter().find(|s| s.precision == p.label());
+        slot.expect("both precisions profiled").layers.clone()
+    };
+    println!(
+        "{:<46} {:>10} {:>10} {:>10}",
+        "conv layer", "f32 walk", "int8 walk", "int8/f32"
+    );
+    for (f, q) in layers(Precision::F32).iter().zip(&layers(Precision::Int8)) {
+        if f.label.starts_with("PatternConv") {
+            let label: String = f.label.chars().take(46).collect();
+            let ratio = q.total_ns as f64 / f.total_ns.max(1) as f64;
+            println!("{label:<46} {:>10} {:>10} {ratio:>10.2}", f.walk, q.walk);
+        }
+    }
+    println!();
 
     // --- 3. Mixed-precision serving ------------------------------------
     let engine = Engine::new(graph, 2);
